@@ -450,7 +450,12 @@ def build_parser():
                     "linear systems on complete simplicial toric varieties.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_seed = int(os.environ.get("TORIC_LINSYS_SEED", "0"))
+    env_seed = os.environ.get("TORIC_LINSYS_SEED", "0")
+    try:
+        default_seed = int(env_seed)
+    except ValueError:
+        raise ValueError(
+            f"TORIC_LINSYS_SEED must be an integer, got {env_seed!r}") from None
 
     def common(p, fan=False, polytope=False, system=False, rank=False):
         p.add_argument("--example", help="catalog spec, e.g. pn:2, p1n:7, "
@@ -538,9 +543,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(json.dumps({"error": str(exc), "path": exc.path},

@@ -332,9 +332,43 @@ class LatticePolytope:
     def bounding_box(self):
         """Exact integer bounding box (lo, hi), or None when empty.
 
+        Orthant down-sets get a closed form: every normal is -e_i (any
+        offset) or entrywise nonnegative, and every axis has a -e_i row and
+        a row with a positive entry on it. Then lo_i is the largest -offset
+        over the -e_i rows, the polytope is empty iff lo violates a
+        nonnegative row, and hi_i = lo_i + min floor((offset - normal.lo) /
+        normal_i) over the rows with normal_i > 0. This is the LP optimum:
+        raising any other coordinate above lo only tightens the nonnegative
+        rows. Every other polytope goes through the exact simplex.
+
         Raises ValueError("unbounded polyhedron") when some direction is
         unbounded.
         """
+        n = self.dim
+        lo = [None] * n
+        upper = []
+        for nv, off in zip(self.normals, self.offsets):
+            if min(nv, default=0) >= 0:
+                upper.append((nv, off))
+            elif sorted(nv) == [-1] + [0] * (n - 1):
+                i = nv.index(-1)
+                lo[i] = -off if lo[i] is None else max(lo[i], -off)
+            else:
+                return self._lp_bounding_box()
+        if None in lo or not all(any(nv[i] for nv, _ in upper)
+                                 for i in range(n)):
+            return self._lp_bounding_box()
+        lo = tuple(lo)
+        slack = [off - dot(nv, lo) for nv, off in upper]
+        if min(slack) < 0:
+            return None
+        hi = tuple(lo[i] + min(s // nv[i] for (nv, _), s in zip(upper, slack)
+                               if nv[i] > 0)
+                   for i in range(n))
+        return lo, hi
+
+    def _lp_bounding_box(self):
+        """Bounding box by 2 * dim exact simplex LPs, for any polytope."""
         n = self.dim
         ineqs = list(zip(self.normals, self.offsets))
         lo, hi = [], []

@@ -58,6 +58,13 @@ class RankConfig:
     seed: int = 0
     exact: bool = False
 
+    def __post_init__(self):
+        # zero trials would report every system as special with no evidence
+        if self.trials < 1:
+            raise ValueError("trials must be at least 1")
+        if self.prime_bits < 3:
+            raise ValueError("prime_bits must be at least 3")
+
 
 @dataclass(frozen=True)
 class TrialEvidence:

@@ -194,6 +194,38 @@ def test_seed_env_default(tmp_path, capsys, monkeypatch):
     assert doc["seed"] == 777
 
 
+def test_seed_env_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("TORIC_LINSYS_SEED", "abc")
+    code, doc, err = run_cli(["dim", "--example", "pn:2", "--class", "2",
+                              "--mults", "2"], capsys)
+    assert code == 1
+    assert doc == {"error": "TORIC_LINSYS_SEED must be an integer, got 'abc'",
+                   "path": None}
+    assert "Traceback" not in err
+
+
+def test_dim_rejects_zero_trials_and_tiny_primes(capsys):
+    base = ["dim", "--example", "pn:2", "--class", "4", "--mults", "2,2"]
+    for extra, message in ((["--trials", "0"], "trials must be at least 1"),
+                           (["--prime-bits", "2"],
+                            "prime_bits must be at least 3")):
+        code, doc, _ = run_cli(base + extra, capsys)
+        assert code == 1
+        assert doc == {"error": message, "path": None}
+
+
+def test_sweep_zero_trials_fails_every_task(tmp_path, capsys):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({
+        "tasks": [{"polytope": polytope_to_json(box_polytope((2, 2))),
+                   "multiplicities": [1, 1]}],
+        "cfg": {"trials": 0}}))
+    code, doc, err = run_cli(["sweep", "--job", str(job)], capsys)
+    assert code == 0
+    assert doc["total"] == 1 and doc["ok"] == 0 and doc["failed"] == 1
+    assert "trials must be at least 1" in err
+
+
 def test_genericity_violation_exit_code(tmp_path, capsys):
     # a monomial support that is not a down-set breaks the dimension chain
     sysfile = tmp_path / "s.json"

@@ -1,7 +1,9 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toric_linsys import (
     Cone,
@@ -22,12 +24,14 @@ from toric_linsys import (
 from toric_linsys.catalog import (
     bl3p2_fan,
     box_polytope,
+    hexagon_polytope,
     hirzebruch_fan,
     p1_power_fan,
     projective_space_fan,
     trapezoid_polytope,
 )
-from toric_linsys.linalg import det, dot, mat_vec
+from toric_linsys.fan_analysis import demazure_roots, root_region
+from toric_linsys.linalg import det, dot, lp_solve, mat_vec
 
 
 def brute_force_points(poly, box):
@@ -239,6 +243,81 @@ def test_polytope_vertices_and_box():
     assert p.vertices == ((0, 0), (0, 1), (1, 1), (2, 0))
     assert p.bounding_box() == ((0, 0), (2, 1))
     assert p.translate((3, 4)).vertices == ((3, 4), (3, 5), (4, 5), (5, 4))
+
+
+@st.composite
+def downsets(draw):
+    """Orthant down-sets of dimension 1-4: per axis one or two -e_i rows
+    (positive offsets give the redundant rows of translated pieces) and a
+    row positive on that axis, plus random nonnegative rows, some of them
+    zero; negative offsets on nonnegative rows make some of them empty."""
+    d = draw(st.integers(1, 4))
+    coeff = st.lists(st.integers(0, 2), min_size=d, max_size=d)
+    rows = []
+    for i in range(d):
+        for off in draw(st.lists(st.integers(-3, 3), min_size=1, max_size=2)):
+            rows.append((tuple(-1 if j == i else 0 for j in range(d)), off))
+        v = draw(coeff)
+        v[i] = draw(st.integers(1, 3))
+        rows.append((tuple(v), draw(st.integers(-2, 8))))
+    for v in draw(st.lists(coeff, max_size=3)):
+        rows.append((tuple(v), draw(st.integers(-2, 8))))
+    if draw(st.booleans()):
+        rows.append(((0,) * d, draw(st.integers(-1, 1))))
+    rows = draw(st.permutations(rows))
+    return LatticePolytope(tuple(nv for nv, _ in rows),
+                           tuple(off for _, off in rows))
+
+
+def _scan_box(box, d):
+    """A box generously containing every point: the LP box widened by 2,
+    or [-3, 3]^d (every -e_i offset is at most 3) around an empty one."""
+    if box is None:
+        return (-3,) * d, (3,) * d
+    lo, hi = box
+    return tuple(a - 2 for a in lo), tuple(b + 2 for b in hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(downsets())
+def test_downset_box_matches_lp(p):
+    with mock.patch("toric_linsys.lattice.lp_solve",
+                    side_effect=AssertionError("LP on a down-set")):
+        box = p.bounding_box()
+        pts = lattice_points(p)
+    lp_box = p._lp_bounding_box()
+    assert box == lp_box
+    assert pts == brute_force_points(p, _scan_box(lp_box, p.dim))
+
+
+def _assert_lp_fallback(p):
+    with mock.patch("toric_linsys.lattice.lp_solve", wraps=lp_solve) as lp:
+        box = p.bounding_box()
+    assert lp.called
+    assert box == p._lp_bounding_box()
+    assert lattice_points(p) == brute_force_points(p, _scan_box(box, p.dim))
+
+
+def test_hexagon_box_uses_lp():
+    _assert_lp_fallback(hexagon_polytope())
+    assert hexagon_polytope().bounding_box() == ((0, 0), (2, 2))
+
+
+def test_transformed_root_region_box_uses_lp():
+    fan = hirzebruch_fan(1)
+    a = ((2, 1), (1, 1))
+    moved = Fan(2, tuple(tuple(mat_vec(a, r)) for r in fan.rays),
+                fan.max_cones)
+    for i in range(len(moved.rays)):
+        _assert_lp_fallback(root_region(moved, i))
+    assert len(demazure_roots(moved)) == len(demazure_roots(fan)) == 4
+
+
+def test_box_without_lower_rows_is_unbounded_on_both_paths():
+    p = LatticePolytope(((1, 0), (1, 1)), (2, 3))
+    for box in (p.bounding_box, p._lp_bounding_box):
+        with pytest.raises(ValueError, match="unbounded polyhedron"):
+            box()
 
 
 def test_normal_fan_of_trapezoid_is_hirzebruch():
