@@ -189,9 +189,18 @@ def _standard_from_obj(obj, verdict, cp, path=None):
     raise InputError("divisor object needs 'coeffs' or 'standard'", path)
 
 
-def rank_config(args, seed_offset=0) -> RankConfig:
-    return RankConfig(trials=args.trials, prime_bits=args.prime_bits,
-                      seed=args.seed + seed_offset, exact=args.exact)
+def rank_config(args, seed_offset=0, overrides=None) -> RankConfig:
+    """The rank flags, with entries of a sweep job's "cfg" object taking
+    precedence over them."""
+    cfg = {"trials": args.trials, "prime_bits": args.prime_bits,
+           "seed": args.seed, "exact": args.exact, **(overrides or {})}
+    try:
+        return RankConfig(trials=int(cfg["trials"]),
+                          prime_bits=int(cfg["prime_bits"]),
+                          seed=int(cfg["seed"]) + seed_offset,
+                          exact=bool(cfg["exact"]))
+    except TypeError as exc:
+        raise InputError(f"malformed rank settings: {exc}") from None
 
 
 def load_system(args):
@@ -213,6 +222,8 @@ def load_system(args):
 
 
 def system_from_obj(obj, path=None):
+    if not isinstance(obj, dict):
+        raise InputError("system must be a JSON object", path)
     if "polytope" in obj:
         try:
             poly = polytope_from_json(obj["polytope"])
@@ -397,28 +408,30 @@ def cmd_sweep(args):
     if not args.job:
         raise InputError("need --job FILE")
     job = _load_json(args.job)
+    if not isinstance(job, dict):
+        raise InputError("job must be a JSON object", args.job)
     tasks = job.get("tasks", [])
+    if not isinstance(tasks, list):
+        raise InputError("'tasks' must be a list", args.job)
     if not tasks:
         raise InputError("empty task list", args.job)
     base_cfg = job.get("cfg", {})
-    trials = int(base_cfg.get("trials", args.trials))
-    prime_bits = int(base_cfg.get("prime_bits", args.prime_bits))
-    seed = int(base_cfg.get("seed", args.seed))
-    exact = bool(base_cfg.get("exact", args.exact))
+    if not isinstance(base_cfg, dict):
+        raise InputError("'cfg' must be an object", args.job)
     lines = []
     counts = {"total": 0, "ok": 0, "failed": 0, "special": 0,
               "toric_special": 0}
     for idx, task in enumerate(tasks):
         counts["total"] += 1
-        label = task.get("label", f"task-{idx}")
+        label = f"task-{idx}"
+        if isinstance(task, dict):
+            label = task.get("label", label)
         record = {"label": label}
         try:
-            if "system" in task:
-                poly, mults, desc = system_from_obj(task["system"])
-            else:
-                poly, mults, desc = system_from_obj(task)
-            cfg = RankConfig(trials=trials, prime_bits=prime_bits,
-                             seed=seed + idx, exact=exact)
+            if not isinstance(task, dict):
+                raise InputError("task must be a JSON object")
+            poly, mults, desc = system_from_obj(task.get("system", task))
+            cfg = rank_config(args, idx, base_cfg)
             report = analyze_polytope_system(poly, mults, cfg)
             record["report"] = jsonable(report)
             counts["ok"] += 1

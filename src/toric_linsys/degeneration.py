@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from .fan_analysis import transitive_cones
 from .lattice import (
     LatticePolytope,
+    cone_contains,
+    cone_is_smooth,
     lattice_points,
     normal_fan,
     polytope_from_json,
@@ -56,15 +57,17 @@ def ensure_standard_form(p: LatticePolytope):
         raise ValueError("polytope leaves the first orthant")
     if origin not in verts:
         raise ValueError("origin is not a vertex")
-    fan, fan_verts = normal_fan(p)
-    verdict = transitive_cones(fan)
-    origin_cone = fan_verts.index(origin)
-    if origin_cone not in verdict.transitive_cone_indices:
+    fan, fan_verts = normal_fan(p)  # raises when a vertex is not simple
+    ci = fan_verts.index(origin)
+    cone = fan.cone(ci)
+    negated = cone.negated()
+    if not (cone_is_smooth(cone)
+            and all(cone_contains(negated, r) for i, r in enumerate(fan.rays)
+                    if i not in fan.max_cones[ci])):
         raise ValueError("origin is not a transitive vertex")
     # the cone at the origin must be spanned by the negative axes
     axes = {tuple(-1 if j == i else 0 for j in range(n)) for i in range(n)}
-    cone_rays = {fan.rays[i] for i in fan.max_cones[origin_cone]}
-    if cone_rays != axes:
+    if set(cone.rays) != axes:
         raise ValueError("edges at the origin are not along the axes")
 
 

@@ -24,10 +24,10 @@ from .lattice import (
     primitivize,
 )
 from .linalg import (
+    adjugate,
     affine_rank,
     columns_matrix,
     det,
-    invert,
     mat_mul,
     mat_vec,
     point_in_hull,
@@ -227,15 +227,17 @@ def fan_symmetries(f: Fan):
     ray_of = {r: i for i, r in enumerate(f.rays)}
     cone_set = {c for c in f.max_cones}
     base = f.max_cones[0]
-    base_inv = invert(columns_matrix(tuple(f.rays[i] for i in base)))
+    d, base_adj = adjugate(columns_matrix(tuple(f.rays[i] for i in base)))
     out = {}
     for target in f.max_cones:
         for perm in itertools.permutations(target):
-            t = columns_matrix(tuple(f.rays[i] for i in perm))
-            a = mat_mul(t, base_inv)
-            if any(x.denominator != 1 for row in a for x in row):
+            # the candidate t . base^-1 = t . adj / d is integral iff d
+            # divides every entry of t . adj
+            t_adj = mat_mul(columns_matrix(tuple(f.rays[i] for i in perm)),
+                            base_adj)
+            if any(x % d for row in t_adj for x in row):
                 continue
-            a = tuple(tuple(x.numerator for x in row) for row in a)
+            a = tuple(tuple(x // d for x in row) for row in t_adj)
             if abs(det(a)) != 1:
                 continue
             images = []

@@ -19,11 +19,11 @@ from math import ceil, floor
 from .linalg import (
     OPTIMAL,
     UNBOUNDED,
+    adjugate,
     affine_rank,
     columns_matrix,
     det,
     dot,
-    invert,
     lp_solve,
     mat_vec,
     rank as matrix_rank,
@@ -95,11 +95,11 @@ def gl_change_of_basis(src: Cone):
     """Unimodular A with A . ray_i = -e_i for the cone's ray order."""
     if len(src.rays) != src.ambient_rank:
         raise ValueError("not full-dimensional")
-    m = columns_matrix(src.rays)
-    if abs(det(m)) != 1:
+    d, adj = adjugate(columns_matrix(src.rays))
+    if abs(d) != 1:
         raise ValueError("no unimodular normalization")
-    inv = invert(m)
-    return tuple(tuple(-x.numerator for x in row) for row in inv)
+    # the inverse is adj / d = d * adj
+    return tuple(tuple(-d * x for x in row) for row in adj)
 
 
 @dataclass(frozen=True)
@@ -157,13 +157,10 @@ def _cone_location_data(fan):
     data = []
     for c in fan.max_cones:
         gens = tuple(fan.rays[i] for i in c)
-        m = columns_matrix(gens)
-        d = det(m)
-        inv = invert(m)
-        scaled = tuple(tuple((x * d).numerator for x in row) for row in inv)
+        d, adj = adjugate(columns_matrix(gens))
         if d < 0:
-            scaled = tuple(tuple(-x for x in row) for row in scaled)
-        data.append((scaled, gens))
+            adj = tuple(tuple(-x for x in row) for row in adj)
+        data.append((adj, gens))
     return data
 
 

@@ -1,13 +1,15 @@
 """Exact integer / rational linear algebra and a small simplex LP solver.
 
 Everything works over Python ints and fractions.Fraction; no floats ever.
-Vectors are tuples, matrices are sequences of row sequences.
+Vectors are tuples, matrices are sequences of row sequences. Determinants,
+ranks, inverses and solves all come from one fraction-free (Bareiss)
+elimination, which clears row denominators and then stays in the integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 
 def dot(a, b):
@@ -59,67 +61,109 @@ def columns_matrix(vectors):
     return transpose(tuple(vectors))
 
 
-def det(m):
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
+def _echelon(rows):
+    """Fraction-free (Bareiss) forward elimination over the integers.
+
+    Each row is first scaled by the lcm of its denominators. Returns
+    (rows, pivots, last, sign): the echelon rows, their pivot columns, the
+    last pivot and the sign of the row permutation. After k pivots every row
+    below holds minors of order k + 1 of the permuted input, so each division
+    is exact (Sylvester's identity) and `last` is the minor on the pivot rows
+    and columns: for a square input of full rank, sign * last is the
+    determinant of the row-scaled input.
+    """
+    a = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (den // x.denominator) for x in row])
+    m = len(a)
+    ncols = len(a[0]) if a else 0
+    pivots = []
+    last = 1
     sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, m) if a[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        prow = a[r]
+        p = prow[col]
+        for i in range(r + 1, m):
+            ai = a[i]
+            f = ai[col]
+            a[i] = [(x * p - f * y) // last for x, y in zip(ai, prow)]
+        last = p
+        pivots.append(col)
+        if r + 1 == m:
+            break
+    return a, pivots, last, sign
+
+
+def _back_substitute(a, k, last, col):
+    """Integer numerators over `last` of the solution of the first k echelon
+    rows, whose pivots are columns 0..k-1, with right-hand side column col.
+
+    By Cramer's rule last * x is integral, so each division is exact.
+    """
+    x = [0] * k
+    for i in range(k - 1, -1, -1):
+        row = a[i]
+        s = last * row[col] - sum(row[j] * x[j] for j in range(i + 1, k))
+        x[i] = s // row[i]
+    return x
+
+
+def _row_scale(m):
+    """Product of the row denominators _echelon clears."""
+    return prod(lcm(*(x.denominator for x in row)) for row in m)
+
+
+def _divide(x, scale):
+    """x / scale, still an int when no denominator was cleared."""
+    return x if scale == 1 else Fraction(x, scale)
+
+
+def det(m):
+    """Exact determinant of a square matrix (Bareiss elimination)."""
+    _, pivots, last, sign = _echelon(m)
+    if len(pivots) < len(m):
+        return 0
+    return _divide(sign * last, _row_scale(m))
+
+
+def adjugate(m):
+    """(det m, adj m) of a square matrix, so that m . adj == det * I; the
+    adjugate is None when m is singular. Integer m gives integer entries."""
+    n = len(m)
+    a, pivots, last, sign = _echelon(
+        [(*row, *(int(i == j) for j in range(n))) for i, row in enumerate(m)])
+    if pivots[:n] != list(range(n)):
+        return 0, None
+    cols = [_back_substitute(a, n, last, n + j) for j in range(n)]
+    scale = _row_scale(m)
+    return (_divide(sign * last, scale),
+            tuple(tuple(_divide(sign * c[i], scale) for c in cols)
+                  for i in range(n)))
 
 
 def invert(m):
     """Exact inverse of a square matrix, entries Fraction. Raises on singular."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+    d, adj = adjugate(m)
+    if not d:
+        raise ValueError("singular matrix")
+    return tuple(tuple(Fraction(x, d) for x in row) for row in adj)
 
 
 def solve_unique(m, b):
     """Solve the square system m x = b exactly; None if m is singular."""
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(m, b)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return tuple(a[i][n] for i in range(n))
+    a, pivots, last, _ = _echelon([(*row, bv) for row, bv in zip(m, b)])
+    if pivots[:n] != list(range(n)):
+        return None
+    return tuple(Fraction(x, last) for x in _back_substitute(a, n, last, n))
 
 
 def solve_in_span(vectors, target):
@@ -129,49 +173,18 @@ def solve_in_span(vectors, target):
     Raises ValueError if the vectors are linearly dependent.
     """
     k = len(vectors)
-    rows = [[Fraction(vectors[j][i]) for j in range(k)] + [Fraction(target[i])]
-            for i in range(len(target))]
-    pivots = []
-    r = 0
-    for col in range(k):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("linearly dependent vectors")
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][k] != 0:
-            return None
-    return tuple(rows[i][k] for i in range(k))
+    a, pivots, last, _ = _echelon(
+        [(*(v[i] for v in vectors), t) for i, t in enumerate(target)])
+    if pivots[:k] != list(range(k)):
+        raise ValueError("linearly dependent vectors")
+    if len(pivots) > k:
+        return None
+    return tuple(Fraction(x, last) for x in _back_substitute(a, k, last, k))
 
 
 def rank(rows):
     """Exact rank over the rationals."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    rk = 0
-    ncols = len(a[0]) if a else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rk, len(a)) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[rk], a[piv] = a[piv], a[rk]
-        prow = a[rk]
-        inv = 1 / prow[col]
-        for i in range(rk + 1, len(a)):
-            if a[i][col] != 0:
-                f = a[i][col] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], prow)]
-        rk += 1
-        if rk == len(a):
-            break
-    return rk
+    return len(_echelon(rows)[1])
 
 
 def affine_rank(points):

@@ -82,10 +82,9 @@ def _entry_exact(m, u, point):
         coeff *= falling(mj, uj)
         if coeff == 0:
             return 0
-    val = Fraction(coeff)
     for mj, uj, pj in zip(m, u, point):
-        val *= Fraction(pj) ** (mj - uj)
-    return val
+        coeff *= pj ** (mj - uj)
+    return coeff
 
 
 def _entry_mod(m, u, point, p):
@@ -127,9 +126,11 @@ def build_matrix(system: LinearSystem, points, prime=None) -> InterpolationMatri
     """Interpolation matrix of the system at explicit torus points."""
     if len(points) != len(system.multiplicities):
         raise ValueError("one point per multiplicity required")
-    for pt in points:
-        if any(Fraction(x) == 0 for x in pt):
-            raise ValueError("points must have nonzero coordinates")
+    # ints stay ints, so integer points give an integer matrix
+    points = [tuple(x if isinstance(x, int) else Fraction(x) for x in pt)
+              for pt in points]
+    if any(0 in pt for pt in points):
+        raise ValueError("points must have nonzero coordinates")
     return build_point_matrix(system.section().points,
                               system.multiplicities, points, prime)
 

@@ -1,17 +1,23 @@
-"""Monte Carlo modular rank engine with an exact rational mode.
+"""Monte Carlo modular rank engine with an exact integer mode.
 
 Generic rank of a matrix whose entries are polynomials in the point
 coordinates is obtained as the maximum rank over independent trials, each
 evaluating at uniform nonzero coordinates in a fresh prime field. By
 Schwartz-Zippel a trial misses the generic rank with probability at most
 (degree of a nonzero maximal minor) / p, negligible for 61-bit primes.
+
+An exact trial evaluates at random positive integer points and takes the
+rank over the rationals by fraction-free (Bareiss) elimination, never
+leaving the integers. Like a modular trial it is a lower bound on the
+generic rank, not a proof of it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+
+from .linalg import rank as matrix_rank
 
 # deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -68,7 +74,7 @@ class RankConfig:
 
 @dataclass(frozen=True)
 class TrialEvidence:
-    prime: int | None      # None for an exact rational trial
+    prime: int | None      # None for an exact integer trial
     seed: int
     rank: int
 
@@ -103,66 +109,9 @@ def rank_mod_p(rows, p: int) -> int:
 
 
 def rank_exact(rows) -> int:
-    """Rank over the rationals.
-
-    Integer matrices go through fraction-free (Bareiss) elimination, whose
-    intermediate entries are exact minors; anything else falls back to
-    Fraction elimination.
-    """
-    if rows and all(isinstance(x, int) for row in rows for x in row):
-        return _rank_bareiss(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    if not a or not a[0]:
-        return 0
-    ncols = len(a[0])
-    rk = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rk, len(a)):
-            if a[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[rk], a[piv] = a[piv], a[rk]
-        prow = a[rk]
-        inv = 1 / prow[col]
-        for i in range(rk + 1, len(a)):
-            if a[i][col] != 0:
-                f = a[i][col] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], prow)]
-        rk += 1
-        if rk == len(a):
-            break
-    return rk
-
-
-def _rank_bareiss(rows) -> int:
-    a = [list(r) for r in rows]
-    m = len(a)
-    ncols = len(a[0]) if a else 0
-    rk = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for i in range(rk, m):
-            if a[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[rk], a[piv] = a[piv], a[rk]
-        prow = a[rk]
-        pivval = prow[col]
-        for i in range(rk + 1, m):
-            ai = a[i]
-            f = ai[col]
-            a[i] = [(x * pivval - f * y) // prev for x, y in zip(ai, prow)]
-        prev = pivval
-        rk += 1
-        if rk == m:
-            break
-    return rk
+    """Rank over the rationals by fraction-free (Bareiss) elimination; the
+    intermediate entries of an integer matrix are exact integer minors."""
+    return matrix_rank(rows)
 
 
 def trial_seeds(cfg: RankConfig):

@@ -282,6 +282,51 @@ def test_sweep_empty_grid(tmp_path, capsys):
     assert code == 1
 
 
+def test_sweep_job_not_an_object(tmp_path, capsys):
+    job = tmp_path / "job.json"
+    job.write_text("[1, 2]")
+    code, doc, err = run_cli(["sweep", "--job", str(job)], capsys)
+    assert code == 1
+    assert doc == {"error": "job must be a JSON object", "path": str(job)}
+    assert "Traceback" not in err
+
+
+def test_sweep_cfg_not_an_object(tmp_path, capsys):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({
+        "tasks": [{"polytope": polytope_to_json(box_polytope((2, 2))),
+                   "multiplicities": [1]}],
+        "cfg": [5]}))
+    code, doc, _ = run_cli(["sweep", "--job", str(job)], capsys)
+    assert code == 1
+    assert doc == {"error": "'cfg' must be an object", "path": str(job)}
+
+
+def test_sweep_tasks_not_a_list(tmp_path, capsys):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"tasks": {"label": "x"}}))
+    code, doc, _ = run_cli(["sweep", "--job", str(job)], capsys)
+    assert code == 1
+    assert doc == {"error": "'tasks' must be a list", "path": str(job)}
+
+
+def test_sweep_task_not_an_object_fails_that_task(tmp_path, capsys):
+    job = tmp_path / "job.json"
+    out = tmp_path / "records.jsonl"
+    job.write_text(json.dumps({
+        "tasks": [5, {"label": "poly",
+                      "polytope": polytope_to_json(box_polytope((2, 2))),
+                      "multiplicities": [1, 1]}]}))
+    code, doc, _ = run_cli(["sweep", "--job", str(job), "--out", str(out)],
+                           capsys)
+    assert code == 0
+    assert doc["total"] == 2 and doc["ok"] == 1 and doc["failed"] == 1
+    records = [json.loads(l) for l in out.read_text().splitlines()]
+    assert records[0] == {"label": "task-0",
+                          "error": "task must be a JSON object"}
+    assert "report" in records[1]
+
+
 def test_json_documents_reparse(capsys):
     # round-trip: every emitted document parses back to the same value
     for argv in (["validate", "--example", "pn:3"],

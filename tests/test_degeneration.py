@@ -178,6 +178,15 @@ def test_ensure_standard_form_rejects_nontransitive_origin():
         ensure_standard_form(slant)
 
 
+def test_ensure_standard_form_rejects_slanted_origin_edges():
+    # conv{(0,0),(1,0),(1,1)}: the origin cone <(0,-1),(-1,1)> is smooth and
+    # the third ray (1,0) lies in its negative, but the edge to (1,1) is not
+    # along an axis
+    triangle = LatticePolytope(((0, -1), (1, 0), (-1, 1)), (0, 1, 0))
+    with pytest.raises(ValueError, match="not along the axes"):
+        ensure_standard_form(triangle)
+
+
 def test_certificate_roundtrip_and_verify():
     cert = certify(PolytopeSystem(box_polytope((3, 2)), (2, 1)), cfg=CFG)
     assert cert is not None

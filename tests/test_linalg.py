@@ -3,11 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toric_linsys.linalg import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    adjugate,
     affine_rank,
     det,
     dot,
@@ -16,11 +18,13 @@ from toric_linsys.linalg import (
     invert,
     lp_solve,
     mat_mul,
+    mat_vec,
     point_in_hull,
     rank,
     solve_in_span,
     solve_unique,
 )
+from toric_linsys.rank import rank_exact, rank_mod_p
 
 
 def minor_rank(rows):
@@ -174,3 +178,110 @@ def test_lp_randomized_against_vertex_enumeration():
         else:
             assert res.status == OPTIMAL
             assert res.value == best
+
+
+# ---------------------------------------------------------------------------
+# Property tests of the fraction-free elimination core against independent
+# oracles: minors for rank, the Leibniz sum for det, substitution for solves.
+
+
+def leibniz_det(m):
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        term = (-1) ** sum(perm[i] > perm[j]
+                           for i in range(n) for j in range(i + 1, n))
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
+    return total
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None, rational=True):
+    """Integer or rational matrices up to 6 x 6; half of them are a product
+    through a random inner size, so rank deficiency is common."""
+    m = rows or draw(st.integers(1, 6))
+    n = cols or draw(st.integers(1, 6))
+    entry = st.integers(-4, 4)
+    if draw(st.booleans()):
+        r = draw(st.integers(0, min(m, n)))
+        left = [[draw(entry) for _ in range(r)] for _ in range(m)]
+        right = [[draw(entry) for _ in range(n)] for _ in range(r)]
+        a = [[sum(left[i][k] * right[k][j] for k in range(r))
+              for j in range(n)] for i in range(m)]
+    else:
+        a = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    if rational and draw(st.booleans()):
+        a = [[Fraction(x, draw(st.integers(1, 5))) for x in row] for row in a]
+    return a
+
+
+@st.composite
+def square_systems(draw):
+    n = draw(st.integers(1, 6))
+    m = draw(matrices(rows=n, cols=n))
+    b = draw(matrices(rows=1, cols=n))[0]
+    return m, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_rank_property_matches_minor_oracle(rows):
+    expected = minor_rank(rows)
+    assert rank(rows) == expected
+    assert rank_exact(rows) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: matrices(rows=n, cols=n)))
+def test_det_property_matches_leibniz(m):
+    assert det(m) == leibniz_det(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_systems())
+def test_solve_unique_and_invert_property(system):
+    m, b = system
+    n = len(m)
+    d = leibniz_det(m)
+    x = solve_unique(m, b)
+    d_adj, adj = adjugate(m)
+    if d == 0:
+        assert x is None
+        assert (d_adj, adj) == (0, None)
+        with pytest.raises(ValueError):
+            invert(m)
+        return
+    assert mat_vec(m, x) == tuple(b)
+    assert mat_mul(m, invert(m)) == identity_matrix(n)
+    assert d_adj == d
+    assert mat_mul(m, adj) == tuple(tuple(d * x for x in row)
+                                    for row in identity_matrix(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_solve_in_span_property(vectors, data):
+    k, n = len(vectors), len(vectors[0])
+    target = data.draw(matrices(rows=1, cols=n))[0]
+    if data.draw(st.booleans()):
+        coeffs = data.draw(matrices(rows=1, cols=k))[0]
+        target = [sum(c * v[i] for c, v in zip(coeffs, vectors))
+                  for i in range(n)]
+    if minor_rank(vectors) < k:
+        with pytest.raises(ValueError):
+            solve_in_span(vectors, target)
+        return
+    coeffs = solve_in_span(vectors, target)
+    if minor_rank(vectors + [target]) > k:
+        assert coeffs is None
+    else:
+        assert [sum(c * v[i] for c, v in zip(coeffs, vectors))
+                for i in range(n)] == list(target)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(rational=False), st.sampled_from([2, 3, 5, 7, 2 ** 61 - 1]))
+def test_rank_mod_p_never_exceeds_exact_rank(rows, p):
+    assert rank_mod_p(rows, p) <= rank_exact(rows)

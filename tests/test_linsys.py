@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -104,6 +105,19 @@ def test_build_matrix_modular_matches_exact():
     modular = build_point_matrix(cols, [2, 3], pts, prime=p)
     for re, rm in zip(exact.rows, modular.rows):
         assert [int(x) % p for x in re] == list(rm)
+
+
+def test_build_matrix_integer_points_give_integer_entries():
+    # integer points keep exact trials on integers; halving every coordinate
+    # scales row u by 2^|u| and column m by 2^-|m|, so the rank is unchanged
+    cols = [(i, j) for i in range(4) for j in range(3)]
+    pts = [(2, 3), (5, 7), (3, 11)]
+    ints = build_point_matrix(cols, [2, 2, 3], pts)
+    assert all(type(x) is int for row in ints.rows for x in row)
+    halves = build_point_matrix(
+        cols, [2, 2, 3], [tuple(Fraction(x, 2) for x in pt) for pt in pts])
+    assert all(type(x) is Fraction for row in halves.rows for x in row if x)
+    assert rank_exact(halves.rows) == rank_exact(ints.rows)
 
 
 def test_build_matrix_rejects_zero_coordinate_points():
