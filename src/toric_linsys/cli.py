@@ -10,11 +10,9 @@ every report so runs are reproducible bit for bit.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import catalog
 from .cox import (
@@ -43,6 +41,7 @@ from .lattice import (
     LatticePolytope,
     fan_from_json,
     fan_to_json,
+    jsonable,
     lattice_points,
     polytope_from_json,
     polytope_to_json,
@@ -62,39 +61,6 @@ class InputError(ValueError):
     def __init__(self, message, path=None):
         super().__init__(message)
         self.path = path
-
-
-def jsonable(x):
-    """Recursively convert reports to plain JSON values; Fractions become
-    'p/q' strings, exact integers stay integers."""
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
-        return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, bool) or isinstance(x, int) or isinstance(x, str) or x is None:
-        return x
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        out = {}
-        for f in dataclasses.fields(x):
-            v = getattr(x, f.name)
-            if f.name == "polytope" and isinstance(v, LatticePolytope):
-                out[f.name] = polytope_to_json(v)
-            elif isinstance(v, Fan):
-                out[f.name] = fan_to_json(v)
-            else:
-                out[f.name] = jsonable(v)
-        return out
-    if isinstance(x, LatticePolytope):
-        return polytope_to_json(x)
-    if isinstance(x, Fan):
-        return fan_to_json(x)
-    if isinstance(x, (frozenset, set)):
-        return sorted(jsonable(v) for v in x)
-    if isinstance(x, dict):
-        return {str(k): jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [jsonable(v) for v in x]
-    raise TypeError(f"cannot serialize {type(x)!r}")
 
 
 def emit(doc, args, summary=None):
@@ -172,15 +138,24 @@ def standard_coeffs_from(args, verdict, cp) -> tuple:
     raise InputError("need --divisor FILE or --class LIST")
 
 
+def _int_tuple(value, what, path=None):
+    """A JSON list of integers as a tuple; anything else is an input error."""
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise InputError(f"{what} must be a list of integers", path)
+    return tuple(value)
+
+
 def _standard_from_obj(obj, verdict, cp, path=None):
+    if not isinstance(obj, dict):
+        raise InputError("divisor must be a JSON object", path)
     if "standard" in obj:
-        coeffs = tuple(int(x) for x in obj["standard"])
+        coeffs = _int_tuple(obj["standard"], "'standard'", path)
         if len(coeffs) != cp.class_rank:
             raise InputError(
                 f"standard divisor needs {cp.class_rank} coefficients", path)
         return coeffs
     if "coeffs" in obj:
-        coeffs = tuple(int(x) for x in obj["coeffs"])
+        coeffs = _int_tuple(obj["coeffs"], "'coeffs'", path)
         if len(coeffs) != cp.num_rays:
             raise InputError(
                 f"divisor needs {cp.num_rays} coefficients", path)
@@ -191,16 +166,17 @@ def _standard_from_obj(obj, verdict, cp, path=None):
 
 def rank_config(args, seed_offset=0, overrides=None) -> RankConfig:
     """The rank flags, with entries of a sweep job's "cfg" object taking
-    precedence over them."""
+    precedence over them. Counts and the seed must be integers and exact a
+    boolean; nothing is converted."""
     cfg = {"trials": args.trials, "prime_bits": args.prime_bits,
            "seed": args.seed, "exact": args.exact, **(overrides or {})}
-    try:
-        return RankConfig(trials=int(cfg["trials"]),
-                          prime_bits=int(cfg["prime_bits"]),
-                          seed=int(cfg["seed"]) + seed_offset,
-                          exact=bool(cfg["exact"]))
-    except TypeError as exc:
-        raise InputError(f"malformed rank settings: {exc}") from None
+    for key in ("trials", "prime_bits", "seed"):
+        if type(cfg[key]) is not int:
+            raise InputError(f"'{key}' must be an integer")
+    if type(cfg["exact"]) is not bool:
+        raise InputError("'exact' must be true or false")
+    return RankConfig(trials=cfg["trials"], prime_bits=cfg["prime_bits"],
+                      seed=cfg["seed"] + seed_offset, exact=cfg["exact"])
 
 
 def load_system(args):
@@ -224,12 +200,12 @@ def load_system(args):
 def system_from_obj(obj, path=None):
     if not isinstance(obj, dict):
         raise InputError("system must be a JSON object", path)
+    mults = _int_tuple(obj.get("multiplicities", []), "'multiplicities'", path)
     if "polytope" in obj:
         try:
             poly = polytope_from_json(obj["polytope"])
         except ValueError as exc:
             raise InputError(str(exc), path)
-        mults = tuple(int(m) for m in obj.get("multiplicities", ()))
         return poly, mults, {"polytope": obj["polytope"]}
     if "fan" in obj:
         try:
@@ -244,7 +220,6 @@ def system_from_obj(obj, path=None):
         if div is None:
             raise InputError("system object needs a divisor", path)
         coeffs = _standard_from_obj(div, verdict, cp, path)
-        mults = tuple(int(m) for m in obj.get("multiplicities", ()))
         sec = section_polytope(cp, coeffs)
         return sec.polytope, mults, {"divisor_standard": list(coeffs)}
     raise InputError("system object needs 'fan' or 'polytope'", path)

@@ -10,7 +10,7 @@ dim = tedim. Failure to find a certificate proves nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import floor
 
@@ -18,6 +18,7 @@ from .lattice import (
     LatticePolytope,
     cone_contains,
     cone_is_smooth,
+    jsonable,
     lattice_points,
     normal_fan,
     polytope_from_json,
@@ -28,6 +29,7 @@ from .linsys import (
     SpecialityReport,
     analyze_polytope_system,
     derivative_orders,
+    normalize_mults,
     truncated_condition_counts,
 )
 from .rank import RankConfig, TrialEvidence
@@ -39,10 +41,8 @@ class PolytopeSystem:
     multiplicities: tuple
 
     def __post_init__(self):
-        mults = tuple(int(m) for m in self.multiplicities if int(m) != 0)
-        if any(m < 0 for m in mults):
-            raise ValueError("multiplicities must be nonnegative")
-        object.__setattr__(self, "multiplicities", mults)
+        object.__setattr__(self, "multiplicities",
+                           normalize_mults(self.multiplicities))
 
 
 def ensure_standard_form(p: LatticePolytope):
@@ -138,6 +138,22 @@ class HypothesisTranscript:
     witness: tuple | None    # (hypothesis name, point index, order) of first failure
 
 
+def _containment_witness(n, pieces: SplitPieces, split: SplitSpec, mults):
+    """First (hypothesis name, point index, order) whose simplex leaves its
+    piece, or None. The shifted simplices of the first point_split points
+    must lie in the plus piece, the base simplices of the rest in the
+    minus_prev piece."""
+    for i, mu in enumerate(mults):
+        if i < split.point_split:
+            name, piece, level = "shifted_delta_in_plus", pieces.plus, split.level
+        else:
+            name, piece, level = "base_delta_in_minus", pieces.minus_prev, 0
+        for u in delta_c_mu(n, split.axis, level, mu):
+            if not piece.contains(u):
+                return name, i, u
+    return None
+
+
 def check_hypotheses(p: LatticePolytope, split: SplitSpec, mults,
                      report_minus, report_plus) -> HypothesisTranscript:
     """Literal hypothesis check for one split.
@@ -147,29 +163,11 @@ def check_hypotheses(p: LatticePolytope, split: SplitSpec, mults,
     covers the first point_split multiplicities on the minus-(level-1) piece,
     the plus report the rest on the plus-level piece.
     """
-    n = p.dim
     pieces = split_polytope(p, split.axis, split.level)
-    s = split.point_split
-    witness = None
-    shifted_ok = True
-    for i in range(s):
-        for u in delta_c_mu(n, split.axis, split.level, mults[i]):
-            if not pieces.plus.contains(u):
-                shifted_ok = False
-                witness = witness or ("shifted_delta_in_plus", i, u)
-                break
-        if not shifted_ok:
-            break
-    base_ok = True
-    if witness is None:
-        for i in range(s, len(mults)):
-            for u in delta_c_mu(n, split.axis, 0, mults[i]):
-                if not pieces.minus_prev.contains(u):
-                    base_ok = False
-                    witness = witness or ("base_delta_in_minus", i, u)
-                    break
-            if not base_ok:
-                break
+    witness = _containment_witness(p.dim, pieces, split, mults)
+    name = witness[0] if witness else None
+    shifted_ok = name != "shifted_delta_in_plus"
+    base_ok = name != "base_delta_in_minus"
     nonspecial = not report_minus.toric_special and not report_plus.toric_special
     product = (report_minus.tvdim + 1) * (report_plus.tvdim + 1)
     product_ok = product >= 0
@@ -258,7 +256,7 @@ def _certify(polytope, mults, depth, cfg):
                 pieces = split_polytope(polytope, axis, level)
                 for s in _split_order(k):
                     spec = SplitSpec(axis, level, s)
-                    if not _containments_hold(polytope, pieces, spec, mults):
+                    if _containment_witness(n, pieces, spec, mults):
                         continue
                     left = _certify(pieces.minus_prev, mults[:s], depth - 1, cfg)
                     if left is None:
@@ -278,19 +276,6 @@ def _certify(polytope, mults, depth, cfg):
                         split=spec, transcript=transcript,
                         children=(left, right))
     return _leaf(polytope, mults, cfg)
-
-
-def _containments_hold(polytope, pieces, spec, mults):
-    n = polytope.dim
-    for i in range(spec.point_split):
-        if any(not pieces.plus.contains(u)
-               for u in delta_c_mu(n, spec.axis, spec.level, mults[i])):
-            return False
-    for i in range(spec.point_split, len(mults)):
-        if any(not pieces.minus_prev.contains(u)
-               for u in delta_c_mu(n, spec.axis, 0, mults[i])):
-            return False
-    return True
 
 
 def certify(system: PolytopeSystem, max_depth: int = 8,
@@ -364,30 +349,25 @@ def certificate_to_json(node: CertificateNode) -> dict:
         "tvdim": node.tvdim,
     }
     if node.kind == "leaf":
-        rep = node.report
-        out["report"] = {
-            "h0": rep.h0, "rank": rep.rank, "dim": rep.dim,
-            "vdim": rep.vdim, "edim": rep.edim,
-            "tvdim": rep.tvdim, "tedim": rep.tedim,
-            "special": rep.special, "toric_special": rep.toric_special,
-            "samples": [[ev.prime, ev.seed, ev.rank] for ev in rep.samples],
-            "seed": rep.seed, "mode": rep.mode,
-        }
+        # certificates keep samples as [prime, seed, rank] lists, not the
+        # dicts that jsonable gives the dim report
+        out["report"] = {**jsonable(node.report),
+                         "samples": [[ev.prime, ev.seed, ev.rank]
+                                     for ev in node.report.samples]}
     else:
-        out["split"] = {"axis": node.split.axis, "level": node.split.level,
-                        "point_split": node.split.point_split}
-        tr = node.transcript
-        out["transcript"] = {
-            "passed": tr.passed,
-            "children_toric_nonspecial": tr.children_toric_nonspecial,
-            "tvdim_minus": tr.tvdim_minus, "tvdim_plus": tr.tvdim_plus,
-            "product_ok": tr.product_ok,
-            "shifted_delta_in_plus_ok": tr.shifted_delta_in_plus_ok,
-            "base_delta_in_minus_ok": tr.base_delta_in_minus_ok,
-            "witness": list(tr.witness) if tr.witness else None,
-        }
+        out["split"] = jsonable(node.split)
+        out["transcript"] = jsonable(node.transcript)
         out["children"] = [certificate_to_json(c) for c in node.children]
     return out
+
+
+def _from_fields(cls, obj, **decode):
+    """cls from a JSON object with one key per dataclass field; decode maps
+    a field name to the function that decodes its value."""
+    values = {f.name: obj[f.name] for f in fields(cls)}
+    for name, fn in decode.items():
+        values[name] = fn(values[name])
+    return cls(**values)
 
 
 def certificate_from_json(obj) -> CertificateNode:
@@ -401,26 +381,13 @@ def certificate_from_json(obj) -> CertificateNode:
         tvdim=int(obj["tvdim"]),
     )
     if obj["kind"] == "leaf":
-        rep = obj["report"]
-        report = SpecialityReport(
-            h0=rep["h0"], rank=rep["rank"], dim=rep["dim"], vdim=rep["vdim"],
-            edim=rep["edim"], tvdim=rep["tvdim"], tedim=rep["tedim"],
-            special=rep["special"], toric_special=rep["toric_special"],
-            samples=tuple(TrialEvidence(s[0], s[1], s[2])
-                          for s in rep["samples"]),
-            seed=rep["seed"], mode=rep["mode"])
+        report = _from_fields(
+            SpecialityReport, obj["report"],
+            samples=lambda ss: tuple(TrialEvidence(*s[:3]) for s in ss))
         return CertificateNode(report=report, **common)
-    sp = obj["split"]
-    tr = obj["transcript"]
-    transcript = HypothesisTranscript(
-        passed=tr["passed"],
-        children_toric_nonspecial=tr["children_toric_nonspecial"],
-        tvdim_minus=tr["tvdim_minus"], tvdim_plus=tr["tvdim_plus"],
-        product_ok=tr["product_ok"],
-        shifted_delta_in_plus_ok=tr["shifted_delta_in_plus_ok"],
-        base_delta_in_minus_ok=tr["base_delta_in_minus_ok"],
-        witness=tuple(tr["witness"]) if tr["witness"] else None)
+    transcript = _from_fields(
+        HypothesisTranscript, obj["transcript"],
+        witness=lambda w: tuple(w) if w else None)
     children = tuple(certificate_from_json(c) for c in obj["children"])
-    return CertificateNode(split=SplitSpec(sp["axis"], sp["level"],
-                                           sp["point_split"]),
+    return CertificateNode(split=_from_fields(SplitSpec, obj["split"]),
                            transcript=transcript, children=children, **common)

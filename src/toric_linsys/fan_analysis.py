@@ -20,8 +20,8 @@ from .lattice import (
     cone_contains,
     gl_change_of_basis,
     lattice_points,
-    polytope_vertex_tight_sets,
     primitivize,
+    vertex_neighbors,
 )
 from .linalg import (
     adjugate,
@@ -114,16 +114,7 @@ def vertex_capsule(p: LatticePolytope, vertex) -> CapsuleResult:
         raise ValueError("not a vertex of the polytope")
     if affine_rank(verts) != n:
         raise ValueError("polytope is not full-dimensional")
-    tight = polytope_vertex_tight_sets(p)
-    vi = verts.index(v)
-    neighbors = []
-    for wi, w in enumerate(verts):
-        if wi == vi:
-            continue
-        common = tight[vi] & tight[wi]
-        members = [i for i, t in enumerate(tight) if common <= t]
-        if members == sorted([vi, wi]):
-            neighbors.append(w)
+    neighbors = vertex_neighbors(p)[v]
     if len(neighbors) != n:
         raise ValueError("capsule undefined at non-smooth vertex")
     dirs = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, floor
@@ -152,12 +152,12 @@ class Fan:
         return validate_fan(self)
 
 
-def _cone_location_data(fan):
-    """Per maximal cone: (M, gens) with x interior to the cone <=> M x > 0."""
+def _cone_location_data(fan, adjugates):
+    """Per maximal cone: (M, gens) with x interior to the cone <=> M x > 0,
+    from the (det, adjugate) pair of each cone's ray matrix."""
     data = []
-    for c in fan.max_cones:
+    for c, (d, adj) in zip(fan.max_cones, adjugates):
         gens = tuple(fan.rays[i] for i in c)
-        d, adj = adjugate(columns_matrix(gens))
         if d < 0:
             adj = tuple(tuple(-x for x in row) for row in adj)
         data.append((adj, gens))
@@ -214,8 +214,9 @@ def validate_fan(f: Fan, samples: int = 128, seed: int = 0) -> ValidationReport:
     cone_smooth = []
     simplicial = True
     if not failures:
-        for ci, c in enumerate(f.max_cones):
-            d = det(columns_matrix(tuple(f.rays[i] for i in c)))
+        adjugates = [adjugate(columns_matrix(tuple(f.rays[i] for i in c)))
+                     for c in f.max_cones]
+        for ci, (d, _adj) in enumerate(adjugates):
             if d == 0:
                 failures.append(f"maximal cone {ci} is degenerate")
                 simplicial = False
@@ -225,7 +226,7 @@ def validate_fan(f: Fan, samples: int = 128, seed: int = 0) -> ValidationReport:
 
     complete = False
     if not failures:
-        loc = _cone_location_data(f)
+        loc = _cone_location_data(f, adjugates)
         for a, b in itertools.combinations(range(len(f.max_cones)), 2):
             if not _interiors_disjoint(loc[a], loc[b], n):
                 failures.append(f"maximal cones {a} and {b} overlap")
@@ -469,6 +470,30 @@ def normal_fan(p: LatticePolytope):
 
 # ---------------------------------------------------------------------------
 # JSON wire formats
+
+
+def jsonable(x):
+    """Recursively convert reports to plain JSON values; Fractions become
+    'p/q' strings, exact integers stay integers."""
+    if isinstance(x, Fraction):
+        if x.denominator == 1:
+            return int(x)
+        return f"{x.numerator}/{x.denominator}"
+    if isinstance(x, (int, str)) or x is None:
+        return x
+    if isinstance(x, LatticePolytope):
+        return polytope_to_json(x)
+    if isinstance(x, Fan):
+        return fan_to_json(x)
+    if is_dataclass(x) and not isinstance(x, type):
+        return {f.name: jsonable(getattr(x, f.name)) for f in fields(x)}
+    if isinstance(x, (frozenset, set)):
+        return sorted(jsonable(v) for v in x)
+    if isinstance(x, dict):
+        return {str(k): jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    raise TypeError(f"cannot serialize {type(x)!r}")
 
 
 def fan_to_json(f: Fan) -> dict:

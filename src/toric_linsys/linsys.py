@@ -28,6 +28,15 @@ class GenericityError(RuntimeError):
     """Sampled ranks violated the dimension inequality chain."""
 
 
+def normalize_mults(mults) -> tuple:
+    """Multiplicities as ints with zeros dropped; a negative one is a
+    ValueError."""
+    mults = tuple(int(m) for m in mults if int(m) != 0)
+    if any(m < 0 for m in mults):
+        raise ValueError("multiplicities must be nonnegative")
+    return mults
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     """A standard-form divisor class plus a multiplicity profile.
@@ -39,10 +48,8 @@ class LinearSystem:
     multiplicities: tuple
 
     def __post_init__(self):
-        mults = tuple(int(m) for m in self.multiplicities if int(m) != 0)
-        if any(m < 0 for m in mults):
-            raise ValueError("multiplicities must be nonnegative")
-        object.__setattr__(self, "multiplicities", mults)
+        object.__setattr__(self, "multiplicities",
+                           normalize_mults(self.multiplicities))
         object.__setattr__(self, "divisor", tuple(int(d) for d in self.divisor))
 
     def section(self) -> SectionPolytope:
@@ -199,7 +206,7 @@ class SpecialityReport:
 
 
 def analyze_support(points, polytope, n, mults, cfg: RankConfig) -> SpecialityReport:
-    mults = tuple(m for m in mults if m > 0)
+    mults = normalize_mults(mults)
     h0 = len(points)
     rk, evidence = generic_rank_for_support(points, n, mults, cfg)
     dim = h0 - rk - 1

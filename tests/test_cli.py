@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from toric_linsys.cli import main
 from toric_linsys.catalog import box_polytope, hirzebruch_fan
 from toric_linsys.lattice import fan_to_json, polytope_to_json
@@ -336,3 +338,108 @@ def test_json_documents_reparse(capsys):
         code, doc, _ = run_cli(argv, capsys)
         assert code == 0
         assert json.loads(json.dumps(doc)) == doc
+
+
+TRIANGLE3 = {"normals": [[-1, 0], [0, -1], [1, 1]], "offsets": [0, 0, 3]}
+
+
+def test_dim_rejects_negative_multiplicity(tmp_path, capsys):
+    sysfile = tmp_path / "s.json"
+    sysfile.write_text(json.dumps({"polytope": TRIANGLE3,
+                                   "multiplicities": [-1, 2]}))
+    for argv in (["dim", "--system", str(sysfile)],
+                 ["dim", "--example", "pn:2", "--class", "3", "--mults=-1,2"]):
+        code, doc, _ = run_cli(argv, capsys)
+        assert code == 1
+        assert doc == {"error": "multiplicities must be nonnegative",
+                       "path": None}
+
+
+def test_sweep_negative_multiplicity_fails_that_task(tmp_path, capsys):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"tasks": [
+        {"polytope": TRIANGLE3, "multiplicities": [-1, 2]},
+        {"polytope": TRIANGLE3, "multiplicities": [2]}]}))
+    code, doc, err = run_cli(["sweep", "--job", str(job)], capsys)
+    assert code == 0
+    assert doc["total"] == 2 and doc["ok"] == 1 and doc["failed"] == 1
+    assert "multiplicities must be nonnegative" in err
+
+
+MALFORMED_SYSTEMS = {
+    "divisor_not_an_object": (
+        {"fan": fan_to_json(hirzebruch_fan(1)), "divisor": 5,
+         "multiplicities": [1]},
+        "divisor must be a JSON object"),
+    "standard_not_a_list": (
+        {"fan": fan_to_json(hirzebruch_fan(1)), "divisor": {"standard": 3},
+         "multiplicities": [1]},
+        "'standard' must be a list of integers"),
+    "multiplicities_not_a_list": (
+        {"polytope": TRIANGLE3, "multiplicities": 5},
+        "'multiplicities' must be a list of integers"),
+    "multiplicities_nested": (
+        {"polytope": TRIANGLE3, "multiplicities": [[1]]},
+        "'multiplicities' must be a list of integers"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SYSTEMS))
+def test_malformed_system_is_an_input_error(name, tmp_path, capsys):
+    system, message = MALFORMED_SYSTEMS[name]
+    sysfile = tmp_path / "s.json"
+    sysfile.write_text(json.dumps(system))
+    code, doc, err = run_cli(["dim", "--system", str(sysfile)], capsys)
+    assert code == 1
+    assert doc == {"error": message, "path": str(sysfile)}
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"tasks": [system]}))
+    code, doc, err = run_cli(["sweep", "--job", str(job)], capsys)
+    assert code == 0
+    assert doc["failed"] == 1 and doc["ok"] == 0
+    assert message in err
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"exact": "false"}, "'exact' must be true or false"),
+    ({"exact": 0}, "'exact' must be true or false"),
+    ({"trials": 2.7}, "'trials' must be an integer"),
+    ({"trials": True}, "'trials' must be an integer"),
+    ({"prime_bits": "31"}, "'prime_bits' must be an integer"),
+    ({"seed": 1.0}, "'seed' must be an integer"),
+])
+def test_sweep_cfg_values_are_not_converted(cfg, message, tmp_path, capsys):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({
+        "tasks": [{"polytope": TRIANGLE3, "multiplicities": [1]}],
+        "cfg": cfg}))
+    code, doc, err = run_cli(["sweep", "--job", str(job)], capsys)
+    assert code == 0
+    assert doc["failed"] == 1 and doc["ok"] == 0
+    assert message in err
+
+
+def test_sweep_cfg_typed_values(tmp_path, capsys):
+    job = tmp_path / "job.json"
+    out = tmp_path / "records.jsonl"
+    job.write_text(json.dumps({
+        "tasks": [{"polytope": TRIANGLE3, "multiplicities": [1]}],
+        "cfg": {"exact": True, "trials": 2, "prime_bits": 31, "seed": 3}}))
+    code, doc, _ = run_cli(["sweep", "--job", str(job), "--out", str(out)],
+                           capsys)
+    assert code == 0 and doc["ok"] == 1
+    report = json.loads(out.read_text())["report"]
+    assert report["mode"] == "exact" and len(report["samples"]) == 2
+
+
+def test_verify_short_sample_is_malformed(tmp_path, capsys):
+    certfile = tmp_path / "c.json"
+    run_cli(["certify", "--example", "hirzebruch:1", "--class", "2,1",
+             "--mults", "2", "--out", str(certfile)], capsys)
+    doc = json.loads(certfile.read_text())
+    doc["certificate"]["report"]["samples"][0] = [1, 2]
+    certfile.write_text(json.dumps(doc))
+    code, doc, _ = run_cli(["verify", "--certificate", str(certfile)], capsys)
+    assert code == 1
+    assert doc["error"].startswith("malformed certificate")
+    assert doc["path"] == str(certfile)

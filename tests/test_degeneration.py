@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toric_linsys import (
     LatticePolytope,
@@ -254,3 +255,94 @@ def test_certificate_soundness_sweep():
         assert rep.dim == rep.tedim
         assert verify_certificate(cert, RankConfig(seed=2))
     assert found >= 6
+
+
+@pytest.mark.parametrize("sides, mults, witness", [
+    # the shifted simplex of the first double point leaves the plus piece;
+    # the base check is not reached, so its flag stays True although the
+    # second double point would fail it too
+    ((1, 1), (2, 2), ("shifted_delta_in_plus", 0, (2, 0))),
+    # the shifted simplex of the single point fits the plus piece, but the
+    # base simplex of the double point leaves the column m_0 = 0
+    ((2, 1), (1, 2), ("base_delta_in_minus", 1, (1, 0))),
+])
+def test_check_hypotheses_containment_flags(sides, mults, witness):
+    box = box_polytope(sides)
+    spec = SplitSpec(axis=0, level=1, point_split=1)
+    pieces = split_polytope(box, 0, 1)
+    rep_minus = analyze_polytope_system(pieces.minus_prev, mults[:1], CFG)
+    shift = tuple(-x for x in pieces.plus_anchor)
+    rep_plus = analyze_polytope_system(pieces.plus.translate(shift),
+                                       mults[1:], CFG)
+    tr = check_hypotheses(box, spec, mults, rep_minus, rep_plus)
+    assert not tr.passed
+    assert tr.witness == witness
+    assert tr.shifted_delta_in_plus_ok == (witness[0] != "shifted_delta_in_plus")
+    assert tr.base_delta_in_minus_ok == (witness[0] != "base_delta_in_minus")
+
+
+# certificate_to_json output pinned byte for byte (RankConfig(seed=40,
+# trials=1)); the samples are [prime, seed, rank] lists
+GOLDEN_SPLIT = (
+    '{"children": [{"h0": 2, "kind": "leaf", "mults": [1], "polytope": '
+    '{"normals": [[-1, 0], [0, -1], [1, 0], [0, 1], [1, 0]], "offsets": '
+    '[0, 0, 2, 1, 0]}, "report": {"dim": 0, "edim": 0, "h0": 2, "mode": '
+    '"modular", "rank": 1, "samples": [[1556418119127567203, '
+    '5344830224790405066, 1]], "seed": 40, "special": false, "tedim": 0, '
+    '"toric_special": false, "tvdim": 0, "vdim": 0}, "truncations": [1], '
+    '"tvdim": 0}, {"h0": 4, "kind": "leaf", "mults": [1], "polytope": '
+    '{"normals": [[-1, 0], [0, -1], [1, 0], [0, 1], [-1, 0]], "offsets": '
+    '[1, 0, 1, 1, 0]}, "report": {"dim": 2, "edim": 2, "h0": 4, "mode": '
+    '"modular", "rank": 1, "samples": [[1556418119127567203, '
+    '5344830224790405066, 1]], "seed": 40, "special": false, "tedim": 2, '
+    '"toric_special": false, "tvdim": 2, "vdim": 2}, "truncations": [1], '
+    '"tvdim": 2}], "h0": 6, "kind": "split", "mults": [1, 1], "polytope": '
+    '{"normals": [[-1, 0], [0, -1], [1, 0], [0, 1]], "offsets": [0, 0, 2, '
+    '1]}, "split": {"axis": 0, "level": 1, "point_split": 1}, "transcript": '
+    '{"base_delta_in_minus_ok": true, "children_toric_nonspecial": true, '
+    '"passed": true, "product_ok": true, "shifted_delta_in_plus_ok": true, '
+    '"tvdim_minus": 0, "tvdim_plus": 2, "witness": null}, "truncations": '
+    '[1, 1], "tvdim": 3}')
+GOLDEN_LEAF = (
+    '{"h0": 5, "kind": "leaf", "mults": [2], "polytope": {"normals": '
+    '[[-1, 0], [0, -1], [1, 1], [0, 1]], "offsets": [0, 0, 2, 1]}, '
+    '"report": {"dim": 1, "edim": 1, "h0": 5, "mode": "modular", "rank": 3, '
+    '"samples": [[1556418119127567203, 5344830224790405066, 3]], "seed": 40, '
+    '"special": false, "tedim": 1, "toric_special": false, "tvdim": 1, '
+    '"vdim": 1}, "truncations": [3], "tvdim": 1}')
+
+
+@pytest.mark.parametrize("system, golden", [
+    (PolytopeSystem(box_polytope((2, 1)), (1, 1)), GOLDEN_SPLIT),
+    (PolytopeSystem(trapezoid_polytope(2, 1), (2,)), GOLDEN_LEAF),
+])
+def test_certificate_json_golden(system, golden):
+    cert = certify(system, cfg=RankConfig(seed=40, trials=1))
+    assert json.dumps(certificate_to_json(cert), sort_keys=True) == golden
+    assert certificate_from_json(json.loads(golden)) == cert
+
+
+def test_verify_rejects_negative_multiplicity():
+    # a leaf claiming an extra point of multiplicity -1 with consistent
+    # combinatorics: only the multiplicity rule can reject it
+    cert = certify(PolytopeSystem(trapezoid_polytope(2, 1), (2,)), cfg=CFG)
+    bad = json.loads(json.dumps(certificate_to_json(cert)))
+    bad["mults"] = [2, -1]
+    bad["truncations"] = [3, 0]
+    assert verify_certificate(certificate_from_json(bad), RankConfig(seed=7)) is False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.builds(box_polytope, st.lists(st.integers(1, 3), min_size=2, max_size=3)),
+    st.builds(simplex_polytope, st.integers(2, 3), st.integers(1, 4))),
+    st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    st.integers(0, 10**6))
+def test_certificate_json_round_trip(poly, mults, seed):
+    cert = certify(PolytopeSystem(poly, mults), max_depth=3,
+                   cfg=RankConfig(seed=seed, trials=2))
+    if cert is None:
+        return
+    back = certificate_from_json(json.loads(json.dumps(certificate_to_json(cert))))
+    assert back == cert
+    assert verify_certificate(back, RankConfig(seed=seed + 1, trials=2))

@@ -345,3 +345,12 @@ def test_polytope_json_round_trip():
     assert polytope_from_json(polytope_to_json(p)) == p
     with pytest.raises(ValueError, match="malformed polytope"):
         polytope_from_json({"normals": [[1, 0]]})
+
+
+def test_validate_degenerate_cone():
+    fan = Fan(2, ((1, 0), (-1, 0), (0, 1), (0, -1)),
+              ((0, 1), (0, 2), (1, 2), (1, 3), (0, 3)))
+    rep = validate_fan(fan)
+    assert rep.failures == ("maximal cone 0 is degenerate",)
+    assert rep.cone_smooth == (False, True, True, True, True)
+    assert not rep.valid and not rep.simplicial and not rep.complete
