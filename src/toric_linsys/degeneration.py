@@ -372,10 +372,13 @@ def _from_fields(cls, obj, **decode):
 
 def certificate_from_json(obj) -> CertificateNode:
     poly = polytope_from_json(obj["polytope"])
+    mults = obj["mults"]
+    if not isinstance(mults, list) or any(type(m) is not int for m in mults):
+        raise ValueError("'mults' must be a list of integers")
     common = dict(
         kind=obj["kind"],
         polytope=poly,
-        mults=tuple(obj["mults"]),
+        mults=tuple(mults),
         h0=int(obj["h0"]),
         truncations=tuple(obj["truncations"]),
         tvdim=int(obj["tvdim"]),

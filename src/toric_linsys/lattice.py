@@ -292,7 +292,7 @@ class LatticePolytope:
 
     def __post_init__(self):
         normals = tuple(_as_int_vector(nv) for nv in self.normals)
-        offsets = tuple(int(o) for o in self.offsets)
+        offsets = _as_int_vector(self.offsets)
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "offsets", offsets)
         if not normals:
@@ -394,7 +394,7 @@ class LatticePolytope:
 
     def with_inequality(self, normal, offset):
         return LatticePolytope(self.normals + (tuple(normal),),
-                               self.offsets + (int(offset),))
+                               self.offsets + (offset,))
 
 
 def lattice_points(p: LatticePolytope):

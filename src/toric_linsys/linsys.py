@@ -18,9 +18,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 from .cox import CoxPresentation, SectionPolytope, section_polytope
-from .lattice import LatticePolytope, lattice_points
+from .lattice import LatticePolytope, _as_int_vector, lattice_points
 from .rank import RankConfig, TrialEvidence, random_prime, rank_exact, rank_mod_p
 
 
@@ -29,9 +30,9 @@ class GenericityError(RuntimeError):
 
 
 def normalize_mults(mults) -> tuple:
-    """Multiplicities as ints with zeros dropped; a negative one is a
-    ValueError."""
-    mults = tuple(int(m) for m in mults if int(m) != 0)
+    """Multiplicities as ints with zeros dropped; a non-integral or negative
+    one is a ValueError."""
+    mults = tuple(m for m in _as_int_vector(mults) if m != 0)
     if any(m < 0 for m in mults):
         raise ValueError("multiplicities must be nonnegative")
     return mults
@@ -83,29 +84,6 @@ def falling(m: int, u: int) -> int:
     return out
 
 
-def _entry_exact(m, u, point):
-    coeff = 1
-    for mj, uj in zip(m, u):
-        coeff *= falling(mj, uj)
-        if coeff == 0:
-            return 0
-    for mj, uj, pj in zip(m, u, point):
-        coeff *= pj ** (mj - uj)
-    return coeff
-
-
-def _entry_mod(m, u, point, p):
-    coeff = 1
-    for mj, uj in zip(m, u):
-        coeff *= falling(mj, uj)
-        if coeff == 0:
-            return 0
-    val = coeff % p
-    for mj, uj, pj in zip(m, u, point):
-        val = val * pow(pj, mj - uj, p) % p
-    return val
-
-
 @dataclass(frozen=True)
 class InterpolationMatrix:
     rows: tuple
@@ -114,17 +92,41 @@ class InterpolationMatrix:
     prime: int | None
 
 
+def _order_vectors(coords, x, mu, prime):
+    """Per order v < mu, the column vector of d^v/dx^v x^m at x for the
+    exponents m in coords: falling(m, v) * x^(m - v), zero when v > m."""
+    powers = [x ** 0]
+    for _ in range(max(coords, default=0)):
+        powers.append(powers[-1] * x if prime is None
+                      else powers[-1] * x % prime)
+    out = []
+    for v in range(mu):
+        # entry per exponent value d, then looked up per column
+        by_value = [falling(d, v) * powers[d - v] if d >= v else 0
+                    for d in range(len(powers))]
+        out.append(list(map(by_value.__getitem__, coords)))
+    return out
+
+
 def build_point_matrix(columns, mults, points, prime=None) -> InterpolationMatrix:
-    """Stacked derivative-condition blocks over the given monomial support."""
+    """Stacked derivative-condition blocks over the given monomial support.
+
+    The row of order u at a point is the elementwise product over the
+    coordinates j of the order-u_j vectors; modular rows are reduced once."""
     n = len(columns[0]) if columns else (len(points[0]) if points else 0)
+    coords = list(zip(*columns)) if columns else [()] * n
+    orders = {mu: derivative_orders(n, mu) for mu in set(mults)}
     rows = []
     labels = []
     for pi, (mu, pt) in enumerate(zip(mults, points)):
-        for u in derivative_orders(n, mu):
-            if prime is None:
-                rows.append(tuple(_entry_exact(m, u, pt) for m in columns))
-            else:
-                rows.append(tuple(_entry_mod(m, u, pt, prime) for m in columns))
+        vecs = [_order_vectors(cj, x, mu, prime) for cj, x in zip(coords, pt)]
+        for u in orders[mu]:
+            row = vecs[0][u[0]] if n else [1] * len(columns)
+            for vj, uj in zip(vecs[1:], u[1:]):
+                row = list(map(mul, row, vj[uj]))
+            if prime is not None:
+                row = [x % prime for x in row]
+            rows.append(tuple(row))
             labels.append((pi, u))
     return InterpolationMatrix(tuple(rows), tuple(columns), tuple(labels), prime)
 

@@ -443,3 +443,26 @@ def test_verify_short_sample_is_malformed(tmp_path, capsys):
     assert code == 1
     assert doc["error"].startswith("malformed certificate")
     assert doc["path"] == str(certfile)
+
+
+def test_dim_rejects_non_integral_offset(tmp_path, capsys):
+    sysfile = tmp_path / "s.json"
+    sysfile.write_text(json.dumps({
+        "polytope": {"normals": TRIANGLE3["normals"], "offsets": [0, 0, 2.7]},
+        "multiplicities": [1]}))
+    code, doc, _ = run_cli(["dim", "--system", str(sysfile)], capsys)
+    assert code == 1
+    assert doc == {"error": "integer vector expected", "path": str(sysfile)}
+
+
+def test_verify_non_integer_mults_is_malformed(tmp_path, capsys):
+    certfile = tmp_path / "c.json"
+    run_cli(["certify", "--example", "hirzebruch:1", "--class", "3,2",
+             "--mults", "2,2", "--out", str(certfile)], capsys)
+    doc = json.loads(certfile.read_text())
+    doc["certificate"]["mults"] = [2.5, 2]
+    certfile.write_text(json.dumps(doc))
+    code, doc, _ = run_cli(["verify", "--certificate", str(certfile)], capsys)
+    assert code == 1
+    assert doc == {"error": "malformed certificate: 'mults' must be a list "
+                            "of integers", "path": str(certfile)}

@@ -347,6 +347,16 @@ def test_polytope_json_round_trip():
         polytope_from_json({"normals": [[1, 0]]})
 
 
+def test_polytope_rejects_non_integral_offsets():
+    normals = ((-1, 0), (0, -1), (1, 1))
+    with pytest.raises(ValueError, match="integer"):
+        LatticePolytope(normals, (0, 0, 2.7))
+    tri = LatticePolytope(normals[:2], (0, 0))
+    with pytest.raises(ValueError, match="integer"):
+        tri.with_inequality((1, 1), 2.5)
+    assert tri.with_inequality((1, 1), 2.0).offsets == (0, 0, 2)
+
+
 def test_validate_degenerate_cone():
     fan = Fan(2, ((1, 0), (-1, 0), (0, 1), (0, -1)),
               ((0, 1), (0, 2), (1, 2), (1, 3), (0, 3)))

@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toric_linsys import (
     GenericityError,
@@ -24,7 +25,7 @@ from toric_linsys.catalog import (
     projective_space_fan,
     trapezoid_polytope,
 )
-from toric_linsys.linsys import build_point_matrix, falling
+from toric_linsys.linsys import build_point_matrix, falling, normalize_mults
 from toric_linsys.rank import rank_exact
 
 
@@ -107,6 +108,36 @@ def test_build_matrix_modular_matches_exact():
         assert [int(x) % p for x in re] == list(rm)
 
 
+@st.composite
+def supports_and_points(draw):
+    n = draw(st.integers(1, 4))
+    # exponents up to 3 against orders up to 3, so v > m_j occurs
+    columns = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n),
+                            min_size=1, max_size=8, unique=True))
+    mults = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    coord = st.integers(-50, 50).filter(bool)
+    points = [draw(st.tuples(*[coord] * n)) for _ in mults]
+    p = draw(st.sampled_from((2, 3, 5, 7, 101, 2 ** 61 - 1)))
+    return columns, mults, points, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(supports_and_points())
+def test_build_matrix_modular_is_exact_reduced(case):
+    columns, mults, points, p = case
+    exact = build_point_matrix(columns, mults, points)
+    modular = build_point_matrix(columns, mults, points, prime=p)
+    assert modular.row_labels == exact.row_labels
+    assert modular.rows == tuple(tuple(x % p for x in row)
+                                 for row in exact.rows)
+    # the exact entries follow the formula, one entry at a time
+    for (pi, u), row in zip(exact.row_labels, exact.rows):
+        assert list(row) == [
+            prod(falling(mj, uj) * x ** max(mj - uj, 0)
+                 for mj, uj, x in zip(m, u, points[pi]))
+            for m in columns]
+
+
 def test_build_matrix_integer_points_give_integer_entries():
     # integer points keep exact trials on integers; halving every coordinate
     # scales row u by 2^|u| and column m by 2^-|m|, so the rank is unchanged
@@ -118,6 +149,14 @@ def test_build_matrix_integer_points_give_integer_entries():
         cols, [2, 2, 3], [tuple(Fraction(x, 2) for x in pt) for pt in pts])
     assert all(type(x) is Fraction for row in halves.rows for x in row if x)
     assert rank_exact(halves.rows) == rank_exact(ints.rows)
+
+
+def test_non_integral_multiplicities_are_rejected():
+    with pytest.raises(ValueError, match="integer"):
+        normalize_mults([2.5, 1])
+    with pytest.raises(ValueError, match="integer"):
+        LinearSystem(CP2, (3,), (2.5,))
+    assert normalize_mults([2.0, 0, 1]) == (2, 1)
 
 
 def test_build_matrix_rejects_zero_coordinate_points():

@@ -1,6 +1,8 @@
 import itertools
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from toric_linsys.rank import (
     is_prime,
     random_prime,
@@ -63,3 +65,54 @@ def test_rank_exact_rectangular():
             [2, 4, 6, 8],
             [0, 1, 0, 1]]
     assert rank_exact(rows) == 2
+
+
+def textbook_rank_mod_p(rows, p):
+    """Gaussian elimination with every entry reduced mod p after each
+    row update."""
+    a = [[x % p for x in row] for row in rows]
+    if not a or not a[0]:
+        return 0
+    ncols = len(a[0])
+    rk = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(rk, len(a)):
+            if a[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        a[rk], a[piv] = a[piv], a[rk]
+        inv = pow(a[rk][col], -1, p)
+        prow = a[rk]
+        for i in range(rk + 1, len(a)):
+            f = a[i][col]
+            if f:
+                f = f * inv % p
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], prow)]
+        rk += 1
+        if rk == len(a):
+            break
+    return rk
+
+
+@st.composite
+def prime_and_matrix(draw):
+    # small primes make columns without a pivot common
+    p = draw(st.sampled_from((2, 3, 5, 7, 2 ** 61 - 1)))
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 10))
+    entry = st.one_of(st.integers(-3 * p, 3 * p), st.integers(-9, 9))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    return p, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(prime_and_matrix())
+def test_rank_mod_p_matches_textbook_elimination(case):
+    p, rows = case
+    before = [list(row) for row in rows]
+    assert rank_mod_p(rows, p) == textbook_rank_mod_p(rows, p)
+    assert rows == before
