@@ -37,8 +37,6 @@ from .fan_analysis import (
     vertex_capsule,
 )
 from .lattice import (
-    Fan,
-    LatticePolytope,
     fan_from_json,
     fan_to_json,
     jsonable,
@@ -83,38 +81,30 @@ def _load_json(path):
         raise InputError(f"malformed JSON: {exc}", path)
 
 
-def load_fan(args) -> Fan:
+def load_input(args, kind):
+    """The fan or polytope (kind "fan" or "polytope") named by --example or
+    read from the --fan / --polytope file."""
+    example, from_json = {
+        "fan": (catalog.example_fan, fan_from_json),
+        "polytope": (catalog.example_polytope, polytope_from_json)}[kind]
     if getattr(args, "example", None):
         try:
-            return catalog.example_fan(args.example)
+            return example(args.example)
         except ValueError as exc:
             raise InputError(str(exc))
-    if getattr(args, "fan", None):
+    path = getattr(args, kind, None)
+    if path:
         try:
-            return fan_from_json(_load_json(args.fan))
+            return from_json(_load_json(path))
         except ValueError as exc:
-            raise InputError(str(exc), args.fan)
-    raise InputError("need --fan FILE or --example SPEC")
+            raise InputError(str(exc), path)
+    raise InputError(f"need --{kind} FILE or --example SPEC")
 
 
-def load_polytope(args) -> LatticePolytope:
-    if getattr(args, "example", None):
-        try:
-            return catalog.example_polytope(args.example)
-        except ValueError as exc:
-            raise InputError(str(exc))
-    if getattr(args, "polytope", None):
-        try:
-            return polytope_from_json(_load_json(args.polytope))
-        except ValueError as exc:
-            raise InputError(str(exc), args.polytope)
-    raise InputError("need --polytope FILE or --example SPEC")
-
-
-def presentation_for(fan) -> tuple:
+def presentation_for(fan, path=None) -> tuple:
     verdict = transitive_cones(fan)
     if not verdict:
-        raise InputError("fan is not quasi-transitive")
+        raise InputError("fan is not quasi-transitive", path)
     return verdict, build_presentation(verdict)
 
 
@@ -185,7 +175,7 @@ def load_system(args):
         obj = _load_json(args.system)
         return system_from_obj(obj, args.system)
     if getattr(args, "example", None):
-        fan = load_fan(args)
+        fan = load_input(args, "fan")
         verdict, cp = presentation_for(fan)
         coeffs = standard_coeffs_from(args, verdict, cp)
         if getattr(args, "mults", None) is None:
@@ -212,10 +202,7 @@ def system_from_obj(obj, path=None):
             fan = fan_from_json(obj["fan"])
         except ValueError as exc:
             raise InputError(str(exc), path)
-        verdict = transitive_cones(fan)
-        if not verdict:
-            raise InputError("fan is not quasi-transitive", path)
-        cp = build_presentation(verdict)
+        verdict, cp = presentation_for(fan, path)
         div = obj.get("divisor")
         if div is None:
             raise InputError("system object needs a divisor", path)
@@ -230,7 +217,7 @@ def system_from_obj(obj, path=None):
 
 
 def cmd_validate(args):
-    fan = load_fan(args)
+    fan = load_input(args, "fan")
     report = validate_fan(fan, samples=args.samples, seed=args.seed)
     emit(report, args,
          f"valid={report.valid} complete={report.complete} smooth={report.smooth}")
@@ -238,7 +225,7 @@ def cmd_validate(args):
 
 
 def cmd_transitive(args):
-    fan = load_fan(args)
+    fan = load_input(args, "fan")
     verdict = transitive_cones(fan)
     doc = {
         "transitive_cone_indices": list(verdict.transitive_cone_indices),
@@ -252,7 +239,7 @@ def cmd_transitive(args):
 
 
 def cmd_roots(args):
-    fan = load_fan(args)
+    fan = load_input(args, "fan")
     roots = demazure_roots(fan)
     per_ray = {}
     for root in roots:
@@ -267,7 +254,7 @@ def cmd_roots(args):
 
 
 def cmd_symmetries(args):
-    fan = load_fan(args)
+    fan = load_input(args, "fan")
     syms = fan_symmetries(fan)
     doc = {"count": len(syms),
            "matrices": [[list(row) for row in a] for a in syms]}
@@ -276,7 +263,7 @@ def cmd_symmetries(args):
 
 
 def cmd_capsule(args):
-    poly = load_polytope(args)
+    poly = load_input(args, "polytope")
     if args.vertex is None:
         raise InputError("need --vertex LIST")
     vertex = parse_int_list(args.vertex)
@@ -287,7 +274,7 @@ def cmd_capsule(args):
 
 
 def cmd_cox(args):
-    fan = load_fan(args)
+    fan = load_input(args, "fan")
     verdict, cp = presentation_for(fan)
     doc = {
         "ray_matrix": [list(r) for r in cp.ray_matrix],
@@ -302,7 +289,7 @@ def cmd_cox(args):
 
 
 def cmd_h0(args):
-    fan = load_fan(args)
+    fan = load_input(args, "fan")
     verdict, cp = presentation_for(fan)
     coeffs = standard_coeffs_from(args, verdict, cp)
     sec = section_polytope(cp, coeffs)
@@ -328,7 +315,7 @@ def cmd_dim(args):
 
 
 def cmd_split(args):
-    poly = load_polytope(args)
+    poly = load_input(args, "polytope")
     pieces = split_polytope(poly, args.axis, args.level)
     def piece_doc(p):
         return {"polytope": polytope_to_json(p),
@@ -349,11 +336,8 @@ def cmd_split(args):
 def cmd_certify(args):
     poly, mults, desc = load_system(args)
     cfg = rank_config(args)
-    try:
-        cert = certify(PolytopeSystem(poly, mults), max_depth=args.max_depth,
-                       cfg=cfg)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    cert = certify(PolytopeSystem(poly, mults), max_depth=args.max_depth,
+                   cfg=cfg)
     if cert is None:
         emit({"status": "inconclusive", "certificate": None}, args,
              "no certificate found (not a proof of speciality)")
@@ -469,7 +453,8 @@ def build_parser():
 
     p = sub.add_parser("validate", help="fan invariant report")
     common(p, fan=True)
-    p.add_argument("--samples", type=int, default=128)
+    p.add_argument("--samples", type=int, default=128,
+                   help="ignored: completeness is decided exactly")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("transitive", help="transitive cones and normalization")

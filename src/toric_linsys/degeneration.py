@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from math import floor
 
 from .lattice import (
     LatticePolytope,
@@ -72,10 +71,10 @@ def ensure_standard_form(p: LatticePolytope):
 
 
 def axis_widths(p: LatticePolytope):
-    """Integer width of the polytope along each coordinate axis."""
-    if not p.vertices:
-        return tuple(0 for _ in range(p.dim))
-    return tuple(floor(max(v[i] for v in p.vertices)) for i in range(p.dim))
+    """Integer width of the polytope along each coordinate axis: the top of
+    its bounding box, zeros when it is empty."""
+    box = p.bounding_box()
+    return box[1] if box else (0,) * p.dim
 
 
 @dataclass(frozen=True)
@@ -103,6 +102,8 @@ class SplitPieces:
 def split_polytope(p: LatticePolytope, axis: int, level: int) -> SplitPieces:
     """The four slab polytopes of a split; no translation is applied."""
     n = p.dim
+    if not 0 <= axis < n:
+        raise ValueError(f"axis must satisfy 0 <= axis < {n}")
     width = axis_widths(p)[axis]
     if not 1 <= level <= width:
         raise ValueError("level must satisfy 1 <= level <= width")
@@ -312,11 +313,9 @@ def _verify_node(node: CertificateNode, cfg) -> bool:
     if node.kind != "split" or node.split is None or node.children is None:
         return False
     spec = node.split
-    widths = axis_widths(node.polytope)
-    if not (0 <= spec.axis < node.polytope.dim
-            and 1 <= spec.level <= widths[spec.axis]
-            and 0 <= spec.point_split <= len(node.mults)):
+    if not 0 <= spec.point_split <= len(node.mults):
         return False
+    # an axis or level out of range raises ValueError: not verified
     pieces = split_polytope(node.polytope, spec.axis, spec.level)
     left, right = node.children
     if left.mults != node.mults[:spec.point_split]:

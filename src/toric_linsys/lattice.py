@@ -10,7 +10,6 @@ follows it.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -190,9 +189,14 @@ def _interiors_disjoint(a, b, n):
 def validate_fan(f: Fan, samples: int = 128, seed: int = 0) -> ValidationReport:
     """Check the fan invariants; the report carries failures instead of raising.
 
-    Completeness is decided by facet pairing (every codimension-one face of a
-    maximal cone shared by exactly two) plus a seeded random point-location
-    sanity check; interiors of distinct maximal cones must be disjoint.
+    Completeness is decided exactly: the interiors of distinct maximal cones
+    must be disjoint and every facet of a maximal cone must lie in exactly
+    two of them. The two cones at a facet then lie on opposite sides of its
+    hyperplane, so every point of the facet's relative interior is interior
+    to the support. The boundary of the support therefore lies in the
+    codimension-two skeleton, which cannot separate R^n, so the support is
+    all of R^n. `samples` and `seed` are accepted for compatibility and
+    ignored.
     """
     failures = []
     n = f.rank
@@ -241,32 +245,6 @@ def validate_fan(f: Fan, samples: int = 128, seed: int = 0) -> ValidationReport:
                 failures.append(f"facet {bad[0]} shared by {facets[bad[0]]} cones")
             else:
                 complete = True
-        if complete and samples > 0:
-            rng = random.Random(seed)
-            for _ in range(samples):
-                hit = None
-                for _retry in range(64):
-                    v = tuple(rng.randint(-10**6, 10**6) for _ in range(n))
-                    if all(x == 0 for x in v):
-                        continue
-                    counts = 0
-                    boundary = False
-                    for m, _gens in loc:
-                        w = mat_vec(m, v)
-                        if any(x == 0 for x in w):
-                            boundary = True
-                            break
-                        if all(x > 0 for x in w):
-                            counts += 1
-                    if boundary:
-                        continue
-                    hit = counts
-                    break
-                if hit != 1:
-                    failures.append(
-                        f"point location found {hit} containing cones")
-                    complete = False
-                    break
 
     smooth = bool(cone_smooth) and all(cone_smooth)
     return ValidationReport(

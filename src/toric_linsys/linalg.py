@@ -2,7 +2,7 @@
 
 Everything works over Python ints and fractions.Fraction; no floats ever.
 Vectors are tuples, matrices are sequences of row sequences. Determinants,
-ranks, inverses and solves all come from one fraction-free (Bareiss)
+ranks, adjugates and solves all come from one fraction-free (Bareiss)
 elimination, which clears row denominators and then stays in the integers.
 """
 
@@ -16,16 +16,8 @@ def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(s, a):
-    return tuple(s * x for x in a)
 
 
 def vec_neg(a):
@@ -37,10 +29,6 @@ def vec_gcd(v):
     for x in v:
         g = gcd(g, abs(x))
     return g
-
-
-def identity_matrix(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def transpose(m):
@@ -147,14 +135,6 @@ def adjugate(m):
     return (_divide(sign * last, scale),
             tuple(tuple(_divide(sign * c[i], scale) for c in cols)
                   for i in range(n)))
-
-
-def invert(m):
-    """Exact inverse of a square matrix, entries Fraction. Raises on singular."""
-    d, adj = adjugate(m)
-    if not d:
-        raise ValueError("singular matrix")
-    return tuple(tuple(Fraction(x, d) for x in row) for row in adj)
 
 
 def solve_unique(m, b):
@@ -340,19 +320,6 @@ def lp_solve(n_vars, objective=None, ineqs=(), eqs=(), maximize=True,
     x = extract()
     value = dot(objective, x)
     return LPResult(OPTIMAL, value, x)
-
-
-def feasible(ineqs, eqs=(), n_vars=None, nonneg=False):
-    """Exact feasibility of a.x <= b (and c.x == d) over the rationals."""
-    if n_vars is None:
-        if ineqs:
-            n_vars = len(ineqs[0][0])
-        elif eqs:
-            n_vars = len(eqs[0][0])
-        else:
-            return True
-    res = lp_solve(n_vars, None, ineqs, eqs, nonneg=nonneg)
-    return res.status == OPTIMAL
 
 
 def point_in_hull(points, x):

@@ -30,11 +30,17 @@ from operator import mul, sub
 
 from .linalg import rank as matrix_rank
 
-# deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24
+# deterministic Miller-Rabin witnesses, valid for all n below _MR_BOUND, the
+# smallest strong pseudoprime to all twelve bases (Sorenson-Webster 2017)
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
+MAX_PRIME_BITS = 78  # 2^78 < _MR_BOUND
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic primality for n < _MR_BOUND; raises ValueError above."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"is_prime is only decided below {_MR_BOUND}")
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -81,6 +87,8 @@ class RankConfig:
             raise ValueError("trials must be at least 1")
         if self.prime_bits < 3:
             raise ValueError("prime_bits must be at least 3")
+        if self.prime_bits > MAX_PRIME_BITS:
+            raise ValueError(f"prime_bits must be at most {MAX_PRIME_BITS}")
 
 
 @dataclass(frozen=True)
@@ -115,8 +123,3 @@ def rank_exact(rows) -> int:
     """Rank over the rationals by fraction-free (Bareiss) elimination; the
     intermediate entries of an integer matrix are exact integer minors."""
     return matrix_rank(rows)
-
-
-def trial_seeds(cfg: RankConfig):
-    master = random.Random(cfg.seed)
-    return tuple(master.getrandbits(63) for _ in range(cfg.trials))

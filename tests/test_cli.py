@@ -210,10 +210,23 @@ def test_dim_rejects_zero_trials_and_tiny_primes(capsys):
     base = ["dim", "--example", "pn:2", "--class", "4", "--mults", "2,2"]
     for extra, message in ((["--trials", "0"], "trials must be at least 1"),
                            (["--prime-bits", "2"],
-                            "prime_bits must be at least 3")):
+                            "prime_bits must be at least 3"),
+                           # primality is deterministic only below 2^78
+                           (["--prime-bits", "79"],
+                            "prime_bits must be at most 78")):
         code, doc, _ = run_cli(base + extra, capsys)
         assert code == 1
         assert doc == {"error": message, "path": None}
+
+
+def test_split_rejects_axis_out_of_range(capsys):
+    for axis in ("5", "-1"):
+        code, doc, err = run_cli(["split", "--example", "square", "--axis",
+                                  axis, "--level", "1"], capsys)
+        assert code == 1
+        assert doc == {"error": "axis must satisfy 0 <= axis < 2",
+                       "path": None}
+        assert "Traceback" not in err
 
 
 def test_sweep_zero_trials_fails_every_task(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import random
+from math import floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from toric_linsys.catalog import (
     simplex_polytope,
     trapezoid_polytope,
 )
+from toric_linsys.degeneration import axis_widths
 
 
 CFG = RankConfig(seed=40)
@@ -52,6 +54,24 @@ def test_split_at_full_width():
     # plus piece is the right edge, minus piece is everything
     assert sorted(lattice_points(pieces.plus)) == [(2, 0), (2, 1)]
     assert len(lattice_points(pieces.minus)) == 6
+
+
+def test_axis_widths_match_vertex_maxima():
+    # widths come from the bounding box; the vertex maxima are the oracle,
+    # zeros for the empty polytope
+    box = box_polytope((3, 1, 2))
+    empty = box.with_inequality((1, 1, 1), -1)
+    polys = [box, trapezoid_polytope(3, 1), simplex_polytope(3, 2),
+             hexagon_polytope(), empty]
+    for axis, level in ((0, 2), (2, 1)):
+        pieces = split_polytope(box, axis, level)
+        shift = tuple(-x for x in pieces.plus_anchor)
+        polys += [pieces.minus_prev, pieces.plus,
+                  pieces.plus.translate(shift)]
+    for p in polys:
+        expected = tuple(floor(max(v[i] for v in p.vertices)) if p.vertices
+                         else 0 for i in range(p.dim))
+        assert axis_widths(p) == expected
 
 
 def test_split_level_bounds():
@@ -211,6 +231,8 @@ def test_verify_rejects_tampering():
     assert mutate(lambda d: d.update(h0=d["h0"] + 1)) is False
     if doc["kind"] == "split":
         assert mutate(lambda d: d["split"].update(level=d["split"]["level"] + 5)) is False
+        for axis in (-1, 2):
+            assert mutate(lambda d: d["split"].update(axis=axis)) is False
         assert mutate(lambda d: d["children"][0].update(
             tvdim=d["children"][0]["tvdim"] - 1)) is False
 

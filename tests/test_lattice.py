@@ -24,14 +24,14 @@ from toric_linsys import (
 from toric_linsys.catalog import (
     bl3p2_fan,
     box_polytope,
+    example_fan,
     hexagon_polytope,
     hirzebruch_fan,
-    p1_power_fan,
     projective_space_fan,
     trapezoid_polytope,
 )
 from toric_linsys.fan_analysis import demazure_roots, root_region
-from toric_linsys.linalg import det, dot, lp_solve, mat_vec
+from toric_linsys.linalg import det, dot, lp_solve, mat_vec, solve_in_span
 
 
 def brute_force_points(poly, box):
@@ -230,12 +230,54 @@ def test_unimodular_invariance_of_validation():
             assert rep0.smooth == rep1.smooth
 
 
+CATALOG_FAN_SPECS = ("pn:1", "pn:2", "pn:3", "pn:4", "p1n:1", "p1n:2",
+                     "p1n:3", "p1n:4", "hirzebruch:0", "hirzebruch:1",
+                     "hirzebruch:2", "hirzebruch:3", "bl3p2", "box:2x1",
+                     "box:1x2x3", "simplex:3:2", "trapezoid:2:1")
+
+
+def located_counts(fan, samples, seed):
+    """Point-location oracle: for each seeded random integer direction off
+    every facet hyperplane, the number of maximal cones holding it in their
+    interior, read from its coordinates in each cone's rays."""
+    rng = random.Random(seed)
+    counts = []
+    for _ in range(samples):
+        v = tuple(rng.randint(-10**6, 10**6) for _ in range(fan.rank))
+        coords = [solve_in_span(tuple(fan.rays[i] for i in c), v)
+                  for c in fan.max_cones]
+        if any(0 in lam for lam in coords):
+            continue  # on a boundary
+        counts.append(sum(all(x > 0 for x in lam) for lam in coords))
+    return counts
+
+
 def test_point_location_property():
-    # 1000 random rational directions each lie in exactly one maximal cone
-    for fan in (projective_space_fan(2), projective_space_fan(3),
-                hirzebruch_fan(2), bl3p2_fan(), p1_power_fan(3)):
-        rep = validate_fan(fan, samples=1000, seed=2024)
-        assert rep.valid, rep.failures
+    # every random direction lies in exactly one maximal cone, and the
+    # exact report agrees
+    for spec in CATALOG_FAN_SPECS:
+        fan = example_fan(spec)
+        counts = located_counts(fan, 200, 2024)
+        assert len(counts) > 150, spec
+        assert set(counts) == {1}, spec
+        assert validate_fan(fan).complete, spec
+
+
+@pytest.mark.parametrize("spec", CATALOG_FAN_SPECS)
+def test_point_location_catches_a_dropped_cone(spec):
+    # negative control: without one maximal cone, some direction lies in
+    # no cone, and the exact report says incomplete
+    fan = example_fan(spec)
+    broken = Fan(fan.rank, fan.rays, fan.max_cones[1:])
+    assert 0 in located_counts(broken, 200, 2024)
+    assert not validate_fan(broken).complete
+
+
+@pytest.mark.parametrize("spec", CATALOG_FAN_SPECS)
+def test_validate_ignores_samples(spec):
+    fan = example_fan(spec)
+    assert validate_fan(fan, samples=0) == validate_fan(fan, samples=1000,
+                                                        seed=7)
 
 
 def test_polytope_vertices_and_box():

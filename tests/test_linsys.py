@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from toric_linsys import (
     GenericityError,
+    LatticePolytope,
     LinearSystem,
     RankConfig,
     analyze,
@@ -15,6 +16,7 @@ from toric_linsys import (
     build_presentation,
     derivative_orders,
     generic_rank,
+    lattice_points,
     toric_truncation,
     transitive_cones,
 )
@@ -26,7 +28,7 @@ from toric_linsys.catalog import (
     trapezoid_polytope,
 )
 from toric_linsys.linsys import build_point_matrix, falling, normalize_mults
-from toric_linsys.rank import rank_exact
+from toric_linsys.rank import rank_exact, rank_mod_p
 
 
 def presentation(fan):
@@ -136,6 +138,40 @@ def test_build_matrix_modular_is_exact_reduced(case):
             prod(falling(mj, uj) * x ** max(mj - uj, 0)
                  for mj, uj, x in zip(m, u, points[pi]))
             for m in columns]
+
+
+@st.composite
+def downset_systems(draw):
+    """The lattice points of a small orthant down-set polytope as monomial
+    support, multiplicities, and integer points with coordinates in
+    [1, 50]."""
+    n = draw(st.integers(1, 3))
+    rows = [(tuple(-int(i == j) for j in range(n)), 0) for i in range(n)]
+    for _ in range(draw(st.integers(1, 2))):
+        rows.append((tuple(draw(st.integers(1, 3)) for _ in range(n)),
+                     draw(st.integers(0, 6))))
+    poly = LatticePolytope(tuple(nv for nv, _ in rows),
+                           tuple(off for _, off in rows))
+    mults = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    points = [draw(st.tuples(*[st.integers(1, 50)] * n)) for _ in mults]
+    return lattice_points(poly), mults, points
+
+
+@settings(max_examples=150, deadline=None)
+@given(downset_systems())
+def test_rank_mod_p_against_exact_rank_of_point_matrix(case):
+    # a trial's modular rank is a lower bound on the exact rank, and equal
+    # to it once p exceeds Hadamard's bound on every minor
+    columns, mults, points = case
+    exact = build_point_matrix(columns, mults, points).rows
+    rk = rank_exact(exact)
+    hadamard_squared = prod(max(1, sum(x * x for x in row)) for row in exact)
+    for p in (2, 3, 5, 7, 101, 2 ** 61 - 1):
+        rk_p = rank_mod_p(build_point_matrix(columns, mults, points,
+                                             prime=p).rows, p)
+        assert rk_p <= rk
+        if p * p > hadamard_squared:
+            assert rk_p == rk
 
 
 def test_build_matrix_integer_points_give_integer_entries():

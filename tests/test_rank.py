@@ -1,9 +1,11 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from toric_linsys.rank import (
+    RankConfig,
     is_prime,
     random_prime,
     rank_exact,
@@ -30,6 +32,25 @@ def test_is_prime_small():
     assert not is_prime(561)        # Carmichael
     assert not is_prime(2 ** 61)
     assert is_prime(2 ** 61 - 1)    # Mersenne
+
+
+def test_is_prime_refuses_the_twelve_base_pseudoprime():
+    # the smallest strong pseudoprime to the bases 2..37 (Sorenson-Webster)
+    psi12 = 399165290221 * 798330580441
+    assert psi12 == 318665857834031151167461
+    for n in (psi12, psi12 + 1, 2 ** 79):
+        with pytest.raises(ValueError, match="only decided below"):
+            is_prime(n)
+    assert is_prime(psi12 - 1) is False  # even
+
+
+def test_rank_config_prime_bits_range():
+    assert RankConfig(prime_bits=78).prime_bits == 78
+    assert 2 ** 78 < 318665857834031151167461
+    with pytest.raises(ValueError, match="prime_bits must be at most 78"):
+        RankConfig(prime_bits=79)
+    p = random_prime(78, random.Random(0))
+    assert 2 ** 77 <= p < 2 ** 78 and is_prime(p)
 
 
 def test_random_prime_range_and_determinism():
