@@ -369,18 +369,26 @@ def _from_fields(cls, obj, **decode):
     return cls(**values)
 
 
+def _json_int(value, name):
+    if type(value) is not int:
+        raise ValueError(f"'{name}' must be an integer")
+    return value
+
+
+def _json_ints(values, name) -> tuple:
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise ValueError(f"'{name}' must be a list of integers")
+    return tuple(values)
+
+
 def certificate_from_json(obj) -> CertificateNode:
-    poly = polytope_from_json(obj["polytope"])
-    mults = obj["mults"]
-    if not isinstance(mults, list) or any(type(m) is not int for m in mults):
-        raise ValueError("'mults' must be a list of integers")
     common = dict(
         kind=obj["kind"],
-        polytope=poly,
-        mults=tuple(mults),
-        h0=int(obj["h0"]),
-        truncations=tuple(obj["truncations"]),
-        tvdim=int(obj["tvdim"]),
+        polytope=polytope_from_json(obj["polytope"]),
+        mults=_json_ints(obj["mults"], "mults"),
+        h0=_json_int(obj["h0"], "h0"),
+        truncations=_json_ints(obj["truncations"], "truncations"),
+        tvdim=_json_int(obj["tvdim"], "tvdim"),
     )
     if obj["kind"] == "leaf":
         report = _from_fields(
@@ -391,5 +399,7 @@ def certificate_from_json(obj) -> CertificateNode:
         HypothesisTranscript, obj["transcript"],
         witness=lambda w: tuple(w) if w else None)
     children = tuple(certificate_from_json(c) for c in obj["children"])
-    return CertificateNode(split=_from_fields(SplitSpec, obj["split"]),
-                           transcript=transcript, children=children, **common)
+    split = SplitSpec(*(_json_int(obj["split"][f.name], f.name)
+                        for f in fields(SplitSpec)))
+    return CertificateNode(split=split, transcript=transcript,
+                           children=children, **common)

@@ -8,12 +8,15 @@ Schwartz-Zippel a trial misses the generic rank with probability at most
 Each trial's rank is a lower bound on the generic rank: a minor that is
 nonzero mod p is nonzero as an integer polynomial.
 
-The modular elimination delays reduction: only the pivot row is reduced
-mod p, and the rows below are updated as exact integers congruent to their
-field values, without a reduction per entry. An entry grows by less than
-p^2 per pivot, so at 200 pivots and a 61-bit prime it stays near 130 bits,
-and each row drops its first entry after every column, so the rows shrink
-as the elimination moves right.
+The modular elimination packs each row into one integer, a slot of w bits
+per column with column 0 in the lowest slot (Kronecker substitution), and
+delays reduction: entries are reduced mod p once, when packed, and only the
+pivot row's tail is reduced again, to normalise it. Every other row takes
+`(v >> w) + (p - f) * tail`, which drops its first column and adds less
+than p^2 to each slot. A row takes at most k = min(rows, cols) updates, so
+a slot stays nonnegative and below p + k * p^2 < 2^w for
+w = 8 * ceil((2 * bits(p) + bits(k) + 2) / 8): no slot carries into the
+next, and each slot stays congruent mod p to its field entry.
 
 An exact trial evaluates at random positive integer points and takes the
 rank over the rationals by fraction-free (Bareiss) elimination, never
@@ -25,14 +28,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import repeat
-from operator import mul, sub
+from math import gcd, isqrt, prod
 
 from .linalg import rank as matrix_rank
 
-# deterministic Miller-Rabin witnesses, valid for all n below _MR_BOUND, the
-# smallest strong pseudoprime to all twelve bases (Sorenson-Webster 2017)
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = frozenset(q for q in range(2, 300)
+                          if all(q % d for d in range(2, isqrt(q) + 1)))
+_PRIMORIAL = prod(_SMALL_PRIMES)
+# deterministic Miller-Rabin bases: Sinclair's seven for n < 2^64, and the
+# twelve primes 2..37 below _MR_BOUND, the smallest strong pseudoprime to
+# all twelve (Sorenson-Webster 2017)
+_MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_BOUND = 318665857834031151167461
 MAX_PRIME_BITS = 78  # 2^78 < _MR_BOUND
 
@@ -43,15 +50,19 @@ def is_prime(n: int) -> bool:
         raise ValueError(f"is_prime is only decided below {_MR_BOUND}")
     if n < 2:
         return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
+    if gcd(n, _PRIMORIAL) != 1:
+        return n in _SMALL_PRIMES
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_BASES_64 if n < 1 << 64 else _MR_BASES:
+        # n has no prime factor below 300, so n divides a base only when n
+        # is its prime factor 407521 or 299210837; that base proves nothing
+        a %= n
+        if a == 0:
+            continue
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -101,21 +112,32 @@ class TrialEvidence:
 def rank_mod_p(rows, p: int) -> int:
     """Rank of an integer matrix over the field with p elements; `rows` is
     not modified."""
-    a = [list(row) for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    # slot width w = 8 * ceil((2 bits(p) + bits(min(rows, cols)) + 2) / 8)
+    nbytes = (2 * p.bit_length() + min(len(rows), ncols).bit_length() + 9) // 8
+    w = 8 * nbytes
+    mask = (1 << w) - 1
+    a = [int.from_bytes(b"".join([(x % p).to_bytes(nbytes, "little")
+                                  for x in row]), "little") for row in rows]
+    a = [v for v in a if v]
     rk = 0
-    while a and a[0]:
-        piv = next((i for i, row in enumerate(a) if row[0] % p), None)
+    for col in range(ncols):
+        if not a:
+            break
+        lows = [(v & mask) % p for v in a]
+        piv = next((i for i, f in enumerate(lows) if f), None)
         if piv is None:
-            a = [row[1:] for row in a]
+            a = [v >> w for v in a]
             continue
-        prow = a.pop(piv)
-        inv = pow(prow[0] % p, -1, p)
-        tail = [y * inv % p for y in prow[1:]]
+        inv = pow(lows.pop(piv), -1, p)
+        rest = (a.pop(piv) >> w).to_bytes((ncols - col - 1) * nbytes, "little")
+        tail = int.from_bytes(b"".join([
+            (int.from_bytes(rest[i:i + nbytes], "little") * inv % p)
+            .to_bytes(nbytes, "little")
+            for i in range(0, len(rest), nbytes)]), "little")
         rk += 1
-        for i, row in enumerate(a):
-            f = row[0] % p
-            a[i] = list(map(sub, row[1:], map(mul, repeat(f), tail))) \
-                if f else row[1:]
+        a = [(v >> w) + (p - f) * tail if f else v >> w
+             for v, f in zip(a, lows)]
     return rk
 
 

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from toric_linsys.cli import main
-from toric_linsys.catalog import box_polytope, hirzebruch_fan
+from toric_linsys.catalog import (box_polytope, hirzebruch_fan,
+                                  simplex_polytope)
 from toric_linsys.lattice import fan_to_json, polytope_to_json
 
 
@@ -479,3 +480,74 @@ def test_verify_non_integer_mults_is_malformed(tmp_path, capsys):
     assert code == 1
     assert doc == {"error": "malformed certificate: 'mults' must be a list "
                             "of integers", "path": str(certfile)}
+
+
+INT_FIELD = "must be an integer"
+INT_LIST = "must be a list of integers"
+
+
+@pytest.mark.parametrize("path, bad, message", [
+    (("split", "axis"), "0", f"'axis' {INT_FIELD}"),
+    (("split", "level"), 2.0, f"'level' {INT_FIELD}"),
+    (("split", "point_split"), "1", f"'point_split' {INT_FIELD}"),
+    (("split", "point_split"), True, f"'point_split' {INT_FIELD}"),
+    (("h0",), "9", f"'h0' {INT_FIELD}"),
+    (("tvdim",), 2.5, f"'tvdim' {INT_FIELD}"),
+    (("tvdim",), False, f"'tvdim' {INT_FIELD}"),
+    (("children", 0, "truncations"), ["3", 3], f"'truncations' {INT_LIST}"),
+    (("children", 0, "truncations"), [3, True], f"'truncations' {INT_LIST}"),
+    (("children", 1, "truncations"), [3.0, 3], f"'truncations' {INT_LIST}"),
+    (("truncations",), 3, f"'truncations' {INT_LIST}"),
+])
+def test_verify_non_integer_field_is_malformed(tmp_path, capsys, path, bad,
+                                               message):
+    certfile = tmp_path / "c.json"
+    run_cli(["certify", "--example", "hirzebruch:1", "--class", "3,2",
+             "--mults", "2,2", "--out", str(certfile)], capsys)
+    doc = json.loads(certfile.read_text())
+    node = doc["certificate"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = bad
+    certfile.write_text(json.dumps(doc))
+    code, doc, err = run_cli(["verify", "--certificate", str(certfile)],
+                             capsys)
+    assert code == 1
+    assert doc == {"error": f"malformed certificate: {message}",
+                   "path": str(certfile)}
+    assert "Traceback" not in err
+
+
+# Seeded stdout at interpolation-benchmark scale (120x165 and 200x231), far
+# above the h0 <= 40 of acceptance criterion 8: it pins the trial primes and
+# seeds as well as the ranks.
+GOLDEN_DIM = [
+    ((3, 8), [2] * 30, "2", "11",
+     '{"dim": 44, "edim": 44, "h0": 165, "mode": "modular", "polytope":'
+     ' {"normals": [[-1, 0, 0], [0, -1, 0], [0, 0, -1], [1, 1, 1]],'
+     ' "offsets": [0, 0, 0, 8]}, "rank": 120, "samples": [{"prime":'
+     ' 1506549434989769903, "rank": 120, "seed": 7985063174142371181},'
+     ' {"prime": 1260070913227170809, "rank": 120, "seed":'
+     ' 7903166252872187431}], "seed": 11, "special": false, "tedim": 44,'
+     ' "toric_special": false, "tvdim": 44, "vdim": 44}\n'),
+    ((2, 20), [4] * 20, "1", "12",
+     '{"dim": 30, "edim": 30, "h0": 231, "mode": "modular", "polytope":'
+     ' {"normals": [[-1, 0], [0, -1], [1, 1]], "offsets": [0, 0, 20]},'
+     ' "rank": 200, "samples": [{"prime": 1216158115360812397, "rank":'
+     ' 200, "seed": 2481040521166681822}], "seed": 12, "special": false,'
+     ' "tedim": 30, "toric_special": false, "tvdim": 30, "vdim": 30}\n'),
+]
+
+
+@pytest.mark.parametrize("shape, mults, trials, seed, expected", GOLDEN_DIM)
+def test_dim_golden_seeded_output(tmp_path, capsys, shape, mults, trials,
+                                  seed, expected):
+    sysfile = tmp_path / "s.json"
+    sysfile.write_text(json.dumps({
+        "polytope": polytope_to_json(simplex_polytope(*shape)),
+        "multiplicities": mults}))
+    code = main(["dim", "--system", str(sysfile), "--trials", trials,
+                 "--seed", seed])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert out == expected

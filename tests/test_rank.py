@@ -44,6 +44,51 @@ def test_is_prime_refuses_the_twelve_base_pseudoprime():
     assert is_prime(psi12 - 1) is False  # even
 
 
+def twelve_base_is_prime(n):
+    """Miller-Rabin with the twelve prime bases 2..37 after trial division
+    by them: deterministic below 318665857834031151167461."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for a in bases:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_prime_matches_twelve_base_test():
+    assert all(is_prime(n) == twelve_base_is_prime(n)
+               for n in range(200_000))
+    rng = random.Random(64)
+    # strong pseudoprimes to the first few prime bases, Carmichael numbers,
+    # the prime factors of two of the 64-bit bases, and products of two
+    # primes above the trial-division screen
+    hard = [2047, 3215031751, 2152302898747, 3474749660383,
+            341550071728321, 3825123056546413051, 561, 41041, 825265,
+            407521, 299210837, 307 * 311, 4294967291 * 4294967279,
+            2 ** 64 - 59, 2 ** 64 + 13, 2 ** 61 - 1]
+    ns = hard + [rng.randrange(2 ** 64) for _ in range(3000)] \
+        + [random_prime(bits, rng) * random_prime(bits, rng)
+           for bits in (10, 20, 32) for _ in range(100)] \
+        + [random_prime(bits, rng) for bits in (33, 61, 64, 65, 78)
+           for _ in range(100)]
+    assert [is_prime(n) for n in ns] == [twelve_base_is_prime(n) for n in ns]
+    assert is_prime(407521) and is_prime(299210837)
+
+
 def test_rank_config_prime_bits_range():
     assert RankConfig(prime_bits=78).prime_bits == 78
     assert 2 ** 78 < 318665857834031151167461
@@ -118,22 +163,66 @@ def textbook_rank_mod_p(rows, p):
     return rk
 
 
+P78 = 302231454903657293676533  # the largest prime below 2^78
+PRIMES = (2, 3, 5, 7, 101, 2 ** 61 - 1, P78)
+
+
 @st.composite
 def prime_and_matrix(draw):
     # small primes make columns without a pivot common
-    p = draw(st.sampled_from((2, 3, 5, 7, 2 ** 61 - 1)))
+    p = draw(st.sampled_from(PRIMES))
     m = draw(st.integers(1, 8))
     n = draw(st.integers(1, 10))
     entry = st.one_of(st.integers(-3 * p, 3 * p), st.integers(-9, 9))
-    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
-                         min_size=m, max_size=m))
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                             min_size=m, max_size=m))
+    else:
+        # a product through k < min(m, n) inner columns is rank-deficient
+        k = draw(st.integers(0, min(m, n) - 1))
+        left = draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                             min_size=m, max_size=m))
+        right = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                              min_size=k, max_size=k))
+        rows = [[sum(x * right[t][j] for t, x in enumerate(row))
+                 for j in range(n)] for row in left]
+    zero_rows = draw(st.lists(st.integers(0, m), max_size=3))
+    for i in zero_rows:
+        rows.insert(i, [0] * n)
     return p, rows
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(prime_and_matrix())
 def test_rank_mod_p_matches_textbook_elimination(case):
     p, rows = case
     before = [list(row) for row in rows]
     assert rank_mod_p(rows, p) == textbook_rank_mod_p(rows, p)
     assert rows == before
+
+
+def staircase_product(m, n, p):
+    """L * U with rank min(m, n) - 1: U is unit upper triangular with p - 1
+    above the diagonal and L has ones on and below it. Without row swaps
+    every update has f = 1 against a tail of p - 1, the largest growth a
+    slot can take, and the last row takes min(m, n) - 1 updates before it
+    reaches zero mod p."""
+    r = min(m, n) - 1
+    upper = [[(1 if j == i else p - 1) if j >= i else 0 for j in range(n)]
+             for i in range(r)]
+    return [[sum(upper[t][j] for t in range(min(i, r - 1) + 1)) % p
+             for j in range(n)] for i in range(m)]
+
+
+@pytest.mark.parametrize("p", (2 ** 61 - 1, P78))
+@pytest.mark.parametrize("shape", ((64, 64), (200, 231)))
+def test_rank_mod_p_slots_do_not_overflow(p, shape):
+    m, n = shape
+    rng = random.Random(m * n + p % 1000)
+    rows = [tuple(rng.choice((0, p - 2, p - 1)) for _ in range(n))
+            for _ in range(m)]
+    assert rank_mod_p(rows, p) == textbook_rank_mod_p(rows, p) == m
+    stair = staircase_product(m, n, p)
+    before = [list(row) for row in stair]
+    assert rank_mod_p(stair, p) == m - 1
+    assert stair == before
