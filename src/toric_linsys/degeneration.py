@@ -360,18 +360,16 @@ def certificate_to_json(node: CertificateNode) -> dict:
     return out
 
 
-def _from_fields(cls, obj, **decode):
-    """cls from a JSON object with one key per dataclass field; decode maps
-    a field name to the function that decodes its value."""
-    values = {f.name: obj[f.name] for f in fields(cls)}
-    for name, fn in decode.items():
-        values[name] = fn(values[name])
-    return cls(**values)
+# JSON types per field annotation; fields annotated otherwise need a decoder
+_JSON_TYPES = {"int": ((int,), "an integer"), "bool": ((bool,), "true or false"),
+               "str": ((str,), "a string"),
+               "tuple | None": ((list, type(None)), "null or a list")}
 
 
-def _json_int(value, name):
-    if type(value) is not int:
-        raise ValueError(f"'{name}' must be an integer")
+def _json_typed(value, name, annotation="int"):
+    types, what = _JSON_TYPES[annotation]
+    if type(value) not in types:
+        raise ValueError(f"'{name}' must be {what}")
     return value
 
 
@@ -381,25 +379,43 @@ def _json_ints(values, name) -> tuple:
     return tuple(values)
 
 
+def _json_samples(ss) -> tuple:
+    if not isinstance(ss, list) or any(not isinstance(s, list) or list(
+            map(type, s)) not in ([int] * 3, [type(None), int, int]) for s in ss):
+        raise ValueError("'samples' must be [prime or null, seed, rank] lists")
+    return tuple(TrialEvidence(*s) for s in ss)
+
+
+def _from_fields(cls, obj, **decode):
+    """cls from a JSON object with one key per dataclass field, each of a JSON
+    type its annotation allows; decode maps field names to value decoders."""
+    values = {f.name: obj[f.name] for f in fields(cls)}
+    for f in fields(cls):
+        if f.type in _JSON_TYPES:
+            _json_typed(values[f.name], f.name, f.type)
+    values.update((name, fn(values[name])) for name, fn in decode.items())
+    return cls(**values)
+
+
 def certificate_from_json(obj) -> CertificateNode:
+    if obj["kind"] not in ("leaf", "split"):
+        raise ValueError("'kind' must be \"leaf\" or \"split\"")
     common = dict(
         kind=obj["kind"],
         polytope=polytope_from_json(obj["polytope"]),
         mults=_json_ints(obj["mults"], "mults"),
-        h0=_json_int(obj["h0"], "h0"),
+        h0=_json_typed(obj["h0"], "h0"),
         truncations=_json_ints(obj["truncations"], "truncations"),
-        tvdim=_json_int(obj["tvdim"], "tvdim"),
+        tvdim=_json_typed(obj["tvdim"], "tvdim"),
     )
     if obj["kind"] == "leaf":
-        report = _from_fields(
-            SpecialityReport, obj["report"],
-            samples=lambda ss: tuple(TrialEvidence(*s[:3]) for s in ss))
+        report = _from_fields(SpecialityReport, obj["report"],
+                              samples=_json_samples)
         return CertificateNode(report=report, **common)
     transcript = _from_fields(
         HypothesisTranscript, obj["transcript"],
         witness=lambda w: tuple(w) if w else None)
     children = tuple(certificate_from_json(c) for c in obj["children"])
-    split = SplitSpec(*(_json_int(obj["split"][f.name], f.name)
-                        for f in fields(SplitSpec)))
+    split = _from_fields(SplitSpec, obj["split"])
     return CertificateNode(split=split, transcript=transcript,
                            children=children, **common)

@@ -30,7 +30,7 @@ from .linalg import (
     det,
     mat_mul,
     mat_vec,
-    point_in_hull,
+    solve_in_span,
     vec_neg,
     vec_sub,
 )
@@ -103,9 +103,10 @@ def vertex_capsule(p: LatticePolytope, vertex) -> CapsuleResult:
     """Capsule test at a smooth vertex: conv of the vertex, its edge
     neighbors p_1..p_n and the reflection point sum(p_i) - (n-1) vertex.
 
-    contains_polytope reports whether the polytope lies inside that hull
-    (exact LP). Certified only for n = 2; in higher rank the fan criterion
-    stays authoritative.
+    contains_polytope reports exactly whether the polytope lies in that hull:
+    in the basis of the edges p_i - vertex it is conv(0, e_1, ..., e_n, 1),
+    which holds y iff min(y) >= 0 and sum(y) - (n-1) min(y) <= 1. Certified
+    only for n = 2; in higher rank the fan criterion stays authoritative.
     """
     n = p.dim
     verts = p.vertices
@@ -117,9 +118,9 @@ def vertex_capsule(p: LatticePolytope, vertex) -> CapsuleResult:
     neighbors = vertex_neighbors(p)[v]
     if len(neighbors) != n:
         raise ValueError("capsule undefined at non-smooth vertex")
+    edges = [vec_sub(w, v) for w in neighbors]
     dirs = []
-    for w in neighbors:
-        diff = vec_sub(w, v)
+    for diff in edges:
         denom = lcm(*(x.denominator for x in diff)) if diff else 1
         dirs.append(primitivize(tuple(int(x * denom) for x in diff)))
     if abs(det(columns_matrix(dirs))) != 1:
@@ -127,7 +128,8 @@ def vertex_capsule(p: LatticePolytope, vertex) -> CapsuleResult:
     reflection = tuple(sum(w[i] for w in neighbors) - (n - 1) * v[i]
                        for i in range(n))
     capsule = (v,) + tuple(neighbors) + (reflection,)
-    contains = all(point_in_hull(capsule, w) for w in verts)
+    ys = (solve_in_span(edges, vec_sub(w, v)) for w in verts)
+    contains = all(min(y) >= 0 and sum(y) - (n - 1) * min(y) <= 1 for y in ys)
     return CapsuleResult(v, capsule, contains, certified=(n == 2))
 
 

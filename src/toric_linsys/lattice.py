@@ -16,15 +16,12 @@ from functools import cached_property
 from math import ceil, floor
 
 from .linalg import (
-    OPTIMAL,
-    UNBOUNDED,
     adjugate,
     affine_rank,
     columns_matrix,
     det,
     dot,
-    lp_solve,
-    mat_vec,
+    pivot_columns,
     rank as matrix_rank,
     solve_in_span,
     solve_unique,
@@ -173,17 +170,12 @@ def _interiors_disjoint(a, b, n):
             # cone a lies in row.x >= 0; separated if cone b is in row.x <= 0.
             if all(dot(row, g) <= 0 for g in gb):
                 return True
-    # cheap pass: the barycenter of one cone interior to the other.
-    for ga, mb in ((gens1, loc2), (gens2, loc1)):
-        bary = tuple(sum(col) for col in zip(*ga))
-        if all(x > 0 for x in mat_vec(mb, bary)):
-            return False
-    # exact LP fallback: x = sum lam_j gens1_j with lam >= 1 and loc2 x >= 1;
-    # substituting lam = 1 + z, z >= 0 gives -B z <= B.1 - 1.
-    bmat = [[dot(row, g) for g in gens1] for row in loc2]
-    ineqs = [(tuple(-x for x in row), sum(row) - 1) for row in bmat]
-    res = lp_solve(n, None, ineqs, nonneg=True)
-    return res.status != OPTIMAL
+    # they meet iff {M_a x >= 0, M_b x >= 0, (sum of rows of M_a).x <= 1}, a
+    # polytope inside cone a, has n + 1 affinely independent vertices
+    rows = tuple(vec_neg(row) for row in loc1 + loc2) + (
+        tuple(map(sum, zip(*loc1))),)
+    piece = LatticePolytope(rows, (0,) * (2 * n) + (1,))
+    return affine_rank(piece.vertices) < n
 
 
 def validate_fan(f: Fan, samples: int = 128, seed: int = 0) -> ValidationReport:
@@ -313,12 +305,17 @@ class LatticePolytope:
         a row with a positive entry on it. Then lo_i is the largest -offset
         over the -e_i rows, the polytope is empty iff lo violates a
         nonnegative row, and hi_i = lo_i + min floor((offset - normal.lo) /
-        normal_i) over the rows with normal_i > 0. This is the LP optimum:
-        raising any other coordinate above lo only tightens the nonnegative
-        rows. Every other polytope goes through the exact simplex.
+        normal_i) over the rows with normal_i > 0. This is the optimum of
+        each coordinate: raising any other coordinate above lo only tightens
+        the nonnegative rows.
 
-        Raises ValueError("unbounded polyhedron") when some direction is
-        unbounded.
+        Any other polytope gets the box of its vertices. With normals N of
+        rank n it is empty iff it has no vertex, and unbounded iff N d <= 0
+        for a d != 0 spanning the kernel of n - 1 rows (an extreme ray of the
+        recession cone; Schrijver, Theory of Linear and Integer Programming,
+        1986, ch. 8). Below rank n it is unbounded unless empty, and empty iff
+        its slice on a column basis of N has no vertex. An unbounded
+        polytope raises ValueError("unbounded polyhedron").
         """
         n = self.dim
         lo = [None] * n
@@ -330,10 +327,10 @@ class LatticePolytope:
                 i = nv.index(-1)
                 lo[i] = -off if lo[i] is None else max(lo[i], -off)
             else:
-                return self._lp_bounding_box()
+                return self._vertex_box()
         if None in lo or not all(any(nv[i] for nv, _ in upper)
                                  for i in range(n)):
-            return self._lp_bounding_box()
+            return self._vertex_box()
         lo = tuple(lo)
         slack = [off - dot(nv, lo) for nv, off in upper]
         if min(slack) < 0:
@@ -343,24 +340,26 @@ class LatticePolytope:
                    for i in range(n))
         return lo, hi
 
-    def _lp_bounding_box(self):
-        """Bounding box by 2 * dim exact simplex LPs, for any polytope."""
+    def _vertex_box(self):
         n = self.dim
-        ineqs = list(zip(self.normals, self.offsets))
-        lo, hi = [], []
-        for i in range(n):
-            c = tuple(1 if j == i else 0 for j in range(n))
-            top = lp_solve(n, c, ineqs, maximize=True)
-            if top.status == UNBOUNDED:
+        basis = pivot_columns(self.normals)
+        p = self if len(basis) == n else LatticePolytope(
+            tuple(tuple(nv[j] for j in basis) for nv in self.normals),
+            self.offsets)
+        if not p.vertices:
+            return None
+        if p is not self:
+            raise ValueError("unbounded polyhedron")
+        for rows in itertools.combinations(self.normals, n - 1):
+            # the generalised cross product spans the rows' kernel, or is 0
+            d = tuple((-1) ** j * det([r[:j] + r[j + 1:] for r in rows])
+                      for j in range(n))
+            values = [dot(nv, d) for nv in self.normals]
+            if any(d) and (max(values) <= 0 or min(values) >= 0):
                 raise ValueError("unbounded polyhedron")
-            if top.status != OPTIMAL:
-                return None
-            bot = lp_solve(n, c, ineqs, maximize=False)
-            if bot.status == UNBOUNDED:
-                raise ValueError("unbounded polyhedron")
-            hi.append(floor(top.value))
-            lo.append(ceil(bot.value))
-        return tuple(lo), tuple(hi)
+        cols = tuple(zip(*self.vertices))
+        return (tuple(ceil(min(c)) for c in cols),
+                tuple(floor(max(c)) for c in cols))
 
     def translate(self, t):
         """The polytope {m + t : m in self} for an integer vector t."""

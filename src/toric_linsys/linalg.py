@@ -4,10 +4,14 @@ Everything works over Python ints and fractions.Fraction; no floats ever.
 Vectors are tuples, matrices are sequences of row sequences. Determinants,
 ranks, adjugates and solves all come from one fraction-free (Bareiss)
 elimination, which clears row denominators and then stays in the integers.
+
+No other module calls the simplex; it stays as the tests' reference for the
+vertex-based polytope code and because the benchmark's tracer binds it.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -162,9 +166,14 @@ def solve_in_span(vectors, target):
     return tuple(Fraction(x, last) for x in _back_substitute(a, k, last, k))
 
 
+def pivot_columns(rows):
+    """Indices of the leftmost columns that form a basis of the column space."""
+    return _echelon(rows)[1]
+
+
 def rank(rows):
     """Exact rank over the rationals."""
-    return len(_echelon(rows)[1])
+    return len(pivot_columns(rows))
 
 
 def affine_rank(points):
@@ -185,16 +194,7 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-class LPResult:
-    __slots__ = ("status", "value", "x")
-
-    def __init__(self, status, value=None, x=None):
-        self.status = status
-        self.value = value
-        self.x = x
-
-    def __repr__(self):
-        return f"LPResult({self.status}, {self.value})"
+LPResult = namedtuple("LPResult", "status value x", defaults=(None, None))
 
 
 def lp_solve(n_vars, objective=None, ineqs=(), eqs=(), maximize=True,
@@ -320,15 +320,3 @@ def lp_solve(n_vars, objective=None, ineqs=(), eqs=(), maximize=True,
     x = extract()
     value = dot(objective, x)
     return LPResult(OPTIMAL, value, x)
-
-
-def point_in_hull(points, x):
-    """Is x in the convex hull of the given rational points? Exact LP."""
-    k = len(points)
-    if k == 0:
-        return False
-    d = len(x)
-    eqs = [(tuple(p[i] for p in points), x[i]) for i in range(d)]
-    eqs.append(((1,) * k, 1))
-    res = lp_solve(k, None, ineqs=(), eqs=eqs, nonneg=True)
-    return res.status == OPTIMAL

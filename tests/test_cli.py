@@ -501,6 +501,16 @@ INT_LIST = "must be a list of integers"
 ])
 def test_verify_non_integer_field_is_malformed(tmp_path, capsys, path, bad,
                                                message):
+    certfile, code, doc, err = verify_edited(tmp_path, capsys, path, bad)
+    assert code == 1
+    assert doc == {"error": f"malformed certificate: {message}",
+                   "path": str(certfile)}
+    assert "Traceback" not in err
+
+
+def verify_edited(tmp_path, capsys, path, bad):
+    """verify on the certificate of hirzebruch:1, class 3,2, mults 2,2 (a
+    split root with two leaves) after setting the field at path to bad."""
     certfile = tmp_path / "c.json"
     run_cli(["certify", "--example", "hirzebruch:1", "--class", "3,2",
              "--mults", "2,2", "--out", str(certfile)], capsys)
@@ -510,12 +520,45 @@ def test_verify_non_integer_field_is_malformed(tmp_path, capsys, path, bad,
         node = node[key]
     node[path[-1]] = bad
     certfile.write_text(json.dumps(doc))
-    code, doc, err = run_cli(["verify", "--certificate", str(certfile)],
-                             capsys)
+    return (certfile, *run_cli(["verify", "--certificate", str(certfile)],
+                               capsys))
+
+
+LEAF_REPORT = ("children", 0, "report")
+SAMPLES = "'samples' must be [prime or null, seed, rank] lists"
+
+
+@pytest.mark.parametrize("path, bad, message", [
+    (LEAF_REPORT + ("rank",), "5", f"'rank' {INT_FIELD}"),
+    (LEAF_REPORT + ("h0",), None, f"'h0' {INT_FIELD}"),
+    (LEAF_REPORT + ("dim",), "x", f"'dim' {INT_FIELD}"),
+    (LEAF_REPORT + ("seed",), 1.5, f"'seed' {INT_FIELD}"),
+    (LEAF_REPORT + ("special",), 0, "'special' must be true or false"),
+    (LEAF_REPORT + ("mode",), 5, "'mode' must be a string"),
+    (LEAF_REPORT + ("samples",), [["a", 1, 2]], SAMPLES),
+    (LEAF_REPORT + ("samples",), [[3, 1, 2, 4]], SAMPLES),
+    (LEAF_REPORT + ("samples",), [[3, True, 2]], SAMPLES),
+    (LEAF_REPORT + ("samples",), {"prime": 3}, SAMPLES),
+    (("transcript", "passed"), "yes", "'passed' must be true or false"),
+    (("transcript", "tvdim_plus"), True, f"'tvdim_plus' {INT_FIELD}"),
+    (("transcript", "witness"), "base", "'witness' must be null or a list"),
+    (("kind",), 5, "'kind' must be \"leaf\" or \"split\""),
+    (("children", 1, "kind"), "node", "'kind' must be \"leaf\" or \"split\""),
+])
+def test_verify_mistyped_field_is_malformed(tmp_path, capsys, path, bad,
+                                            message):
+    certfile, code, doc, err = verify_edited(tmp_path, capsys, path, bad)
     assert code == 1
     assert doc == {"error": f"malformed certificate: {message}",
                    "path": str(certfile)}
     assert "Traceback" not in err
+
+
+def test_verify_accepts_a_null_prime(tmp_path, capsys):
+    # exact trials record no prime; verify re-runs each leaf afresh
+    _, code, doc, _ = verify_edited(
+        tmp_path, capsys, LEAF_REPORT + ("samples", 0, 0), None)
+    assert (code, doc) == (0, {"verified": True})
 
 
 # Seeded stdout at interpolation-benchmark scale (120x165 and 200x231), far

@@ -1,7 +1,9 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toric_linsys import (
     Fan,
@@ -27,7 +29,9 @@ from toric_linsys.catalog import (
     trapezoid_polytope,
     unit_square_polytope,
 )
-from toric_linsys.linalg import dot, mat_mul, mat_vec
+from toric_linsys.linalg import affine_rank, dot, mat_mul, mat_vec
+
+from lp_oracles import lp_in_hull, no_lp
 
 
 # the spec example polytope conv{(0,0),(1,0),(2,1),(0,1)}
@@ -131,6 +135,57 @@ def test_capsule_errors():
     tri = LatticePolytope(((-1, 0), (0, -1), (1, 2)), (0, 0, 2))
     with pytest.raises(ValueError, match="non-smooth"):
         vertex_capsule(tri, (0, 1))
+
+
+def test_lp_hull_oracle():
+    square = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert lp_in_hull(square, (Fraction(1, 2), Fraction(1, 2)))
+    assert lp_in_hull(square, (1, 1))
+    assert not lp_in_hull(square, (2, 0))
+    assert not lp_in_hull(square, (Fraction(-1, 10), 0))
+    # hull of fewer points than the dimension
+    assert lp_in_hull([(0, 0), (2, 2)], (1, 1))
+    assert not lp_in_hull([(0, 0), (2, 2)], (1, 0))
+
+
+@st.composite
+def cut_boxes(draw):
+    """A box [0, a]^n, n = 2 or 3, cut by up to three random half-spaces
+    through its interior; many vertices are smooth, some are rational."""
+    n = draw(st.integers(2, 3))
+    sides = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    normals = [tuple(-int(i == j) for j in range(n)) for i in range(n)]
+    normals += [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    offsets = [0] * n + sides
+    for _ in range(draw(st.integers(0, 3))):
+        nv = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+        if any(nv):
+            normals.append(nv)
+            offsets.append(dot(nv, sides) // 2 + draw(st.integers(0, 2)))
+    return LatticePolytope(tuple(normals), tuple(offsets))
+
+
+def test_capsule_matches_lp_hull():
+    outcomes = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(cut_boxes())
+    def check(p):
+        if affine_rank(p.vertices) != p.dim:
+            return
+        for v in p.vertices:
+            try:
+                with no_lp():
+                    result = vertex_capsule(p, v)
+            except ValueError:
+                continue  # not a smooth vertex
+            expected = all(lp_in_hull(result.capsule_vertices, w)
+                           for w in p.vertices)
+            assert result.contains_polytope == expected, (p, v)
+            outcomes.append(expected)
+
+    check()
+    assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
 
 
 def test_demazure_roots_p2():

@@ -3,7 +3,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from toric_linsys import (
     Cone,
@@ -31,7 +31,17 @@ from toric_linsys.catalog import (
     trapezoid_polytope,
 )
 from toric_linsys.fan_analysis import demazure_roots, root_region
-from toric_linsys.linalg import det, dot, lp_solve, mat_vec, solve_in_span
+from toric_linsys.linalg import (
+    OPTIMAL,
+    affine_rank,
+    det,
+    dot,
+    lp_solve,
+    mat_vec,
+    solve_in_span,
+)
+
+from lp_oracles import lp_box, lp_interiors_meet, no_lp
 
 
 def brute_force_points(poly, box):
@@ -75,7 +85,6 @@ def test_cone_is_smooth():
 
 def lp_cone_contains(cone, v):
     """Exact LP feasibility oracle: v = sum lambda_i ray_i with lambda >= 0."""
-    from toric_linsys.linalg import lp_solve, OPTIMAL
     k = len(cone.rays)
     eqs = [(tuple(r[i] for r in cone.rays), v[i])
            for i in range(cone.ambient_rank)]
@@ -311,6 +320,13 @@ def downsets(draw):
                            tuple(off for _, off in rows))
 
 
+def box_or_error(box):
+    try:
+        return box()
+    except ValueError as exc:
+        return str(exc)
+
+
 def _scan_box(box, d):
     """A box generously containing every point: the LP box widened by 2,
     or [-3, 3]^d (every -e_i offset is at most 3) around an empty one."""
@@ -323,25 +339,24 @@ def _scan_box(box, d):
 @settings(max_examples=150, deadline=None)
 @given(downsets())
 def test_downset_box_matches_lp(p):
-    with mock.patch("toric_linsys.lattice.lp_solve",
-                    side_effect=AssertionError("LP on a down-set")):
+    with no_lp():
         box = p.bounding_box()
         pts = lattice_points(p)
-    lp_box = p._lp_bounding_box()
-    assert box == lp_box
-    assert pts == brute_force_points(p, _scan_box(lp_box, p.dim))
+    reference = lp_box(p)
+    assert box == reference
+    assert pts == brute_force_points(p, _scan_box(reference, p.dim))
 
 
-def _assert_lp_fallback(p):
-    with mock.patch("toric_linsys.lattice.lp_solve", wraps=lp_solve) as lp:
+def _assert_vertex_box(p):
+    with no_lp():
         box = p.bounding_box()
-    assert lp.called
-    assert box == p._lp_bounding_box()
+    assert box == lp_box(p)
     assert lattice_points(p) == brute_force_points(p, _scan_box(box, p.dim))
 
 
 def test_hexagon_box_uses_lp():
-    _assert_lp_fallback(hexagon_polytope())
+    # the LP is the reference; the vertex box itself makes no LP call
+    _assert_vertex_box(hexagon_polytope())
     assert hexagon_polytope().bounding_box() == ((0, 0), (2, 2))
 
 
@@ -351,15 +366,109 @@ def test_transformed_root_region_box_uses_lp():
     moved = Fan(2, tuple(tuple(mat_vec(a, r)) for r in fan.rays),
                 fan.max_cones)
     for i in range(len(moved.rays)):
-        _assert_lp_fallback(root_region(moved, i))
+        _assert_vertex_box(root_region(moved, i))
     assert len(demazure_roots(moved)) == len(demazure_roots(fan)) == 4
 
 
 def test_box_without_lower_rows_is_unbounded_on_both_paths():
     p = LatticePolytope(((1, 0), (1, 1)), (2, 3))
-    for box in (p.bounding_box, p._lp_bounding_box):
-        with pytest.raises(ValueError, match="unbounded polyhedron"):
-            box()
+    with no_lp(), pytest.raises(ValueError, match="unbounded polyhedron"):
+        p.bounding_box()
+    with pytest.raises(ValueError, match="unbounded polyhedron"):
+        lp_box(p)
+
+
+@st.composite
+def general_polytopes(draw):
+    """Polytopes of dimension 1-3 with random small integer normals. Some
+    repeat a column (rank-deficient normals), and random offsets make many
+    empty, unbounded or lower-dimensional."""
+    d = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                         min_size=1, max_size=6))
+    if d > 1 and draw(st.booleans()):
+        for v in rows:
+            v[-1] = v[0]
+    offsets = draw(st.lists(st.integers(-3, 4), min_size=len(rows),
+                            max_size=len(rows)))
+    return LatticePolytope(tuple(map(tuple, rows)), tuple(offsets))
+
+
+@settings(max_examples=400, deadline=None)
+@given(general_polytopes())
+def test_vertex_box_matches_lp(p):
+    with no_lp():
+        box = box_or_error(p.bounding_box)
+    assert box == box_or_error(lambda: lp_box(p))
+    if box is None or isinstance(box, tuple):
+        assert lattice_points(p) == brute_force_points(p, _scan_box(box,
+                                                                    p.dim))
+
+
+@st.composite
+def unimodular(draw, n):
+    """A random product of integer row operations: adding a multiple of one
+    row to another, and negating a row."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            a[i] = [-x for x in a[i]]
+        else:
+            k = draw(st.integers(-2, 2))
+            a[i] = [x + k * y for x, y in zip(a[i], a[j])]
+    return tuple(map(tuple, a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CATALOG_FAN_SPECS), st.data())
+def test_vertex_box_of_moved_root_regions_matches_lp(spec, data):
+    fan = example_fan(spec)
+    a = data.draw(unimodular(fan.rank))
+    moved = Fan(fan.rank, tuple(tuple(mat_vec(a, r)) for r in fan.rays),
+                fan.max_cones)
+    p = root_region(moved, data.draw(st.integers(0, len(fan.rays) - 1)))
+    with no_lp():
+        box = p.bounding_box()
+    assert box == lp_box(p)
+
+
+@st.composite
+def cone_pairs(draw):
+    """Two full-dimensional simplicial cones of rank 2-4 as a two-cone fan
+    (rays shared between them appear once)."""
+    n = draw(st.integers(2, 4))
+    ray = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any)
+    cones = []
+    for _ in range(2):
+        rays = [primitivize(tuple(r)) for r in
+                draw(st.lists(ray, min_size=n, max_size=n))]
+        assume(det(rays) != 0)
+        cones.append(rays)
+    rays = list(dict.fromkeys(cones[0] + cones[1]))
+    fan = Fan(n, tuple(rays), tuple(tuple(rays.index(r) for r in c)
+                                    for c in cones))
+    return fan, cones
+
+
+def test_cone_overlap_matches_lp():
+    decided_by_vertices = []
+
+    @settings(max_examples=200, deadline=None)
+    @given(cone_pairs())
+    def check(pair):
+        fan, (gens_a, gens_b) = pair
+        with no_lp(), mock.patch("toric_linsys.lattice.affine_rank",
+                                 wraps=affine_rank) as spy:
+            rep = validate_fan(fan)
+        overlap = "maximal cones 0 and 1 overlap" in rep.failures
+        assert overlap == lp_interiors_meet(gens_a, gens_b)
+        if spy.called:
+            decided_by_vertices.append(overlap)
+
+    check()
+    # the vertex test, not only the facet pass, decided many pairs
+    assert len(decided_by_vertices) >= 20
 
 
 def test_normal_fan_of_trapezoid_is_hirzebruch():

@@ -16,7 +16,6 @@ from toric_linsys.linalg import (
     lp_solve,
     mat_mul,
     mat_vec,
-    point_in_hull,
     rank,
     solve_in_span,
     solve_unique,
@@ -136,17 +135,6 @@ def test_lp_degenerate_redundant_rows():
     res = lp_solve(2, (1, 0), ineqs, eqs)
     assert res.status == OPTIMAL
     assert res.value == 1
-
-
-def test_point_in_hull():
-    square = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    assert point_in_hull(square, (Fraction(1, 2), Fraction(1, 2)))
-    assert point_in_hull(square, (1, 1))
-    assert not point_in_hull(square, (2, 0))
-    assert not point_in_hull(square, (Fraction(-1, 10), 0))
-    # hull of fewer points than the dimension
-    assert point_in_hull([(0, 0), (2, 2)], (1, 1))
-    assert not point_in_hull([(0, 0), (2, 2)], (1, 0))
 
 
 def test_lp_randomized_against_vertex_enumeration():
