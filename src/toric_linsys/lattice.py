@@ -16,6 +16,7 @@ from functools import cached_property
 from math import ceil, floor
 
 from .linalg import (
+    _echelon,
     adjugate,
     affine_rank,
     columns_matrix,
@@ -351,11 +352,16 @@ class LatticePolytope:
         if p is not self:
             raise ValueError("unbounded polyhedron")
         for rows in itertools.combinations(self.normals, n - 1):
-            # the generalised cross product spans the rows' kernel, or is 0
-            d = tuple((-1) ** j * det([r[:j] + r[j + 1:] for r in rows])
-                      for j in range(n))
+            a, pivots, last, _ = _echelon(rows)
+            if len(pivots) < n - 1:
+                continue
+            # the kernel line: free column = pivot minor, integral by Cramer
+            d = [0] * n
+            d[min(set(range(n)).difference(pivots))] = last
+            for row, j in zip(reversed(a), reversed(pivots)):
+                d[j] = -dot(row, d) // row[j]
             values = [dot(nv, d) for nv in self.normals]
-            if any(d) and (max(values) <= 0 or min(values) >= 0):
+            if max(values) <= 0 or min(values) >= 0:
                 raise ValueError("unbounded polyhedron")
         cols = tuple(zip(*self.vertices))
         return (tuple(ceil(min(c)) for c in cols),

@@ -53,6 +53,15 @@ def columns_matrix(vectors):
     return transpose(tuple(vectors))
 
 
+def _integer_rows(rows):
+    """Each row times the lcm of its denominators: integer lists, same rank."""
+    a = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (den // x.denominator) for x in row])
+    return a
+
+
 def _echelon(rows):
     """Fraction-free (Bareiss) forward elimination over the integers.
 
@@ -64,10 +73,7 @@ def _echelon(rows):
     and columns: for a square input of full rank, sign * last is the
     determinant of the row-scaled input.
     """
-    a = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        a.append([x.numerator * (den // x.denominator) for x in row])
+    a = _integer_rows(rows)
     m = len(a)
     ncols = len(a[0]) if a else 0
     pivots = []

@@ -155,19 +155,13 @@ def generic_rank_for_support(columns, n, mults, cfg: RankConfig):
     for _ in range(cfg.trials):
         tseed = master.getrandbits(63)
         trng = random.Random(tseed)
-        if cfg.exact:
-            pts = [tuple(trng.randint(1, 1 << 16) for _ in range(n))
-                   for _ in range(k)]
-            mat = build_point_matrix(columns, mults, pts)
-            rk = rank_exact(mat.rows)
-            evidence.append(TrialEvidence(None, tseed, rk))
-        else:
-            p = random_prime(cfg.prime_bits, trng)
-            pts = [tuple(trng.randint(1, p - 1) for _ in range(n))
-                   for _ in range(k)]
-            mat = build_point_matrix(columns, mults, pts, prime=p)
-            rk = rank_mod_p(mat.rows, p)
-            evidence.append(TrialEvidence(p, tseed, rk))
+        p = None if cfg.exact else random_prime(cfg.prime_bits, trng)
+        top = 1 << 16 if p is None else p - 1
+        pts = [tuple(trng.randint(1, top) for _ in range(n))
+               for _ in range(k)]
+        mat = build_point_matrix(columns, mults, pts, prime=p)
+        rk = rank_exact(mat.rows) if p is None else rank_mod_p(mat.rows, p)
+        evidence.append(TrialEvidence(p, tseed, rk))
         best = max(best, rk)
     return best, tuple(evidence)
 

@@ -18,10 +18,10 @@ a slot stays nonnegative and below p + k * p^2 < 2^w for
 w = 8 * ceil((2 * bits(p) + bits(k) + 2) / 8): no slot carries into the
 next, and each slot stays congruent mod p to its field entry.
 
-An exact trial evaluates at random positive integer points and takes the
-rank over the rationals by fraction-free (Bareiss) elimination, never
-leaving the integers. Like a modular trial it is a lower bound on the
-generic rank, not a proof of it.
+An exact trial evaluates at random positive integer points. A nonzero
+minor mod 2^61 - 1 is a nonzero integer minor, so a mod-p rank of
+min(nonzero rows, cols) is the rank over Q; below that, fraction-free
+(Bareiss) elimination decides. It too is a lower bound on the generic rank.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 
-from .linalg import rank as matrix_rank
+from .linalg import _integer_rows, rank as matrix_rank
 
 _SMALL_PRIMES = frozenset(q for q in range(2, 300)
                           if all(q % d for d in range(2, isqrt(q) + 1)))
@@ -117,8 +117,11 @@ def rank_mod_p(rows, p: int) -> int:
     nbytes = (2 * p.bit_length() + min(len(rows), ncols).bit_length() + 9) // 8
     w = 8 * nbytes
     mask = (1 << w) - 1
-    a = [int.from_bytes(b"".join([(x % p).to_bytes(nbytes, "little")
-                                  for x in row]), "little") for row in rows]
+    try:
+        a = [int.from_bytes(b"".join([(x % p).to_bytes(nbytes, "little")
+                                      for x in row]), "little") for row in rows]
+    except AttributeError:  # a Fraction or float has no to_bytes
+        raise TypeError("rank_mod_p needs integer entries") from None
     a = [v for v in a if v]
     rk = 0
     for col in range(ncols):
@@ -142,6 +145,10 @@ def rank_mod_p(rows, p: int) -> int:
 
 
 def rank_exact(rows) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination; the
-    intermediate entries of an integer matrix are exact integer minors."""
-    return matrix_rank(rows)
+    """Rank over the rationals: proved by a full rank mod 2^61 - 1 when it
+    has one, else by fraction-free (Bareiss) elimination."""
+    a = _integer_rows(rows)
+    full = min(sum(1 for row in a if any(row)), len(a[0]) if a else 0)
+    if rank_mod_p(a, (1 << 61) - 1) == full:
+        return full
+    return matrix_rank(a)

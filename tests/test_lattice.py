@@ -378,6 +378,19 @@ def test_box_without_lower_rows_is_unbounded_on_both_paths():
         lp_box(p)
 
 
+def test_recession_check_keeps_kernel_lines_exact():
+    # pointed cones whose kernel lines need pivots other than +-1: a line
+    # rounded to integers would miss an extreme ray and report a box
+    for normals, offsets in ((((-3, 2), (2, -1)), (3, 3)),
+                             (((-2, 1), (3, -2)), (1, 0)),
+                             (((3, 1, 2), (-3, -3, -1), (0, -1, 0)),
+                              (4, 0, 2))):
+        p = LatticePolytope(normals, offsets)
+        with no_lp():
+            box = box_or_error(p.bounding_box)
+        assert box == box_or_error(lambda: lp_box(p)) == "unbounded polyhedron"
+
+
 @st.composite
 def general_polytopes(draw):
     """Polytopes of dimension 1-3 with random small integer normals. Some

@@ -1,9 +1,11 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from toric_linsys import rank as rank_module
 from toric_linsys.rank import (
     RankConfig,
     is_prime,
@@ -11,7 +13,7 @@ from toric_linsys.rank import (
     rank_exact,
     rank_mod_p,
 )
-from toric_linsys.linalg import det
+from toric_linsys.linalg import det, rank as bareiss_rank
 
 
 def minor_rank(rows):
@@ -226,3 +228,84 @@ def test_rank_mod_p_slots_do_not_overflow(p, shape):
     before = [list(row) for row in stair]
     assert rank_mod_p(stair, p) == m - 1
     assert stair == before
+
+
+def test_rank_mod_p_rejects_non_integer_entries():
+    for rows in ([[Fraction(1, 2), 1], [1, 2]], [[1, 2], [0.5, 1]]):
+        with pytest.raises(TypeError, match="rank_mod_p needs integer entries"):
+            rank_mod_p(rows, 7)
+
+
+SCREEN = 2 ** 61 - 1
+
+
+@st.composite
+def exact_matrix(draw):
+    m = draw(st.integers(1, 10))
+    n = draw(st.integers(1, 8 if m > 8 else 10))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-2 ** 80, 2 ** 80),
+                      st.sampled_from((SCREEN, -SCREEN, 2 * SCREEN)))
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                             min_size=m, max_size=m))
+    else:
+        # a product through k < min(m, n) inner columns is rank-deficient
+        k = draw(st.integers(0, min(m, n) - 1))
+        left = draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                             min_size=m, max_size=m))
+        right = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                              min_size=k, max_size=k))
+        rows = [[sum(x * right[t][j] for t, x in enumerate(row))
+                 for j in range(n)] for row in left]
+    for i in draw(st.lists(st.integers(0, m), max_size=3)):
+        rows.insert(i, [0] * n)
+    # dividing a row by a nonzero integer keeps the rank
+    dens = draw(st.lists(st.integers(1, 12), min_size=len(rows),
+                         max_size=len(rows)))
+    return [[Fraction(x, d) for x in row] if d > 1 else row
+            for row, d in zip(rows, dens)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(exact_matrix())
+def test_rank_exact_matches_bareiss(rows):
+    before = [list(row) for row in rows]
+    assert rank_exact(rows) == bareiss_rank(rows)
+    assert rows == before
+
+
+def test_rank_exact_falls_back_when_the_screen_falls_short(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return bareiss_rank(rows)
+
+    monkeypatch.setattr(rank_module, "matrix_rank", counted)
+    p = SCREEN
+    cases = [
+        ([[p, 0], [0, p]], 2),                 # zero mod p, rank 2
+        ([[1, 0], [0, 0], [0, p]], 2),         # an all-zero row besides
+        ([[Fraction(p, 3), 1], [0, p]], 2),    # rational rows scale first
+        ([[1, 2, 3], [2, 4, 6]], 1),           # truly rank-deficient
+        ([[2, 4], [3, 6], [0, 0]], 1),
+    ]
+    for rows, expected in cases:
+        assert rank_exact(rows) == expected
+    # every case fell short mod p and went on to Bareiss exactly once
+    assert len(calls) == len(cases)
+
+
+def test_full_rank_matrices_never_reach_bareiss(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("a full mod-p rank went on to Bareiss")
+
+    monkeypatch.setattr(rank_module, "matrix_rank", refuse)
+    rng = random.Random(5)
+    for m, n in ((1, 1), (3, 3), (8, 10), (10, 8), (36, 45), (45, 36)):
+        rows = [[rng.randint(1, 2 ** 16) for _ in range(n)] for _ in range(m)]
+        assert rank_exact(rows) == min(m, n)
+    # zero rows do not count towards the largest possible rank
+    assert rank_exact([[0, 0, 0], [1, 2, 3], [0, 0, 0], [4, 5, 7]]) == 2
+    assert rank_exact([[Fraction(1, 2), 1], [1, Fraction(1, 3)]]) == 2
+    assert rank_exact([]) == 0
