@@ -169,13 +169,9 @@ P78 = 302231454903657293676533  # the largest prime below 2^78
 PRIMES = (2, 3, 5, 7, 101, 2 ** 61 - 1, P78)
 
 
-@st.composite
-def prime_and_matrix(draw):
-    # small primes make columns without a pivot common
-    p = draw(st.sampled_from(PRIMES))
-    m = draw(st.integers(1, 8))
-    n = draw(st.integers(1, 10))
-    entry = st.one_of(st.integers(-3 * p, 3 * p), st.integers(-9, 9))
+def draw_rows(draw, m, n, entry):
+    """Random m x n rows, or a product of lower rank, with up to three zero
+    rows inserted."""
     if draw(st.booleans()):
         rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
                              min_size=m, max_size=m))
@@ -191,7 +187,17 @@ def prime_and_matrix(draw):
     zero_rows = draw(st.lists(st.integers(0, m), max_size=3))
     for i in zero_rows:
         rows.insert(i, [0] * n)
-    return p, rows
+    return rows
+
+
+@st.composite
+def prime_and_matrix(draw):
+    # small primes make columns without a pivot common
+    p = draw(st.sampled_from(PRIMES))
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 10))
+    entry = st.one_of(st.integers(-3 * p, 3 * p), st.integers(-9, 9))
+    return p, draw_rows(draw, m, n, entry)
 
 
 @settings(max_examples=400, deadline=None)
@@ -245,20 +251,7 @@ def exact_matrix(draw):
     n = draw(st.integers(1, 8 if m > 8 else 10))
     entry = st.one_of(st.integers(-9, 9), st.integers(-2 ** 80, 2 ** 80),
                       st.sampled_from((SCREEN, -SCREEN, 2 * SCREEN)))
-    if draw(st.booleans()):
-        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
-                             min_size=m, max_size=m))
-    else:
-        # a product through k < min(m, n) inner columns is rank-deficient
-        k = draw(st.integers(0, min(m, n) - 1))
-        left = draw(st.lists(st.lists(entry, min_size=k, max_size=k),
-                             min_size=m, max_size=m))
-        right = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
-                              min_size=k, max_size=k))
-        rows = [[sum(x * right[t][j] for t, x in enumerate(row))
-                 for j in range(n)] for row in left]
-    for i in draw(st.lists(st.integers(0, m), max_size=3)):
-        rows.insert(i, [0] * n)
+    rows = draw_rows(draw, m, n, entry)
     # dividing a row by a nonzero integer keeps the rank
     dens = draw(st.lists(st.integers(1, 12), min_size=len(rows),
                          max_size=len(rows)))
