@@ -2,9 +2,11 @@
 
 Every subcommand prints exactly one JSON document on stdout and a short
 human summary on stderr. Exit codes: 0 ok, 1 input error, 2 genericity
-violation, 3 inconclusive, 4 verification failure. All randomness flows
-from one seed (flag --seed, env TORIC_LINSYS_SEED, default 0), echoed in
-every report so runs are reproducible bit for bit.
+violation, 3 inconclusive, 4 verification failure; a usage error is an
+input error. All randomness flows from one seed (flag --seed, env
+TORIC_LINSYS_SEED, default 0), echoed in every report so runs are
+reproducible bit for bit. The parser is built once per process; `main`
+reads and checks TORIC_LINSYS_SEED on every call, even when --seed is given.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import catalog
 from .cox import (
@@ -59,6 +62,23 @@ class InputError(ValueError):
     def __init__(self, message, path=None):
         super().__init__(message)
         self.path = path
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors, not argparse's exit 2; subparsers
+    inherit this class."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+def _env_seed() -> int:
+    text = os.environ.get("TORIC_LINSYS_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(
+            f"TORIC_LINSYS_SEED must be an integer, got {text!r}") from None
 
 
 def emit(doc, args, summary=None):
@@ -415,25 +435,23 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
+@cache
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="toric-linsys",
         description="Exact toolkit for symmetries and point-multiplicity "
                     "linear systems on complete simplicial toric varieties.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    env_seed = os.environ.get("TORIC_LINSYS_SEED", "0")
-    try:
-        default_seed = int(env_seed)
-    except ValueError:
-        raise ValueError(
-            f"TORIC_LINSYS_SEED must be an integer, got {env_seed!r}") from None
-
-    def common(p, fan=False, polytope=False, system=False, rank=False):
+    def command(name, func, summary, fan=False, polytope=False,
+                system=False, rank=False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("--example", help="catalog spec, e.g. pn:2, p1n:7, "
                                          "hirzebruch:1, bl3p2, box:2x1")
         p.add_argument("--out", help="also write the JSON document here")
-        p.add_argument("--seed", type=int, default=default_seed)
+        # None: main takes the seed from TORIC_LINSYS_SEED
+        p.add_argument("--seed", type=int)
         if fan:
             p.add_argument("--fan", help="fan JSON file")
         if polytope:
@@ -450,86 +468,59 @@ def build_parser():
             p.add_argument("--prime-bits", type=int, default=61,
                            dest="prime_bits")
             p.add_argument("--exact", action="store_true")
+        return p
 
-    p = sub.add_parser("validate", help="fan invariant report")
-    common(p, fan=True)
+    p = command("validate", cmd_validate, "fan invariant report", fan=True)
     p.add_argument("--samples", type=int, default=128,
                    help="ignored: completeness is decided exactly")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("transitive", help="transitive cones and normalization")
-    common(p, fan=True)
-    p.set_defaults(func=cmd_transitive)
-
-    p = sub.add_parser("roots", help="Demazure roots per ray")
-    common(p, fan=True)
-    p.set_defaults(func=cmd_roots)
-
-    p = sub.add_parser("symmetries", help="unimodular fan symmetries")
-    common(p, fan=True)
-    p.set_defaults(func=cmd_symmetries)
-
-    p = sub.add_parser("capsule", help="convex capsule test at a vertex")
-    common(p, polytope=True)
+    command("transitive", cmd_transitive, "transitive cones and normalization",
+            fan=True)
+    command("roots", cmd_roots, "Demazure roots per ray", fan=True)
+    command("symmetries", cmd_symmetries, "unimodular fan symmetries",
+            fan=True)
+    p = command("capsule", cmd_capsule, "convex capsule test at a vertex",
+                polytope=True)
     p.add_argument("--vertex", help="vertex coordinates, e.g. '0,1'")
-    p.set_defaults(func=cmd_capsule)
-
-    p = sub.add_parser("cox", help="Cox presentation matrices")
-    common(p, fan=True)
-    p.set_defaults(func=cmd_cox)
-
-    p = sub.add_parser("h0", help="section count of a divisor class")
-    common(p, fan=True)
+    command("cox", cmd_cox, "Cox presentation matrices", fan=True)
+    p = command("h0", cmd_h0, "section count of a divisor class", fan=True)
     p.add_argument("--divisor", help="divisor JSON file")
     p.add_argument("--class", dest="cls",
                    help="standard divisor coefficients, e.g. '2,1'")
     p.add_argument("--points", action="store_true",
                    help="include the lattice points")
-    p.set_defaults(func=cmd_h0)
-
-    p = sub.add_parser("dim", help="speciality report of a linear system")
-    common(p, system=True, rank=True)
-    p.set_defaults(func=cmd_dim)
-
-    p = sub.add_parser("split", help="slab polytopes of a degeneration split")
-    common(p, polytope=True)
+    command("dim", cmd_dim, "speciality report of a linear system",
+            system=True, rank=True)
+    p = command("split", cmd_split, "slab polytopes of a degeneration split",
+                polytope=True)
     p.add_argument("--axis", type=int, required=True)
     p.add_argument("--level", type=int, required=True)
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("certify", help="search a toric non-speciality certificate")
-    common(p, system=True, rank=True)
+    p = command("certify", cmd_certify,
+                "search a toric non-speciality certificate",
+                system=True, rank=True)
     p.add_argument("--max-depth", type=int, default=8, dest="max_depth")
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("verify", help="re-check a certificate")
-    common(p, rank=True)
+    p = command("verify", cmd_verify, "re-check a certificate", rank=True)
     p.add_argument("--certificate", help="certificate JSON file")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("sweep", help="batch analyze a grid of systems")
-    common(p, rank=True)
+    p = command("sweep", cmd_sweep, "batch analyze a grid of systems",
+                rank=True)
     p.add_argument("--job", help="job JSON file with a 'tasks' list")
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
     try:
+        seed = _env_seed()
         args = build_parser().parse_args(argv)
+        if args.seed is None:
+            args.seed = seed
         return args.func(args)
-    except InputError as exc:
-        print(json.dumps({"error": str(exc), "path": exc.path},
-                         sort_keys=True))
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except GenericityError as exc:
         print(json.dumps({"error": str(exc), "path": None}, sort_keys=True))
         print(f"genericity violation: {exc}", file=sys.stderr)
         return EXIT_GENERICITY
-    except ValueError as exc:
-        print(json.dumps({"error": str(exc), "path": None}, sort_keys=True))
+    except ValueError as exc:  # InputError included
+        print(json.dumps({"error": str(exc),
+                          "path": getattr(exc, "path", None)}, sort_keys=True))
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -22,7 +22,7 @@ from operator import mul
 
 from .cox import CoxPresentation, SectionPolytope, section_polytope
 from .lattice import LatticePolytope, _as_int_vector, lattice_points
-from .rank import RankConfig, TrialEvidence, random_prime, rank_exact, rank_mod_p
+from .rank import RankConfig, TrialEvidence, rank_exact, rank_mod_p, trial_prime
 
 
 class GenericityError(RuntimeError):
@@ -145,7 +145,11 @@ def build_matrix(system: LinearSystem, points, prime=None) -> InterpolationMatri
 
 
 def generic_rank_for_support(columns, n, mults, cfg: RankConfig):
-    """Max rank over seeded random trials plus the per-trial evidence."""
+    """Max rank over seeded random trials plus the per-trial evidence.
+
+    Every leaf of a certify search has the same seed, so `trial_prime` runs
+    each trial's prime search once and replays its draws on the trial rng:
+    the points, ranks and evidence are those of a fresh search."""
     k = len(mults)
     if k == 0 or not columns:
         return 0, ()
@@ -154,8 +158,8 @@ def generic_rank_for_support(columns, n, mults, cfg: RankConfig):
     evidence = []
     for _ in range(cfg.trials):
         tseed = master.getrandbits(63)
-        trng = random.Random(tseed)
-        p = None if cfg.exact else random_prime(cfg.prime_bits, trng)
+        p, trng = ((None, random.Random(tseed)) if cfg.exact
+                   else trial_prime(tseed, cfg.prime_bits))
         top = 1 << 16 if p is None else p - 1
         pts = [tuple(trng.randint(1, top) for _ in range(n))
                for _ in range(k)]

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import count
 from math import gcd, isqrt, prod
 
 from .linalg import _integer_rows, rank as matrix_rank
@@ -42,6 +44,7 @@ _MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_BOUND = 318665857834031151167461
 MAX_PRIME_BITS = 78  # 2^78 < _MR_BOUND
+_TRIAL_PRIMES = 256  # (tseed, bits) prime searches trial_prime remembers
 
 
 def is_prime(n: int) -> bool:
@@ -75,14 +78,35 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def random_prime(bits: int, rng: random.Random) -> int:
-    """Uniform-ish prime in [2^(bits-1), 2^bits)."""
+def _prime_search(bits: int, rng: random.Random) -> tuple:
+    """(prime, draws): the first prime among rng's `bits`-bit candidates,
+    and how many rng.getrandbits(bits - 1) calls drew them."""
     if bits < 3:
         raise ValueError("need at least 3 bits")
-    while True:
+    for draws in count(1):
         cand = rng.getrandbits(bits - 1) | (1 << (bits - 1)) | 1
         if is_prime(cand):
-            return cand
+            return cand, draws
+
+
+def random_prime(bits: int, rng: random.Random) -> int:
+    """Uniform-ish prime in [2^(bits-1), 2^bits)."""
+    return _prime_search(bits, rng)[0]
+
+
+@lru_cache(maxsize=_TRIAL_PRIMES)
+def _trial_prime_draws(tseed: int, bits: int) -> tuple:
+    return _prime_search(bits, random.Random(tseed))
+
+
+def trial_prime(tseed: int, bits: int) -> tuple:
+    """(random_prime(bits, rng), rng) for rng = Random(tseed), searching
+    once per (tseed, bits): a repeat replays the search's draws on rng."""
+    prime, draws = _trial_prime_draws(tseed, bits)
+    rng = random.Random(tseed)
+    for _ in range(draws):
+        rng.getrandbits(bits - 1)
+    return prime, rng
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from toric_linsys.cli import main
+from toric_linsys.cli import build_parser, main
 from toric_linsys.catalog import (box_polytope, hirzebruch_fan,
                                   simplex_polytope)
 from toric_linsys.lattice import fan_to_json, polytope_to_json
@@ -205,6 +205,56 @@ def test_seed_env_not_an_integer(capsys, monkeypatch):
     assert doc == {"error": "TORIC_LINSYS_SEED must be an integer, got 'abc'",
                    "path": None}
     assert "Traceback" not in err
+
+
+DIM_PN2 = ["dim", "--example", "pn:2", "--class", "2", "--mults", "2"]
+
+
+def test_seed_env_is_read_on_every_call(capsys, monkeypatch):
+    # the parser is built once per process; the variable is not baked into it
+    for value in (777, 778):
+        monkeypatch.setenv("TORIC_LINSYS_SEED", str(value))
+        code, doc, _ = run_cli(DIM_PN2, capsys)
+        assert code == 0 and doc["seed"] == value
+    code, doc, _ = run_cli(DIM_PN2 + ["--seed", "5"], capsys)
+    assert code == 0 and doc["seed"] == 5
+
+
+def test_bad_seed_env_fails_even_with_an_explicit_seed(capsys, monkeypatch):
+    monkeypatch.setenv("TORIC_LINSYS_SEED", "abc")
+    code, doc, err = run_cli(DIM_PN2 + ["--seed", "5"], capsys)
+    assert code == 1
+    assert doc == {"error": "TORIC_LINSYS_SEED must be an integer, got 'abc'",
+                   "path": None}
+    assert "Traceback" not in err
+
+
+def test_parser_is_built_once(capsys):
+    build_parser.cache_clear()
+    for argv in (DIM_PN2, ["roots", "--example", "pn:2"], DIM_PN2 + ["--x"]):
+        run_cli(argv, capsys)
+    assert build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (DIM_PN2 + ["--trials", "x"], "argument --trials: invalid int value: 'x'"),
+    (DIM_PN2 + ["--bogus"], "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_errors_are_input_errors(argv, message, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert json.loads(out) == {"error": message, "path": None}
+    assert out.count("\n") == 1
+    assert "Traceback" not in err and "usage:" not in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dim", "--help"])
+    assert exc.value.code == 0
+    assert "usage: toric-linsys dim" in capsys.readouterr().out
 
 
 def test_dim_rejects_zero_trials_and_tiny_primes(capsys):

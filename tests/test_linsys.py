@@ -27,8 +27,14 @@ from toric_linsys.catalog import (
     projective_space_fan,
     trapezoid_polytope,
 )
-from toric_linsys.linsys import build_point_matrix, falling, normalize_mults
-from toric_linsys.rank import rank_exact, rank_mod_p
+from toric_linsys import rank as rank_module
+from toric_linsys.linsys import (
+    build_point_matrix,
+    falling,
+    generic_rank_for_support,
+    normalize_mults,
+)
+from toric_linsys.rank import TrialEvidence, random_prime, rank_exact, rank_mod_p
 
 
 def presentation(fan):
@@ -231,6 +237,32 @@ def test_generic_rank_double_conic():
     assert all(e.rank == 5 for e in evidence)
     rep = analyze(L, RankConfig(seed=12))
     assert rep.dim == 0 and rep.special  # the double line through 2 points
+
+
+def uncached_generic_rank(columns, n, mults, cfg):
+    """The trial loop with a fresh prime search in every trial."""
+    master = random.Random(cfg.seed)
+    out = []
+    for _ in range(cfg.trials):
+        tseed = master.getrandbits(63)
+        trng = random.Random(tseed)
+        p = random_prime(cfg.prime_bits, trng)
+        pts = [tuple(trng.randint(1, p - 1) for _ in range(n)) for _ in mults]
+        rows = build_point_matrix(columns, mults, pts, prime=p).rows
+        out.append(TrialEvidence(p, tseed, rank_mod_p(rows, p)))
+    return max(e.rank for e in out), tuple(out)
+
+
+@pytest.mark.parametrize("bits", [4, 5, 61])
+def test_generic_rank_same_on_cold_and_warm_prime_cache(bits):
+    columns = tuple(lattice_points(box_polytope((3, 2))))
+    mults = (2, 2, 1)
+    for seed in (0, 1, 2):
+        cfg = RankConfig(seed=seed, prime_bits=bits)
+        rank_module._trial_prime_draws.cache_clear()
+        cold = generic_rank_for_support(columns, 2, mults, cfg)
+        warm = generic_rank_for_support(columns, 2, mults, cfg)
+        assert cold == warm == uncached_generic_rank(columns, 2, mults, cfg)
 
 
 def test_zero_multiplicities_dropped():

@@ -12,6 +12,7 @@ from toric_linsys.rank import (
     random_prime,
     rank_exact,
     rank_mod_p,
+    trial_prime,
 )
 from toric_linsys.linalg import det, rank as bareiss_rank
 
@@ -106,6 +107,26 @@ def test_random_prime_range_and_determinism():
     assert all(2 ** 60 <= p < 2 ** 61 and is_prime(p) for p in ps)
     rng2 = random.Random(9)
     assert ps == [random_prime(61, rng2) for _ in range(5)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tseed=st.integers(0, 2 ** 63 - 1),
+       bits=st.sampled_from((3, 4, 5, 17, 33, 61, 64, 65, 78)))
+def test_trial_prime_replays_the_search(tseed, bits):
+    # 4 and 5 bits draw composite candidates (9, 15, 21, 25, 27) often, so
+    # the replay of more than one draw is exercised; at 33 and 65 bits a
+    # draw of `bits` instead of `bits - 1` random bits takes one more word
+    ref = random.Random(tseed)
+    prime = random_prime(bits, ref)
+    for _ in range(2):  # cold or warm, then warm
+        got, rng = trial_prime(tseed, bits)
+        assert got == prime
+        assert rng.getstate() == ref.getstate()
+
+
+def test_trial_prime_replays_several_draws():
+    draws = [rank_module._trial_prime_draws(s, 4)[1] for s in range(40)]
+    assert max(draws) > 1
 
 
 def test_rank_mod_p_vs_exact_vs_minors():
