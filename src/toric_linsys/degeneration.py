@@ -218,11 +218,10 @@ class CertificateNode:
 
 
 def _node_stats(polytope, mults):
-    pts = lattice_points(polytope)
-    h0 = len(pts)
-    truncs = truncated_condition_counts(polytope, polytope.dim, mults)
-    tvdim = h0 - sum(truncs) - 1
-    return h0, truncs, tvdim
+    """(h0, truncations, tvdim) of a node, from the polytope's cached points."""
+    h0 = len(lattice_points(polytope))
+    truncs = truncated_condition_counts(polytope, mults)
+    return h0, truncs, h0 - sum(truncs) - 1
 
 
 def _leaf(polytope, mults, cfg):
@@ -245,6 +244,11 @@ def _split_order(k):
 
 
 def _certify(polytope, mults, depth, cfg):
+    """Certificate within depth splits, or None. A split is skipped before
+    its children are searched when a simplex leaves its piece or when
+    (tvdim_minus + 1)(tvdim_plus + 1) < 0: the children's nodes would carry
+    those tvdims and fail product_ok, so splits are tried in the same order
+    and the first that passes, hence every certificate, stays the same."""
     k = len(mults)
     if k >= 2 and depth > 0:
         widths = axis_widths(polytope)
@@ -255,16 +259,20 @@ def _certify(polytope, mults, depth, cfg):
                 continue
             for level in _level_order(widths[axis]):
                 pieces = split_polytope(polytope, axis, level)
+                plus = pieces.plus.translate(
+                    tuple(-x for x in pieces.plus_anchor))
                 for s in _split_order(k):
                     spec = SplitSpec(axis, level, s)
                     if _containment_witness(n, pieces, spec, mults):
                         continue
+                    tv_minus = _node_stats(pieces.minus_prev, mults[:s])[2]
+                    tv_plus = _node_stats(plus, mults[s:])[2]
+                    if (tv_minus + 1) * (tv_plus + 1) < 0:
+                        continue
                     left = _certify(pieces.minus_prev, mults[:s], depth - 1, cfg)
                     if left is None:
                         continue
-                    shift = tuple(-x for x in pieces.plus_anchor)
-                    right = _certify(pieces.plus.translate(shift), mults[s:],
-                                     depth - 1, cfg)
+                    right = _certify(plus, mults[s:], depth - 1, cfg)
                     if right is None:
                         continue
                     transcript = check_hypotheses(polytope, spec, mults,
@@ -284,8 +292,9 @@ def certify(system: PolytopeSystem, max_depth: int = 8,
     """Depth-first search for a degeneration certificate.
 
     Multiplicities are sorted descending; splits assign the first s of them
-    to the minus side. Returns None when inconclusive, which is never a
-    proof of speciality.
+    to the minus side. A split whose tvdim product is negative is skipped
+    before its children are searched; see `_certify`. Returns None when
+    inconclusive, which is never a proof of speciality.
     """
     ensure_standard_form(system.polytope)
     mults = tuple(sorted(system.multiplicities, reverse=True))
@@ -323,10 +332,11 @@ def _verify_node(node: CertificateNode, cfg) -> bool:
     if right.mults != node.mults[spec.point_split:]:
         return False
     shift = tuple(-x for x in pieces.plus_anchor)
-    if sorted(lattice_points(left.polytope)) != sorted(lattice_points(pieces.minus_prev)):
+    # point lists are sorted, so equal sets give equal lists
+    if lattice_points(left.polytope) != lattice_points(pieces.minus_prev):
         return False
-    if sorted(lattice_points(right.polytope)) != \
-            sorted(lattice_points(pieces.plus.translate(shift))):
+    if lattice_points(right.polytope) != \
+            lattice_points(pieces.plus.translate(shift)):
         return False
     transcript = check_hypotheses(node.polytope, spec, node.mults, left, right)
     if not transcript.passed:

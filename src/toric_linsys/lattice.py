@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor
+from math import ceil, floor, prod
 
 from .linalg import (
     _echelon,
@@ -29,6 +29,11 @@ from .linalg import (
     vec_gcd,
     vec_neg,
 )
+
+
+# the largest bounding box, in lattice cells, that `LatticePolytope.points`
+# scans; a larger one is an input error
+POINT_BUDGET = 10**7
 
 
 def primitivize(v):
@@ -367,6 +372,21 @@ class LatticePolytope:
         return (tuple(ceil(min(c)) for c in cols),
                 tuple(floor(max(c)) for c in cols))
 
+    @cached_property
+    def points(self):
+        """All integer points, lexicographically sorted, enumerated once per
+        polytope over its bounding box. A box of more than POINT_BUDGET
+        cells raises ValueError before any cell is scanned."""
+        box = self.bounding_box()
+        if box is None:
+            return ()
+        ranges = [range(a, b + 1) for a, b in zip(*box)]
+        cells = prod(map(len, ranges))
+        if cells > POINT_BUDGET:
+            raise ValueError(f"bounding box of {cells} lattice cells exceeds "
+                             f"the enumeration budget of {POINT_BUDGET}")
+        return tuple(m for m in itertools.product(*ranges) if self.contains(m))
+
     def translate(self, t):
         """The polytope {m + t : m in self} for an integer vector t."""
         t = _as_int_vector(t)
@@ -381,13 +401,9 @@ class LatticePolytope:
 
 
 def lattice_points(p: LatticePolytope):
-    """All integer points of a bounded polytope, lexicographic order."""
-    box = p.bounding_box()
-    if box is None:
-        return []
-    lo, hi = box
-    ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
-    return [m for m in itertools.product(*ranges) if p.contains(m)]
+    """All integer points of a bounded polytope, lexicographic order: a
+    fresh list copied from the polytope's cached `points`."""
+    return list(p.points)
 
 
 def polytope_vertex_tight_sets(p: LatticePolytope):

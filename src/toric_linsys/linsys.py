@@ -15,6 +15,7 @@ because the polytope is a down-set in the first orthant).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -176,17 +177,17 @@ def generic_rank(system: LinearSystem, cfg: RankConfig = RankConfig()):
     return generic_rank_for_support(sec.points, n, system.multiplicities, cfg)
 
 
-def truncated_condition_counts(polytope: LatticePolytope, n, mults):
-    """Per multiplicity, how many derivative orders lie inside the polytope."""
-    return tuple(
-        sum(1 for u in derivative_orders(n, mu) if polytope.contains(u))
-        for mu in mults)
+def truncated_condition_counts(polytope: LatticePolytope, mults):
+    """Per multiplicity mu, the derivative orders u >= 0 with |u| < mu inside
+    the bounded polytope. Each is an integer point, so the count is
+    #{m in polytope.points : m >= 0, |m| < mu}, read off the sorted |m|."""
+    degrees = sorted(sum(m) for m in polytope.points if min(m) >= 0)
+    return tuple(bisect_left(degrees, mu) for mu in mults)
 
 
 def toric_truncation(system: LinearSystem):
     sec = system.section()
-    return truncated_condition_counts(sec.polytope, system.presentation.rank,
-                                      system.multiplicities)
+    return truncated_condition_counts(sec.polytope, system.multiplicities)
 
 
 @dataclass(frozen=True)
@@ -211,7 +212,7 @@ def analyze_support(points, polytope, n, mults, cfg: RankConfig) -> SpecialityRe
     rk, evidence = generic_rank_for_support(points, n, mults, cfg)
     dim = h0 - rk - 1
     vdim = h0 - sum(comb(n + mu - 1, n) for mu in mults) - 1
-    truncs = truncated_condition_counts(polytope, n, mults)
+    truncs = truncated_condition_counts(polytope, mults)
     tvdim = h0 - sum(truncs) - 1
     edim = max(vdim, -1)
     tedim = max(tvdim, -1)

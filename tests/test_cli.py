@@ -67,6 +67,19 @@ def test_h0_with_class(capsys):
     assert len(doc["lattice_points"]) == 5
 
 
+def test_h0_over_the_point_budget_is_an_input_error(capsys):
+    # a box of 3001^3 cells (about 4.5e9 points): rejected before scanning
+    code = main(["h0", "--example", "pn:3", "--class", "3000"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "bounding box of 27027009001 lattice cells exceeds the "
+                 "enumeration budget of 10000000",
+        "path": None}
+    assert out.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_h0_with_divisor_file(tmp_path, capsys):
     div = tmp_path / "d.json"
     div.write_text(json.dumps({"coeffs": [1, 1, 0, 0]}))

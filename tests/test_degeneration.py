@@ -27,7 +27,17 @@ from toric_linsys.catalog import (
     simplex_polytope,
     trapezoid_polytope,
 )
-from toric_linsys.degeneration import axis_widths
+from toric_linsys import degeneration
+from toric_linsys.degeneration import (
+    _containment_witness,
+    _leaf,
+    _level_order,
+    _node_stats,
+    _split_order,
+    CertificateNode,
+    axis_widths,
+)
+from toric_linsys.linsys import GenericityError
 
 
 CFG = RankConfig(seed=40)
@@ -368,3 +378,86 @@ def test_certificate_json_round_trip(poly, mults, seed):
     back = certificate_from_json(json.loads(json.dumps(certificate_to_json(cert))))
     assert back == cert
     assert verify_certificate(back, RankConfig(seed=seed + 1, trials=2))
+
+
+def _certify_unpruned(polytope, mults, depth, cfg):
+    """The search before the tvdim-product prune, kept as an oracle: both
+    children are searched before `check_hypotheses` sees their tvdims."""
+    k = len(mults)
+    if k >= 2 and depth > 0:
+        widths = axis_widths(polytope)
+        n = polytope.dim
+        axes = sorted(range(n), key=lambda i: (-widths[i], i))
+        for axis in axes:
+            if widths[axis] < 1:
+                continue
+            for level in _level_order(widths[axis]):
+                pieces = split_polytope(polytope, axis, level)
+                for s in _split_order(k):
+                    spec = SplitSpec(axis, level, s)
+                    if _containment_witness(n, pieces, spec, mults):
+                        continue
+                    left = _certify_unpruned(pieces.minus_prev, mults[:s],
+                                             depth - 1, cfg)
+                    if left is None:
+                        continue
+                    shift = tuple(-x for x in pieces.plus_anchor)
+                    right = _certify_unpruned(pieces.plus.translate(shift),
+                                              mults[s:], depth - 1, cfg)
+                    if right is None:
+                        continue
+                    transcript = check_hypotheses(polytope, spec, mults,
+                                                  left, right)
+                    if not transcript.passed:
+                        continue
+                    h0, truncs, tvdim = _node_stats(polytope, mults)
+                    return CertificateNode(
+                        "split", polytope, tuple(mults), h0, truncs, tvdim,
+                        split=spec, transcript=transcript,
+                        children=(left, right))
+    return _leaf(polytope, mults, cfg)
+
+
+def _certificate_bytes(cert):
+    return None if cert is None else \
+        json.dumps(certificate_to_json(cert), sort_keys=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    st.builds(simplex_polytope, st.integers(2, 3), st.integers(1, 5)),
+    st.integers(2, 6).flatmap(lambda a: st.builds(
+        trapezoid_polytope, st.just(a), st.integers(1, a - 1))),
+    st.builds(box_polytope, st.lists(st.integers(1, 4), min_size=2, max_size=3))),
+    st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    st.sampled_from((1, 8)),
+    st.integers(0, 10**6))
+def test_pruned_search_finds_the_unpruned_certificate(poly, mults, depth, seed):
+    cfg = RankConfig(seed=seed, trials=2)
+    try:
+        expected = _certify_unpruned(poly, tuple(sorted(mults, reverse=True)),
+                                     depth, cfg)
+    except GenericityError:
+        return  # may have come from a subtree the prune skips
+    got = certify(PolytopeSystem(poly, mults), max_depth=depth, cfg=cfg)
+    assert _certificate_bytes(got) == _certificate_bytes(expected)
+
+
+def test_prune_skips_rank_trials_of_rejected_splits(monkeypatch):
+    # simplex 2:4 with five double points at depth 1 is inconclusive; the
+    # unpruned search runs 31 leaf analyses to find that out, the pruned 7
+    calls = []
+    original = degeneration.analyze_polytope_system
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(degeneration, "analyze_polytope_system", counted)
+    poly, mults = simplex_polytope(2, 4), (2,) * 5
+    expected = _certify_unpruned(poly, mults, 1, CFG)
+    unpruned = len(calls)
+    calls.clear()
+    got = certify(PolytopeSystem(poly, mults), max_depth=1, cfg=CFG)
+    assert _certificate_bytes(got) == _certificate_bytes(expected)
+    assert len(calls) < unpruned

@@ -30,6 +30,7 @@ from toric_linsys.catalog import (
     projective_space_fan,
     trapezoid_polytope,
 )
+from toric_linsys import lattice as lattice_module
 from toric_linsys.fan_analysis import demazure_roots, root_region
 from toric_linsys.linalg import (
     OPTIMAL,
@@ -208,6 +209,29 @@ def test_lattice_points_dilates_match_brute_force():
                               tuple(t * o for o in base.offsets))
         pts = lattice_points(dil)
         assert pts == brute_force_points(dil, ((0, 0), (3 * t, 3 * t)))
+
+
+def test_lattice_points_returns_a_fresh_list():
+    p = trapezoid_polytope(2, 1)
+    pts = lattice_points(p)
+    expected = list(pts)
+    pts.append((9, 9))
+    pts[0] = (7, 7)
+    pts.reverse()
+    assert lattice_points(p) == expected
+    assert lattice_points(p) is not lattice_points(p)
+    assert p.points == tuple(expected)
+
+
+def test_point_budget_bounds_the_scanned_box(monkeypatch):
+    monkeypatch.setattr(lattice_module, "POINT_BUDGET", 12)
+    # the box [0, 2] x [0, 3] has 12 cells, [0, 3] x [0, 3] has 16
+    assert len(lattice_points(box_polytope((2, 3)))) == 12
+    with pytest.raises(ValueError, match="exceeds the enumeration budget"):
+        lattice_points(box_polytope((3, 3)))
+    # the budget counts box cells, not points: 16 cells, 10 points
+    with pytest.raises(ValueError, match="16 lattice cells"):
+        lattice_points(LatticePolytope(((-1, 0), (0, -1), (1, 1)), (0, 0, 3)))
 
 
 def test_gl_change_of_basis():

@@ -25,14 +25,17 @@ from toric_linsys.catalog import (
     hirzebruch_fan,
     p1_power_fan,
     projective_space_fan,
+    simplex_polytope,
     trapezoid_polytope,
 )
 from toric_linsys import rank as rank_module
+from toric_linsys.degeneration import axis_widths, split_polytope
 from toric_linsys.linsys import (
     build_point_matrix,
     falling,
     generic_rank_for_support,
     normalize_mults,
+    truncated_condition_counts,
 )
 from toric_linsys.rank import TrialEvidence, random_prime, rank_exact, rank_mod_p
 
@@ -278,6 +281,57 @@ def test_toric_truncation():
     for n in (2, 3, 4):
         L = LinearSystem(CPF1, (n, 1), (2,))
         assert toric_truncation(L) == (3,)
+
+
+def walked_condition_counts(polytope, n, mults):
+    """Per multiplicity, the derivative orders that `contains` accepts."""
+    return tuple(
+        sum(1 for u in derivative_orders(n, mu) if polytope.contains(u))
+        for mu in mults)
+
+
+@st.composite
+def bounded_polytopes(draw):
+    """Boxes, simplices and trapezoids; optionally one piece of a split,
+    with a plus piece translated back by its anchor (its -e_axis row keeps a
+    positive offset); then optionally translated by t in [-3, 3]^n, which
+    gives boxes with lo > 0 and points with negative coordinates."""
+    poly = draw(st.one_of(
+        st.builds(box_polytope, st.lists(st.integers(1, 3), min_size=1,
+                                         max_size=3)),
+        st.builds(simplex_polytope, st.integers(1, 3), st.integers(1, 4)),
+        st.integers(2, 5).flatmap(lambda a: st.builds(
+            trapezoid_polytope, st.just(a), st.integers(1, a - 1)))))
+    if draw(st.booleans()):
+        axis = draw(st.integers(0, poly.dim - 1))
+        level = draw(st.integers(1, axis_widths(poly)[axis]))
+        pieces = split_polytope(poly, axis, level)
+        name = draw(st.sampled_from(("minus_prev", "minus", "plus_prev",
+                                     "plus")))
+        poly = getattr(pieces, name)
+        if name == "plus" and draw(st.booleans()):
+            poly = poly.translate(tuple(-x for x in pieces.plus_anchor))
+    if draw(st.booleans()):
+        poly = poly.translate(draw(st.lists(st.integers(-3, 3),
+                                            min_size=poly.dim,
+                                            max_size=poly.dim)))
+    return poly
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_polytopes(), st.lists(st.integers(0, 6), max_size=4))
+def test_truncation_counts_match_the_derivative_order_walk(poly, mults):
+    assert truncated_condition_counts(poly, mults) == \
+        walked_condition_counts(poly, poly.dim, mults)
+
+
+def test_truncation_counts_off_the_first_orthant():
+    # [1, 2]^2 holds no order u >= 0 with |u| < 2; [-1, 1]^2 holds the
+    # orders of |u| < 2 and, of the order-2 ones, only (1, 1)
+    lifted = box_polytope((1, 1)).translate((1, 1))
+    assert truncated_condition_counts(lifted, (1, 2, 3)) == (0, 0, 1)
+    centred = box_polytope((2, 2)).translate((-1, -1))
+    assert truncated_condition_counts(centred, (1, 2, 3, 4)) == (1, 3, 4, 4)
 
 
 def test_analyze_quartics_five_double_points():
