@@ -40,12 +40,13 @@ from .fan_analysis import (
     vertex_capsule,
 )
 from .lattice import (
+    dumps,
     fan_from_json,
-    fan_to_json,
+    json_ints,
+    json_typed,
     jsonable,
     lattice_points,
     polytope_from_json,
-    polytope_to_json,
     validate_fan,
 )
 from .linsys import GenericityError, analyze_polytope_system
@@ -82,7 +83,7 @@ def _env_seed() -> int:
 
 
 def emit(doc, args, summary=None):
-    text = json.dumps(jsonable(doc), sort_keys=True)
+    text = dumps(doc)
     print(text)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
@@ -101,6 +102,14 @@ def _load_json(path):
         raise InputError(f"malformed JSON: {exc}", path)
 
 
+def _decode(decoder, value, path, *args):
+    """decoder(value, *args), a ValueError becoming an input error at path."""
+    try:
+        return decoder(value, *args)
+    except ValueError as exc:
+        raise InputError(str(exc), path)
+
+
 def load_input(args, kind):
     """The fan or polytope (kind "fan" or "polytope") named by --example or
     read from the --fan / --polytope file."""
@@ -108,16 +117,10 @@ def load_input(args, kind):
         "fan": (catalog.example_fan, fan_from_json),
         "polytope": (catalog.example_polytope, polytope_from_json)}[kind]
     if getattr(args, "example", None):
-        try:
-            return example(args.example)
-        except ValueError as exc:
-            raise InputError(str(exc))
+        return _decode(example, args.example, None)
     path = getattr(args, kind, None)
     if path:
-        try:
-            return from_json(_load_json(path))
-        except ValueError as exc:
-            raise InputError(str(exc), path)
+        return _decode(from_json, _load_json(path), path)
     raise InputError(f"need --{kind} FILE or --example SPEC")
 
 
@@ -148,24 +151,17 @@ def standard_coeffs_from(args, verdict, cp) -> tuple:
     raise InputError("need --divisor FILE or --class LIST")
 
 
-def _int_tuple(value, what, path=None):
-    """A JSON list of integers as a tuple; anything else is an input error."""
-    if not isinstance(value, list) or any(type(x) is not int for x in value):
-        raise InputError(f"{what} must be a list of integers", path)
-    return tuple(value)
-
-
 def _standard_from_obj(obj, verdict, cp, path=None):
     if not isinstance(obj, dict):
         raise InputError("divisor must be a JSON object", path)
     if "standard" in obj:
-        coeffs = _int_tuple(obj["standard"], "'standard'", path)
+        coeffs = _decode(json_ints, obj["standard"], path, "standard")
         if len(coeffs) != cp.class_rank:
             raise InputError(
                 f"standard divisor needs {cp.class_rank} coefficients", path)
         return coeffs
     if "coeffs" in obj:
-        coeffs = _int_tuple(obj["coeffs"], "'coeffs'", path)
+        coeffs = _decode(json_ints, obj["coeffs"], path, "coeffs")
         if len(coeffs) != cp.num_rays:
             raise InputError(
                 f"divisor needs {cp.num_rays} coefficients", path)
@@ -181,10 +177,8 @@ def rank_config(args, seed_offset=0, overrides=None) -> RankConfig:
     cfg = {"trials": args.trials, "prime_bits": args.prime_bits,
            "seed": args.seed, "exact": args.exact, **(overrides or {})}
     for key in ("trials", "prime_bits", "seed"):
-        if type(cfg[key]) is not int:
-            raise InputError(f"'{key}' must be an integer")
-    if type(cfg["exact"]) is not bool:
-        raise InputError("'exact' must be true or false")
+        json_typed(cfg[key], key)
+    json_typed(cfg["exact"], "exact", "bool")
     return RankConfig(trials=cfg["trials"], prime_bits=cfg["prime_bits"],
                       seed=cfg["seed"] + seed_offset, exact=cfg["exact"])
 
@@ -202,7 +196,7 @@ def load_system(args):
             raise InputError("need --mults LIST")
         mults = parse_int_list(args.mults)
         sec = section_polytope(cp, coeffs)
-        desc = {"divisor_standard": list(coeffs), "example": args.example}
+        desc = {"divisor_standard": coeffs, "example": args.example}
         return sec.polytope, mults, desc
     raise InputError("need --system FILE or --example plus --class/--mults")
 
@@ -210,25 +204,20 @@ def load_system(args):
 def system_from_obj(obj, path=None):
     if not isinstance(obj, dict):
         raise InputError("system must be a JSON object", path)
-    mults = _int_tuple(obj.get("multiplicities", []), "'multiplicities'", path)
+    mults = _decode(json_ints, obj.get("multiplicities", []), path,
+                    "multiplicities")
     if "polytope" in obj:
-        try:
-            poly = polytope_from_json(obj["polytope"])
-        except ValueError as exc:
-            raise InputError(str(exc), path)
-        return poly, mults, {"polytope": obj["polytope"]}
+        poly = _decode(polytope_from_json, obj["polytope"], path)
+        return poly, mults, {"polytope": poly}
     if "fan" in obj:
-        try:
-            fan = fan_from_json(obj["fan"])
-        except ValueError as exc:
-            raise InputError(str(exc), path)
+        fan = _decode(fan_from_json, obj["fan"], path)
         verdict, cp = presentation_for(fan, path)
         div = obj.get("divisor")
         if div is None:
             raise InputError("system object needs a divisor", path)
         coeffs = _standard_from_obj(div, verdict, cp, path)
         sec = section_polytope(cp, coeffs)
-        return sec.polytope, mults, {"divisor_standard": list(coeffs)}
+        return sec.polytope, mults, {"divisor_standard": coeffs}
     raise InputError("system object needs 'fan' or 'polytope'", path)
 
 
@@ -247,13 +236,7 @@ def cmd_validate(args):
 def cmd_transitive(args):
     fan = load_input(args, "fan")
     verdict = transitive_cones(fan)
-    doc = {
-        "transitive_cone_indices": list(verdict.transitive_cone_indices),
-        "quasi_transitive": bool(verdict),
-        "normalized_fan": fan_to_json(verdict.normalized_fan) if verdict else None,
-        "basis_change": [list(r) for r in verdict.basis_change] if verdict else None,
-        "ray_order": list(verdict.ray_order) if verdict else None,
-    }
+    doc = {**jsonable(verdict), "quasi_transitive": bool(verdict)}
     emit(doc, args, f"{len(verdict.transitive_cone_indices)} transitive cone(s)")
     return EXIT_OK
 
@@ -261,14 +244,11 @@ def cmd_transitive(args):
 def cmd_roots(args):
     fan = load_input(args, "fan")
     roots = demazure_roots(fan)
-    per_ray = {}
+    per_ray = {str(i): [] for i in range(len(fan.rays))}
     for root in roots:
-        per_ray.setdefault(root.ray_index, []).append(list(root.m))
-    doc = {
-        "count": len(roots),
-        "per_ray": {str(i): per_ray.get(i, []) for i in range(len(fan.rays))},
-        "aut_dimension": fan.rank + len(roots),
-    }
+        per_ray[str(root.ray_index)].append(root.m)
+    doc = {"count": len(roots), "per_ray": per_ray,
+           "aut_dimension": fan.rank + len(roots)}
     emit(doc, args, f"{len(roots)} Demazure roots")
     return EXIT_OK
 
@@ -276,9 +256,8 @@ def cmd_roots(args):
 def cmd_symmetries(args):
     fan = load_input(args, "fan")
     syms = fan_symmetries(fan)
-    doc = {"count": len(syms),
-           "matrices": [[list(row) for row in a] for a in syms]}
-    emit(doc, args, f"{len(syms)} fan symmetries")
+    emit({"count": len(syms), "matrices": syms}, args,
+         f"{len(syms)} fan symmetries")
     return EXIT_OK
 
 
@@ -296,14 +275,9 @@ def cmd_capsule(args):
 def cmd_cox(args):
     fan = load_input(args, "fan")
     verdict, cp = presentation_for(fan)
-    doc = {
-        "ray_matrix": [list(r) for r in cp.ray_matrix],
-        "grading_matrix": [list(r) for r in cp.grading_matrix],
-        "class_rank": cp.class_rank,
-        "ray_order": list(verdict.ray_order),
-        "irrelevant_generators": [sorted(g) for g in
-                                  irrelevant_generators(cp.fan)],
-    }
+    doc = {"ray_matrix": cp.ray_matrix, "grading_matrix": cp.grading_matrix,
+           "class_rank": cp.class_rank, "ray_order": verdict.ray_order,
+           "irrelevant_generators": irrelevant_generators(cp.fan)}
     emit(doc, args, f"class rank {cp.class_rank}")
     return EXIT_OK
 
@@ -314,10 +288,10 @@ def cmd_h0(args):
     coeffs = standard_coeffs_from(args, verdict, cp)
     sec = section_polytope(cp, coeffs)
     doc = {"h0": sec.h0,
-           "divisor_standard": list(coeffs),
-           "class": list(divisor_class(cp, (0,) * cp.rank + coeffs))}
+           "divisor_standard": coeffs,
+           "class": divisor_class(cp, (0,) * cp.rank + coeffs)}
     if args.points:
-        doc["lattice_points"] = [list(m) for m in sec.points]
+        doc["lattice_points"] = sec.points
     emit(doc, args, f"h0 = {sec.h0}")
     return EXIT_OK
 
@@ -326,9 +300,7 @@ def cmd_dim(args):
     poly, mults, desc = load_system(args)
     cfg = rank_config(args)
     report = analyze_polytope_system(poly, mults, cfg)
-    doc = jsonable(report)
-    doc.update(desc)
-    emit(doc, args,
+    emit({**jsonable(report), **desc}, args,
          f"dim={report.dim} edim={report.edim} tedim={report.tedim} "
          f"special={report.special} toric_special={report.toric_special}")
     return EXIT_OK
@@ -337,18 +309,12 @@ def cmd_dim(args):
 def cmd_split(args):
     poly = load_input(args, "polytope")
     pieces = split_polytope(poly, args.axis, args.level)
-    def piece_doc(p):
-        return {"polytope": polytope_to_json(p),
-                "lattice_point_count": len(lattice_points(p))}
-    doc = {
-        "axis": pieces.axis,
-        "level": pieces.level,
-        "minus_prev": piece_doc(pieces.minus_prev),
-        "minus": piece_doc(pieces.minus),
-        "plus_prev": piece_doc(pieces.plus_prev),
-        "plus": piece_doc(pieces.plus),
-        "plus_anchor": list(pieces.plus_anchor),
-    }
+    doc = {"axis": pieces.axis, "level": pieces.level,
+           "plus_anchor": pieces.plus_anchor}
+    for side in ("minus_prev", "minus", "plus_prev", "plus"):
+        piece = getattr(pieces, side)
+        doc[side] = {"polytope": piece,
+                     "lattice_point_count": len(lattice_points(piece))}
     emit(doc, args, f"split axis {pieces.axis} at level {pieces.level}")
     return EXIT_OK
 
@@ -412,7 +378,7 @@ def cmd_sweep(args):
             poly, mults, desc = system_from_obj(task.get("system", task))
             cfg = rank_config(args, idx, base_cfg)
             report = analyze_polytope_system(poly, mults, cfg)
-            record["report"] = jsonable(report)
+            record["report"] = report
             counts["ok"] += 1
             if report.special:
                 counts["special"] += 1
@@ -422,13 +388,13 @@ def cmd_sweep(args):
             record["error"] = str(exc)
             counts["failed"] += 1
         lines.append(record)
+    records = "".join(dumps(record) + "\n" for record in lines)
     if args.out:
         with open(args.out, "w") as fh:
-            for record in lines:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-    print(json.dumps(counts, sort_keys=True))
-    for record in lines if not args.out else []:
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
+            fh.write(records)
+    print(dumps(counts))
+    if not args.out:
+        sys.stderr.write(records)
     print(f"{counts['ok']}/{counts['total']} systems analyzed, "
           f"{counts['special']} special, {counts['toric_special']} toric special",
           file=sys.stderr)
@@ -515,12 +481,11 @@ def main(argv=None) -> int:
             args.seed = seed
         return args.func(args)
     except GenericityError as exc:
-        print(json.dumps({"error": str(exc), "path": None}, sort_keys=True))
+        print(dumps({"error": str(exc), "path": None}))
         print(f"genericity violation: {exc}", file=sys.stderr)
         return EXIT_GENERICITY
     except ValueError as exc:  # InputError included
-        print(json.dumps({"error": str(exc),
-                          "path": getattr(exc, "path", None)}, sort_keys=True))
+        print(dumps({"error": str(exc), "path": getattr(exc, "path", None)}))
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -10,18 +10,19 @@ dim = tedim. Failure to find a certificate proves nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from fractions import Fraction
 
 from .lattice import (
     LatticePolytope,
     cone_contains,
     cone_is_smooth,
+    json_ints,
+    json_typed,
     jsonable,
     lattice_points,
     normal_fan,
     polytope_from_json,
-    polytope_to_json,
 )
 from .linalg import affine_rank
 from .linsys import (
@@ -349,44 +350,24 @@ def _verify_node(node: CertificateNode, cfg) -> bool:
 
 
 def certificate_to_json(node: CertificateNode) -> dict:
-    out = {
-        "kind": node.kind,
-        "polytope": polytope_to_json(node.polytope),
-        "mults": list(node.mults),
-        "h0": node.h0,
-        "truncations": list(node.truncations),
-        "tvdim": node.tvdim,
-    }
+    return jsonable(_certificate_doc(node))
+
+
+def _certificate_doc(node: CertificateNode) -> dict:
+    """The certificate tree as values for one `jsonable` pass."""
+    out = {"kind": node.kind, "polytope": node.polytope, "mults": node.mults,
+           "h0": node.h0, "truncations": node.truncations,
+           "tvdim": node.tvdim}
     if node.kind == "leaf":
         # certificates keep samples as [prime, seed, rank] lists, not the
         # dicts that jsonable gives the dim report
-        out["report"] = {**jsonable(node.report),
-                         "samples": [[ev.prime, ev.seed, ev.rank]
-                                     for ev in node.report.samples]}
+        out["report"] = replace(node.report, samples=tuple(
+            astuple(ev) for ev in node.report.samples))
     else:
-        out["split"] = jsonable(node.split)
-        out["transcript"] = jsonable(node.transcript)
-        out["children"] = [certificate_to_json(c) for c in node.children]
+        out["split"] = node.split
+        out["transcript"] = node.transcript
+        out["children"] = [_certificate_doc(c) for c in node.children]
     return out
-
-
-# JSON types per field annotation; fields annotated otherwise need a decoder
-_JSON_TYPES = {"int": ((int,), "an integer"), "bool": ((bool,), "true or false"),
-               "str": ((str,), "a string"),
-               "tuple | None": ((list, type(None)), "null or a list")}
-
-
-def _json_typed(value, name, annotation="int"):
-    types, what = _JSON_TYPES[annotation]
-    if type(value) not in types:
-        raise ValueError(f"'{name}' must be {what}")
-    return value
-
-
-def _json_ints(values, name) -> tuple:
-    if not isinstance(values, list) or any(type(v) is not int for v in values):
-        raise ValueError(f"'{name}' must be a list of integers")
-    return tuple(values)
 
 
 def _json_samples(ss) -> tuple:
@@ -401,8 +382,7 @@ def _from_fields(cls, obj, **decode):
     type its annotation allows; decode maps field names to value decoders."""
     values = {f.name: obj[f.name] for f in fields(cls)}
     for f in fields(cls):
-        if f.type in _JSON_TYPES:
-            _json_typed(values[f.name], f.name, f.type)
+        json_typed(values[f.name], f.name, f.type)
     values.update((name, fn(values[name])) for name, fn in decode.items())
     return cls(**values)
 
@@ -413,10 +393,10 @@ def certificate_from_json(obj) -> CertificateNode:
     common = dict(
         kind=obj["kind"],
         polytope=polytope_from_json(obj["polytope"]),
-        mults=_json_ints(obj["mults"], "mults"),
-        h0=_json_typed(obj["h0"], "h0"),
-        truncations=_json_ints(obj["truncations"], "truncations"),
-        tvdim=_json_typed(obj["tvdim"], "tvdim"),
+        mults=json_ints(obj["mults"], "mults"),
+        h0=json_typed(obj["h0"], "h0"),
+        truncations=json_ints(obj["truncations"], "truncations"),
+        tvdim=json_typed(obj["tvdim"], "tvdim"),
     )
     if obj["kind"] == "leaf":
         report = _from_fields(SpecialityReport, obj["report"],

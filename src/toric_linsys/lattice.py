@@ -10,6 +10,7 @@ follows it.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -47,10 +48,12 @@ def primitivize(v):
 def _as_int_vector(v):
     out = []
     for x in v:
-        f = Fraction(x)
-        if f.denominator != 1:
-            raise ValueError("integer vector expected")
-        out.append(f.numerator)
+        if type(x) is not int:
+            f = Fraction(x)
+            if f.denominator != 1:
+                raise ValueError("integer vector expected")
+            x = f.numerator
+        out.append(x)
     return tuple(out)
 
 
@@ -127,8 +130,8 @@ class Fan:
     max_cones: tuple
 
     def __post_init__(self):
-        rays = tuple(tuple(int(x) for x in r) for r in self.rays)
-        cones = tuple(tuple(sorted(int(i) for i in c)) for c in self.max_cones)
+        rays = tuple(map(_as_int_vector, self.rays))
+        cones = tuple(tuple(sorted(_as_int_vector(c))) for c in self.max_cones)
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "max_cones", cones)
         if self.rank < 1:
@@ -380,11 +383,13 @@ class LatticePolytope:
         box = self.bounding_box()
         if box is None:
             return ()
-        ranges = [range(a, b + 1) for a, b in zip(*box)]
-        cells = prod(map(len, ranges))
+        # counted before any range is built: len(range) overflows above
+        # sys.maxsize
+        cells = prod(b - a + 1 for a, b in zip(*box))
         if cells > POINT_BUDGET:
             raise ValueError(f"bounding box of {cells} lattice cells exceeds "
                              f"the enumeration budget of {POINT_BUDGET}")
+        ranges = [range(a, b + 1) for a, b in zip(*box)]
         return tuple(m for m in itertools.product(*ranges) if self.contains(m))
 
     def translate(self, t):
@@ -468,22 +473,21 @@ def normal_fan(p: LatticePolytope):
 
 
 # ---------------------------------------------------------------------------
-# JSON wire formats
+# JSON wire formats: `jsonable` encodes every document and `dumps` writes it;
+# `json_typed` and `json_ints` read every JSON integer, converting nothing (an
+# integer slot takes no bool, float or string).
 
 
 def jsonable(x):
     """Recursively convert reports to plain JSON values; Fractions become
-    'p/q' strings, exact integers stay integers."""
+    'p/q' strings, exact integers stay integers, dataclasses become objects
+    with one key per field and JSON values pass through."""
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return int(x)
         return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, (int, str)) or x is None:
+    if isinstance(x, (int, float, str)) or x is None:
         return x
-    if isinstance(x, LatticePolytope):
-        return polytope_to_json(x)
-    if isinstance(x, Fan):
-        return fan_to_json(x)
     if is_dataclass(x) and not isinstance(x, type):
         return {f.name: jsonable(getattr(x, f.name)) for f in fields(x)}
     if isinstance(x, (frozenset, set)):
@@ -495,29 +499,57 @@ def jsonable(x):
     raise TypeError(f"cannot serialize {type(x)!r}")
 
 
+def dumps(doc) -> str:
+    """The one-line JSON text of a document, keys sorted."""
+    return json.dumps(jsonable(doc), sort_keys=True)
+
+
+# JSON types per field annotation
+_JSON_TYPES = {"int": ((int,), "an integer"), "bool": ((bool,), "true or false"),
+               "str": ((str,), "a string"),
+               "tuple | None": ((list, type(None)), "null or a list")}
+
+
+def json_typed(value, name, annotation="int"):
+    """value itself when its JSON type is one that a field annotated
+    `annotation` allows, else ValueError naming the field. An annotation
+    without a JSON type (a field with its own decoder) allows anything."""
+    if annotation in _JSON_TYPES:
+        types, what = _JSON_TYPES[annotation]
+        if type(value) not in types:
+            raise ValueError(f"'{name}' must be {what}")
+    return value
+
+
+def json_ints(values, name=None) -> tuple:
+    """A JSON list of integers as a tuple. The error names the field, or says
+    "integer vector expected" for an unnamed row of a fan or polytope."""
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise ValueError(f"'{name}' must be a list of integers" if name
+                         else "integer vector expected")
+    return tuple(values)
+
+
 def fan_to_json(f: Fan) -> dict:
-    return {"rank": f.rank,
-            "rays": [list(r) for r in f.rays],
-            "max_cones": [list(c) for c in f.max_cones]}
+    return jsonable(f)
 
 
 def fan_from_json(obj) -> Fan:
     try:
-        return Fan(int(obj["rank"]),
-                   tuple(tuple(r) for r in obj["rays"]),
-                   tuple(tuple(c) for c in obj["max_cones"]))
+        return Fan(json_typed(obj["rank"], "rank"),
+                   tuple(map(json_ints, obj["rays"])),
+                   tuple(map(json_ints, obj["max_cones"])))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed fan object: {exc}") from exc
 
 
 def polytope_to_json(p: LatticePolytope) -> dict:
-    return {"normals": [list(nv) for nv in p.normals],
-            "offsets": list(p.offsets)}
+    return jsonable(p)
 
 
 def polytope_from_json(obj) -> LatticePolytope:
     try:
-        return LatticePolytope(tuple(tuple(nv) for nv in obj["normals"]),
-                               tuple(obj["offsets"]))
+        return LatticePolytope(tuple(map(json_ints, obj["normals"])),
+                               json_ints(obj["offsets"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed polytope object: {exc}") from exc

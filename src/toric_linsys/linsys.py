@@ -22,7 +22,7 @@ from math import comb
 from operator import mul
 
 from .cox import CoxPresentation, SectionPolytope, section_polytope
-from .lattice import LatticePolytope, _as_int_vector, lattice_points
+from .lattice import POINT_BUDGET, LatticePolytope, _as_int_vector, lattice_points
 from .rank import RankConfig, TrialEvidence, rank_exact, rank_mod_p, trial_prime
 
 
@@ -59,7 +59,12 @@ class LinearSystem:
 
 
 def derivative_orders(n: int, mu: int):
-    """All u >= 0 with |u| <= mu - 1, lexicographic; count C(n+mu-1, n)."""
+    """All u >= 0 with |u| <= mu - 1, lexicographic; count C(n+mu-1, n). A
+    count above POINT_BUDGET raises ValueError before any is built."""
+    count = comb(n + mu - 1, n)
+    if count > POINT_BUDGET:
+        raise ValueError(f"{count} derivative orders exceed the enumeration "
+                         f"budget of {POINT_BUDGET}")
     out = []
 
     def rec(prefix, remaining, budget):
@@ -71,7 +76,7 @@ def derivative_orders(n: int, mu: int):
 
     rec([], n, mu - 1)
     out.sort()
-    assert len(out) == comb(n + mu - 1, n)
+    assert len(out) == count
     return tuple(out)
 
 
