@@ -169,32 +169,41 @@ def _chop_random_corner(p: LatticePolytope, rng: random.Random):
 # mini-language
 
 
-def example_fan(spec: str) -> Fan:
+# spec name -> (argument count, builder from the argument strings)
+_FAN_SPECS = {
+    "pn": (1, lambda n: projective_space_fan(int(n))),
+    "p1n": (1, lambda n: p1_power_fan(int(n))),
+    "hirzebruch": (1, lambda a: hirzebruch_fan(int(a))),
+    "bl3p2": (0, bl3p2_fan),
+}
+_POLYTOPE_SPECS = {
+    "box": (1, lambda sides: box_polytope(
+        tuple(int(a) for a in sides.split("x")))),
+    "simplex": (2, lambda n, d: simplex_polytope(int(n), int(d))),
+    "trapezoid": (2, lambda n, m: trapezoid_polytope(int(n), int(m))),
+    "bl3p2": (0, hexagon_polytope),
+    "square": (0, unit_square_polytope),
+}
+
+
+def _from_spec(spec: str, specs, kind):
+    """Build 'name:arg:...'; an unknown name or a wrong number of arguments
+    is a ValueError naming the spec."""
     name, *args = spec.split(":")
-    if name == "pn":
-        return projective_space_fan(int(args[0]))
-    if name == "p1n":
-        return p1_power_fan(int(args[0]))
-    if name == "hirzebruch":
-        return hirzebruch_fan(int(args[0]))
-    if name == "bl3p2":
-        return bl3p2_fan()
-    if name in ("box", "simplex", "trapezoid"):
-        fan, _ = normal_fan(example_polytope(spec))
-        return fan
-    raise ValueError(f"unknown fan example '{spec}'")
+    if name not in specs:
+        raise ValueError(f"unknown {kind} example '{spec}'")
+    arity, build = specs[name]
+    if len(args) != arity:
+        raise ValueError(f"example '{spec}' takes {arity} argument(s), "
+                         f"got {len(args)}")
+    return build(*args)
+
+
+def example_fan(spec: str) -> Fan:
+    if spec.split(":")[0] in ("box", "simplex", "trapezoid"):
+        return normal_fan(example_polytope(spec))[0]
+    return _from_spec(spec, _FAN_SPECS, "fan")
 
 
 def example_polytope(spec: str) -> LatticePolytope:
-    name, *args = spec.split(":")
-    if name == "box":
-        return box_polytope(tuple(int(a) for a in args[0].split("x")))
-    if name == "simplex":
-        return simplex_polytope(int(args[0]), int(args[1]))
-    if name == "trapezoid":
-        return trapezoid_polytope(int(args[0]), int(args[1]))
-    if name == "bl3p2":
-        return hexagon_polytope()
-    if name == "square":
-        return unit_square_polytope()
-    raise ValueError(f"unknown polytope example '{spec}'")
+    return _from_spec(spec, _POLYTOPE_SPECS, "polytope")

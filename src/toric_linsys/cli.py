@@ -188,7 +188,7 @@ def load_system(args):
     if getattr(args, "system", None):
         obj = _load_json(args.system)
         return system_from_obj(obj, args.system)
-    if getattr(args, "example", None):
+    if getattr(args, "example", None) or getattr(args, "fan", None):
         fan = load_input(args, "fan")
         verdict, cp = presentation_for(fan)
         coeffs = standard_coeffs_from(args, verdict, cp)
@@ -196,7 +196,9 @@ def load_system(args):
             raise InputError("need --mults LIST")
         mults = parse_int_list(args.mults)
         sec = section_polytope(cp, coeffs)
-        desc = {"divisor_standard": coeffs, "example": args.example}
+        desc = {"divisor_standard": coeffs}
+        if args.example:
+            desc["example"] = args.example
         return sec.polytope, mults, desc
     raise InputError("need --system FILE or --example plus --class/--mults")
 

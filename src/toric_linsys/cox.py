@@ -55,10 +55,6 @@ def build_presentation(verdict: TransitivityVerdict) -> CoxPresentation:
         tuple(fan.rays[n + j][i] for i in range(n))
         + tuple(1 if l == j else 0 for l in range(r - n))
         for j in range(r - n))
-    # exactness: grading . ray_matrix^t = 0
-    for grow in grading:
-        for prow in ray_matrix:
-            assert dot(grow, prow) == 0, "grading does not annihilate the rays"
     return CoxPresentation(fan, ray_matrix, grading, r - n)
 
 
@@ -101,7 +97,7 @@ def section_polytope(cp: CoxPresentation, standard) -> SectionPolytope:
         raise ValueError("standard form needs r - n coefficients")
     normals = tuple(tuple(-1 if j == i else 0 for j in range(n)) for i in range(n))
     normals += tuple(cp.fan.rays[n + j] for j in range(r - n))
-    offsets = (0,) * n + tuple(int(d) for d in standard)
+    offsets = (0,) * n + tuple(standard)
     poly = LatticePolytope(normals, offsets)
     pts = tuple(lattice_points(poly))
     return SectionPolytope(poly, pts, len(pts))

@@ -30,7 +30,7 @@ from .linsys import (
     analyze_polytope_system,
     derivative_orders,
     normalize_mults,
-    truncated_condition_counts,
+    toric_counts,
 )
 from .rank import RankConfig, TrialEvidence
 
@@ -98,6 +98,11 @@ class SplitPieces:
     def plus_anchor(self):
         return tuple(self.level if j == self.axis else 0
                      for j in range(self.plus.dim))
+
+    @property
+    def plus_child(self):
+        """The plus piece translated back so its anchor is the origin."""
+        return self.plus.translate(tuple(-x for x in self.plus_anchor))
 
 
 def split_polytope(p: LatticePolytope, axis: int, level: int) -> SplitPieces:
@@ -218,18 +223,11 @@ class CertificateNode:
                 yield from child.leaves()
 
 
-def _node_stats(polytope, mults):
-    """(h0, truncations, tvdim) of a node, from the polytope's cached points."""
-    h0 = len(lattice_points(polytope))
-    truncs = truncated_condition_counts(polytope, mults)
-    return h0, truncs, h0 - sum(truncs) - 1
-
-
 def _leaf(polytope, mults, cfg):
     report = analyze_polytope_system(polytope, mults, cfg)
     if report.dim != report.tedim:
         return None
-    h0, truncs, tvdim = _node_stats(polytope, mults)
+    h0, truncs, tvdim = toric_counts(polytope, mults)
     return CertificateNode("leaf", polytope, tuple(mults), h0, truncs, tvdim,
                            report=report)
 
@@ -260,14 +258,13 @@ def _certify(polytope, mults, depth, cfg):
                 continue
             for level in _level_order(widths[axis]):
                 pieces = split_polytope(polytope, axis, level)
-                plus = pieces.plus.translate(
-                    tuple(-x for x in pieces.plus_anchor))
+                plus = pieces.plus_child
                 for s in _split_order(k):
                     spec = SplitSpec(axis, level, s)
                     if _containment_witness(n, pieces, spec, mults):
                         continue
-                    tv_minus = _node_stats(pieces.minus_prev, mults[:s])[2]
-                    tv_plus = _node_stats(plus, mults[s:])[2]
+                    tv_minus = toric_counts(pieces.minus_prev, mults[:s])[2]
+                    tv_plus = toric_counts(plus, mults[s:])[2]
                     if (tv_minus + 1) * (tv_plus + 1) < 0:
                         continue
                     left = _certify(pieces.minus_prev, mults[:s], depth - 1, cfg)
@@ -280,7 +277,7 @@ def _certify(polytope, mults, depth, cfg):
                                                   left, right)
                     if not transcript.passed:
                         continue
-                    h0, truncs, tvdim = _node_stats(polytope, mults)
+                    h0, truncs, tvdim = toric_counts(polytope, mults)
                     return CertificateNode(
                         "split", polytope, tuple(mults), h0, truncs, tvdim,
                         split=spec, transcript=transcript,
@@ -304,7 +301,9 @@ def certify(system: PolytopeSystem, max_depth: int = 8,
 
 def verify_certificate(cert: CertificateNode, cfg: RankConfig = RankConfig()) -> bool:
     """Independent re-check: recompute the combinatorics of every node, re-run
-    every hypothesis check, and re-run every leaf rank with the given config."""
+    every hypothesis check, and re-run every leaf rank with the given config.
+    Each recomputed transcript must equal the stored one, and each fresh leaf
+    report the stored one apart from its samples, seed and mode."""
     try:
         return _verify_node(cert, cfg)
     except (ValueError, KeyError):
@@ -312,14 +311,16 @@ def verify_certificate(cert: CertificateNode, cfg: RankConfig = RankConfig()) ->
 
 
 def _verify_node(node: CertificateNode, cfg) -> bool:
-    h0, truncs, tvdim = _node_stats(node.polytope, node.mults)
-    if (h0, tuple(truncs), tvdim) != (node.h0, tuple(node.truncations), node.tvdim):
+    if toric_counts(node.polytope, node.mults) != \
+            (node.h0, tuple(node.truncations), node.tvdim):
         return False
     if node.kind == "leaf":
-        if node.report is None or node.report.dim != node.report.tedim:
+        stored = node.report
+        if stored is None or stored.dim != stored.tedim:
             return False
         fresh = analyze_polytope_system(node.polytope, node.mults, cfg)
-        return fresh.dim == fresh.tedim and fresh.dim == node.report.dim
+        return stored == replace(fresh, samples=stored.samples,
+                                 seed=stored.seed, mode=stored.mode)
     if node.kind != "split" or node.split is None or node.children is None:
         return False
     spec = node.split
@@ -332,15 +333,13 @@ def _verify_node(node: CertificateNode, cfg) -> bool:
         return False
     if right.mults != node.mults[spec.point_split:]:
         return False
-    shift = tuple(-x for x in pieces.plus_anchor)
     # point lists are sorted, so equal sets give equal lists
     if lattice_points(left.polytope) != lattice_points(pieces.minus_prev):
         return False
-    if lattice_points(right.polytope) != \
-            lattice_points(pieces.plus.translate(shift)):
+    if lattice_points(right.polytope) != lattice_points(pieces.plus_child):
         return False
     transcript = check_hypotheses(node.polytope, spec, node.mults, left, right)
-    if not transcript.passed:
+    if not transcript.passed or transcript != node.transcript:
         return False
     return _verify_node(left, cfg) and _verify_node(right, cfg)
 

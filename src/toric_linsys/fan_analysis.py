@@ -153,12 +153,9 @@ def root_region(f: Fan, ray_index: int) -> LatticePolytope:
 
 
 def demazure_roots(f: Fan):
-    """All Demazure roots of a complete fan, grouped by ray, lex order."""
-    rep = f.validation
-    if not rep.complete:
-        raise ValueError("root polytope may be unbounded")
-    if not rep.valid:
-        raise ValueError(f"invalid fan: {rep.first_failure}")
+    """All Demazure roots of a valid (hence complete) fan, grouped by ray,
+    lex order."""
+    _require_valid(f)
     roots = []
     for i in range(len(f.rays)):
         for m in lattice_points(root_region(f, i)):
@@ -214,7 +211,8 @@ def fan_symmetries(f: Fan):
     """All unimodular maps permuting the rays and the maximal cones.
 
     Anchored search: the image of the first maximal cone determines the
-    candidate map, the rest is filtering.
+    candidate map, the rest is filtering. An integral map that permutes rays
+    spanning R^n maps their lattice onto itself, so it is unimodular.
     """
     _require_valid(f)
     ray_of = {r: i for i, r in enumerate(f.rays)}
@@ -231,17 +229,8 @@ def fan_symmetries(f: Fan):
             if any(x % d for row in t_adj for x in row):
                 continue
             a = tuple(tuple(x // d for x in row) for row in t_adj)
-            if abs(det(a)) != 1:
-                continue
-            images = []
-            ok = True
-            for r in f.rays:
-                img = tuple(mat_vec(a, r))
-                if img not in ray_of:
-                    ok = False
-                    break
-                images.append(ray_of[img])
-            if not ok or len(set(images)) != len(images):
+            images = [ray_of.get(tuple(mat_vec(a, r))) for r in f.rays]
+            if None in images or len(set(images)) != len(images):
                 continue
             if all(tuple(sorted(images[i] for i in c)) in cone_set
                    for c in f.max_cones):

@@ -52,7 +52,7 @@ class LinearSystem:
     def __post_init__(self):
         object.__setattr__(self, "multiplicities",
                            normalize_mults(self.multiplicities))
-        object.__setattr__(self, "divisor", tuple(int(d) for d in self.divisor))
+        object.__setattr__(self, "divisor", tuple(self.divisor))
 
     def section(self) -> SectionPolytope:
         return section_polytope(self.presentation, self.divisor)
@@ -190,9 +190,16 @@ def truncated_condition_counts(polytope: LatticePolytope, mults):
     return tuple(bisect_left(degrees, mu) for mu in mults)
 
 
+def toric_counts(polytope: LatticePolytope, mults):
+    """(h0, truncations, tvdim) of the ample system of a polytope in standard
+    position: tvdim = h0 - (conditions inside the polytope) - 1."""
+    h0 = len(lattice_points(polytope))
+    truncs = truncated_condition_counts(polytope, mults)
+    return h0, truncs, h0 - sum(truncs) - 1
+
+
 def toric_truncation(system: LinearSystem):
-    sec = system.section()
-    return truncated_condition_counts(sec.polytope, system.multiplicities)
+    return toric_counts(system.section().polytope, system.multiplicities)[1]
 
 
 @dataclass(frozen=True)
@@ -211,14 +218,23 @@ class SpecialityReport:
     mode: str
 
 
-def analyze_support(points, polytope, n, mults, cfg: RankConfig) -> SpecialityReport:
+def analyze(system: LinearSystem, cfg: RankConfig = RankConfig()) -> SpecialityReport:
+    """Full speciality report for a divisor-class system."""
+    return analyze_polytope_system(system.section().polytope,
+                                   system.multiplicities, cfg)
+
+
+def analyze_polytope_system(polytope: LatticePolytope, mults,
+                            cfg: RankConfig = RankConfig()) -> SpecialityReport:
+    """Speciality report for the ample system of a polytope in standard
+    position (monomial support = its lattice points)."""
     mults = normalize_mults(mults)
-    h0 = len(points)
-    rk, evidence = generic_rank_for_support(points, n, mults, cfg)
+    # toric_counts enumerates via lattice_points; the trials read the cache
+    h0, _, tvdim = toric_counts(polytope, mults)
+    n = polytope.dim
+    rk, evidence = generic_rank_for_support(polytope.points, n, mults, cfg)
     dim = h0 - rk - 1
     vdim = h0 - sum(comb(n + mu - 1, n) for mu in mults) - 1
-    truncs = truncated_condition_counts(polytope, mults)
-    tvdim = h0 - sum(truncs) - 1
     edim = max(vdim, -1)
     tedim = max(tvdim, -1)
     if not dim >= tedim >= edim:
@@ -230,19 +246,3 @@ def analyze_support(points, polytope, n, mults, cfg: RankConfig) -> SpecialityRe
         special=dim > edim, toric_special=dim > tedim,
         samples=evidence, seed=cfg.seed,
         mode="exact" if cfg.exact else "modular")
-
-
-def analyze(system: LinearSystem, cfg: RankConfig = RankConfig()) -> SpecialityReport:
-    """Full speciality report for a divisor-class system."""
-    sec = system.section()
-    return analyze_support(sec.points, sec.polytope,
-                           system.presentation.rank,
-                           system.multiplicities, cfg)
-
-
-def analyze_polytope_system(polytope: LatticePolytope, mults,
-                            cfg: RankConfig = RankConfig()) -> SpecialityReport:
-    """Speciality report for the ample system of a polytope in standard
-    position (monomial support = its lattice points)."""
-    pts = tuple(lattice_points(polytope))
-    return analyze_support(pts, polytope, polytope.dim, mults, cfg)

@@ -45,6 +45,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_BOUND = 318665857834031151167461
 MAX_PRIME_BITS = 78  # 2^78 < _MR_BOUND
 _TRIAL_PRIMES = 256  # (tseed, bits) prime searches trial_prime remembers
+MAX_TRIALS = 1000  # a larger trial count is an input error, not a long run
 
 
 def is_prime(n: int) -> bool:
@@ -120,6 +121,8 @@ class RankConfig:
         # zero trials would report every system as special with no evidence
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.trials > MAX_TRIALS:
+            raise ValueError(f"trials must be at most {MAX_TRIALS}")
         if self.prime_bits < 3:
             raise ValueError("prime_bits must be at least 3")
         if self.prime_bits > MAX_PRIME_BITS:

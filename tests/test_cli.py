@@ -657,3 +657,118 @@ def test_dim_golden_seeded_output(tmp_path, capsys, shape, mults, trials,
     out, _ = capsys.readouterr()
     assert code == 0
     assert out == expected
+
+
+def tampered_certificate(tmp_path, capsys, edit):
+    """The certificate of hirzebruch:1, class 6,4, mults 2,2,2,2,2 after
+    edit(certificate) changed it in place; returns its file."""
+    certfile = tmp_path / "c.json"
+    run_cli(["certify", "--example", "hirzebruch:1", "--class", "6,4",
+             "--mults", "2,2,2,2,2", "--out", str(certfile)], capsys)
+    doc = json.loads(certfile.read_text())
+    edit(doc["certificate"])
+    certfile.write_text(json.dumps(doc))
+    return certfile
+
+
+def first_leaf(node):
+    while node["kind"] != "leaf":
+        node = node["children"][0]
+    return node
+
+
+def made_up_transcript(node):
+    node["transcript"]["tvdim_minus"] += 5
+    node["transcript"]["witness"] = ["made_up", 0, [0, 0]]
+
+
+def shifted_tvdim(node):
+    node["transcript"]["tvdim_minus"] += 5
+
+
+def special_leaf(node):
+    first_leaf(node)["report"].update(special=True, vdim=-7)
+
+
+def leaf_vdim(node):
+    first_leaf(node)["report"]["vdim"] -= 1
+
+
+@pytest.mark.parametrize("edit", [made_up_transcript, shifted_tvdim,
+                                  special_leaf, leaf_vdim])
+def test_verify_compares_stored_transcripts_and_reports(edit, tmp_path,
+                                                        capsys):
+    certfile = tampered_certificate(tmp_path, capsys, edit)
+    code, doc, _ = run_cli(["verify", "--certificate", str(certfile)], capsys)
+    assert (code, doc) == (4, {"verified": False})
+
+
+def test_verify_ignores_samples_seed_and_mode_of_leaf_reports(tmp_path,
+                                                              capsys):
+    # an exact verify with other trials records other samples, another seed
+    # and another mode than the stored modular reports
+    certfile = tampered_certificate(tmp_path, capsys, lambda node: None)
+    code, doc, _ = run_cli(["verify", "--certificate", str(certfile),
+                            "--exact", "--trials", "2", "--seed", "7"],
+                           capsys)
+    assert (code, doc) == (0, {"verified": True})
+
+
+@pytest.mark.parametrize("command", ["dim", "certify"])
+def test_fan_file_on_dim_and_certify(command, tmp_path, capsys):
+    fanfile = tmp_path / "f.json"
+    fanfile.write_text(json.dumps(fan_to_json(hirzebruch_fan(1))))
+    system = ["--class", "2,1", "--mults", "2"]
+    _, from_example, _ = run_cli(
+        [command, "--example", "hirzebruch:1", *system], capsys)
+    code, from_file, _ = run_cli(
+        [command, "--fan", str(fanfile), *system], capsys)
+    assert code == 0
+    from_example.pop("example", None)
+    assert from_file == from_example
+    # --example takes precedence over --fan, as in h0
+    code, both, _ = run_cli([command, "--example", "pn:2", "--fan",
+                             str(fanfile), "--class", "2", "--mults", "2"],
+                            capsys)
+    assert code == 0
+    if command == "dim":
+        assert both["example"] == "pn:2" and both["h0"] == 6
+
+
+@pytest.mark.parametrize("spec", ["pn", "hirzebruch", "box", "simplex:2",
+                                  "pn:2:3", "bl3p2:1"])
+def test_catalog_spec_with_wrong_arity_is_an_input_error(spec, capsys):
+    code = main(["validate", "--example", spec])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert len(out.splitlines()) == 1
+    assert f"example '{spec}' takes" in json.loads(out)["error"]
+    assert "Traceback" not in err
+
+
+def test_huge_trial_count_is_an_input_error(capsys):
+    code, doc, _ = run_cli(["dim", "--example", "pn:2", "--class", "2",
+                            "--mults", "2", "--trials", str(10**20)], capsys)
+    assert (code, doc) == (1, {"error": "trials must be at most 1000",
+                               "path": None})
+
+
+def test_sweep_huge_trial_count_fails_every_task(tmp_path, capsys):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({
+        "tasks": [{"polytope": polytope_to_json(box_polytope((1, 1))),
+                   "multiplicities": [1]}] * 2,
+        "cfg": {"trials": 10**20}}))
+    code, doc, err = run_cli(["sweep", "--job", str(job)], capsys)
+    assert code == 0
+    assert (doc["failed"], doc["ok"]) == (2, 0)
+    assert "trials must be at most 1000" in err
+
+
+def test_roots_of_an_invalid_fan(tmp_path, capsys):
+    fanfile = tmp_path / "half.json"
+    fanfile.write_text(json.dumps(
+        {"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]}))
+    code, doc, _ = run_cli(["roots", "--fan", str(fanfile)], capsys)
+    assert code == 1
+    assert doc["error"].startswith("invalid fan: ")

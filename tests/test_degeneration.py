@@ -32,12 +32,11 @@ from toric_linsys.degeneration import (
     _containment_witness,
     _leaf,
     _level_order,
-    _node_stats,
     _split_order,
     CertificateNode,
     axis_widths,
 )
-from toric_linsys.linsys import GenericityError
+from toric_linsys.linsys import GenericityError, toric_counts
 
 
 CFG = RankConfig(seed=40)
@@ -410,7 +409,7 @@ def _certify_unpruned(polytope, mults, depth, cfg):
                                                   left, right)
                     if not transcript.passed:
                         continue
-                    h0, truncs, tvdim = _node_stats(polytope, mults)
+                    h0, truncs, tvdim = toric_counts(polytope, mults)
                     return CertificateNode(
                         "split", polytope, tuple(mults), h0, truncs, tvdim,
                         split=spec, transcript=transcript,

@@ -29,7 +29,9 @@ from toric_linsys.catalog import (
     trapezoid_polytope,
     unit_square_polytope,
 )
-from toric_linsys.linalg import affine_rank, dot, mat_mul, mat_vec
+from toric_linsys.fan_analysis import _require_valid
+from toric_linsys.linalg import (adjugate, affine_rank, columns_matrix, det,
+                                 dot, mat_mul, mat_vec)
 
 from lp_oracles import lp_in_hull, no_lp
 
@@ -374,3 +376,81 @@ def _assert_capsule_fan_agreement(poly):
         capsule = vertex_capsule(poly, tuple(int(x) for x in vert))
         fan_says = j in verdict.transitive_cone_indices
         assert capsule.contains_polytope == fan_says, (poly, vert)
+
+
+def fan_symmetries_with_det(f: Fan):
+    """The search as it was before the determinant test was dropped, kept
+    verbatim as an oracle: every candidate also needs |det| = 1."""
+    _require_valid(f)
+    ray_of = {r: i for i, r in enumerate(f.rays)}
+    cone_set = {c for c in f.max_cones}
+    base = f.max_cones[0]
+    d, base_adj = adjugate(columns_matrix(tuple(f.rays[i] for i in base)))
+    out = {}
+    for target in f.max_cones:
+        for perm in itertools.permutations(target):
+            # the candidate t . base^-1 = t . adj / d is integral iff d
+            # divides every entry of t . adj
+            t_adj = mat_mul(columns_matrix(tuple(f.rays[i] for i in perm)),
+                            base_adj)
+            if any(x % d for row in t_adj for x in row):
+                continue
+            a = tuple(tuple(x // d for x in row) for row in t_adj)
+            if abs(det(a)) != 1:
+                continue
+            images = []
+            ok = True
+            for r in f.rays:
+                img = tuple(mat_vec(a, r))
+                if img not in ray_of:
+                    ok = False
+                    break
+                images.append(ray_of[img])
+            if not ok or len(set(images)) != len(images):
+                continue
+            if all(tuple(sorted(images[i] for i in c)) in cone_set
+                   for c in f.max_cones):
+                out[a] = None
+    return tuple(sorted(out))
+
+
+# rays (+-1, +-1) span an index-2 sublattice: simplicial and complete but
+# not smooth
+DIAGONAL_FAN = Fan(2, ((1, 1), (-1, 1), (-1, -1), (1, -1)),
+                   ((0, 1), (1, 2), (2, 3), (0, 3)))
+SYMMETRY_FANS = (projective_space_fan(2), projective_space_fan(3),
+                 p1_power_fan(2), p1_power_fan(3), hirzebruch_fan(1),
+                 hirzebruch_fan(2), hirzebruch_fan(3), bl3p2_fan(),
+                 DIAGONAL_FAN)
+
+
+def unimodular_matrix(n, rng, steps=6):
+    """A seeded product of elementary matrices and sign flips."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            c = rng.randint(-2, 2)
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        if rng.random() < 0.3:
+            a[i] = [-x for x in a[i]]
+    return tuple(map(tuple, a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SYMMETRY_FANS), st.integers(0, 2**32 - 1),
+       st.booleans())
+def test_fan_symmetries_match_the_determinant_oracle(fan, seed, moved):
+    if moved:
+        g = unimodular_matrix(fan.rank, random.Random(seed))
+        assert abs(det(g)) == 1
+        fan = Fan(fan.rank, tuple(tuple(mat_vec(g, r)) for r in fan.rays),
+                  fan.max_cones)
+    assert fan.validation.valid
+    assert fan_symmetries(fan) == fan_symmetries_with_det(fan)
+
+
+def test_diagonal_fan_symmetries():
+    # the dihedral group of the square, though no cone is smooth
+    assert not DIAGONAL_FAN.validation.smooth
+    assert len(fan_symmetries(DIAGONAL_FAN)) == 8

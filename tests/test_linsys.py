@@ -17,6 +17,7 @@ from toric_linsys import (
     derivative_orders,
     generic_rank,
     lattice_points,
+    section_polytope,
     toric_truncation,
     transitive_cones,
 )
@@ -434,3 +435,37 @@ def test_genericity_error_on_non_downset_support():
     shifted = box_polytope((1, 1)).translate((2, 0))
     with pytest.raises(GenericityError):
         analyze_polytope_system(shifted, (2,), RankConfig(seed=1))
+
+
+@pytest.mark.parametrize("divisor", [(2.5, 1), (Fraction(5, 2), 1)])
+def test_non_integral_divisor_is_an_error_not_truncated(divisor):
+    # int() used to read (2.5, 1) as the class (2, 1)
+    with pytest.raises(ValueError, match="integer vector expected"):
+        section_polytope(CPF1, divisor)
+    system = LinearSystem(CPF1, divisor, (1,))
+    for call in (system.section, lambda: analyze(system)):
+        with pytest.raises(ValueError, match="integer vector expected"):
+            call()
+
+
+SYSTEM_FANS = {"pn:2": CP2, "hirzebruch:1": CPF1,
+               "p1n:2": presentation(p1_power_fan(2))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(SYSTEM_FANS)), st.lists(st.integers(-1, 4),
+       min_size=2, max_size=2), st.lists(st.integers(0, 3), max_size=4),
+       st.integers(0, 2**32))
+def test_analyze_is_the_report_of_the_section_polytope(name, cls, mults,
+                                                       seed):
+    cp = SYSTEM_FANS[name]
+    cls = tuple(cls[:cp.class_rank])
+    poly = section_polytope(cp, cls).polytope
+    cfg = RankConfig(trials=2, seed=seed)
+    report = analyze(LinearSystem(cp, cls, mults), cfg)
+    assert report == analyze_polytope_system(poly, mults, cfg)
+    # tvdim against the orders inside the polytope, counted one by one
+    n = cp.rank
+    inside = sum(poly.contains(u) for mu in mults if mu
+                 for u in derivative_orders(n, mu))
+    assert report.tvdim == report.h0 - inside - 1

@@ -323,3 +323,11 @@ def test_full_rank_matrices_never_reach_bareiss(monkeypatch):
     assert rank_exact([[0, 0, 0], [1, 2, 3], [0, 0, 0], [4, 5, 7]]) == 2
     assert rank_exact([[Fraction(1, 2), 1], [1, Fraction(1, 3)]]) == 2
     assert rank_exact([]) == 0
+
+
+def test_rank_config_trials_are_capped():
+    assert rank_module.MAX_TRIALS == 1000
+    assert RankConfig(trials=1000).trials == 1000
+    for trials in (1001, 10**20):
+        with pytest.raises(ValueError, match="trials must be at most 1000"):
+            RankConfig(trials=trials)
