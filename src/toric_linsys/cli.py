@@ -200,7 +200,8 @@ def load_system(args):
         if args.example:
             desc["example"] = args.example
         return sec.polytope, mults, desc
-    raise InputError("need --system FILE or --example plus --class/--mults")
+    raise InputError("need --system FILE or --fan/--example plus "
+                     "--class/--mults")
 
 
 def system_from_obj(obj, path=None):

@@ -15,8 +15,6 @@ from fractions import Fraction
 
 from .lattice import (
     LatticePolytope,
-    cone_contains,
-    cone_is_smooth,
     json_ints,
     json_typed,
     jsonable,
@@ -59,15 +57,11 @@ def ensure_standard_form(p: LatticePolytope):
         raise ValueError("origin is not a vertex")
     fan, fan_verts = normal_fan(p)  # raises when a vertex is not simple
     ci = fan_verts.index(origin)
-    cone = fan.cone(ci)
-    negated = cone.negated()
-    if not (cone_is_smooth(cone)
-            and all(cone_contains(negated, r) for i, r in enumerate(fan.rays)
-                    if i not in fan.max_cones[ci])):
+    if not fan.is_transitive(ci):
         raise ValueError("origin is not a transitive vertex")
     # the cone at the origin must be spanned by the negative axes
     axes = {tuple(-1 if j == i else 0 for j in range(n)) for i in range(n)}
-    if set(cone.rays) != axes:
+    if {fan.rays[i] for i in fan.max_cones[ci]} != axes:
         raise ValueError("edges at the origin are not along the axes")
 
 

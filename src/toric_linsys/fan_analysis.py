@@ -17,14 +17,11 @@ from math import lcm
 from .lattice import (
     Fan,
     LatticePolytope,
-    cone_contains,
-    gl_change_of_basis,
     lattice_points,
     primitivize,
     vertex_neighbors,
 )
 from .linalg import (
-    adjugate,
     affine_rank,
     columns_matrix,
     det,
@@ -57,7 +54,6 @@ def _require_valid(f: Fan):
     rep = f.validation
     if not rep.valid:
         raise ValueError(f"invalid fan: {rep.first_failure}")
-    return rep
 
 
 def transitive_cones(f: Fan) -> TransitivityVerdict:
@@ -66,20 +62,14 @@ def transitive_cones(f: Fan) -> TransitivityVerdict:
     An empty index list means the fan is not quasi-transitive. When nonempty,
     the fan is normalized at the first listed cone.
     """
-    rep = _require_valid(f)
-    found = []
-    for ci, idx in enumerate(f.max_cones):
-        if not rep.cone_smooth[ci]:
-            continue
-        neg = f.cone(ci).negated()
-        outside = [f.rays[i] for i in range(len(f.rays)) if i not in idx]
-        if all(cone_contains(neg, r) for r in outside):
-            found.append(ci)
+    _require_valid(f)
+    found = [ci for ci in range(len(f.max_cones)) if f.is_transitive(ci)]
     if not found:
         return TransitivityVerdict((), None, None, None)
 
     sigma = f.max_cones[found[0]]
-    basis_change = gl_change_of_basis(f.cone(found[0]))
+    # |d| = 1, so -m is minus the inverse of sigma's ray matrix: ray_i -> -e_i
+    basis_change = tuple(map(vec_neg, f.cone_facets[found[0]][1]))
     order = tuple(sigma) + tuple(i for i in range(len(f.rays)) if i not in sigma)
     position = {old: new for new, old in enumerate(order)}
     new_rays = tuple(tuple(mat_vec(basis_change, f.rays[old])) for old in order)
@@ -217,18 +207,18 @@ def fan_symmetries(f: Fan):
     _require_valid(f)
     ray_of = {r: i for i, r in enumerate(f.rays)}
     cone_set = {c for c in f.max_cones}
-    base = f.max_cones[0]
-    d, base_adj = adjugate(columns_matrix(tuple(f.rays[i] for i in base)))
+    d, base_m = f.cone_facets[0]
+    d = abs(d)
     out = {}
     for target in f.max_cones:
         for perm in itertools.permutations(target):
-            # the candidate t . base^-1 = t . adj / d is integral iff d
-            # divides every entry of t . adj
-            t_adj = mat_mul(columns_matrix(tuple(f.rays[i] for i in perm)),
-                            base_adj)
-            if any(x % d for row in t_adj for x in row):
+            # the candidate t . base^-1 = t . m / |d| is integral iff |d|
+            # divides every entry of t . m
+            t_m = mat_mul(columns_matrix(tuple(f.rays[i] for i in perm)),
+                          base_m)
+            if any(x % d for row in t_m for x in row):
                 continue
-            a = tuple(tuple(x // d for x in row) for row in t_adj)
+            a = tuple(tuple(x // d for x in row) for row in t_m)
             images = [ray_of.get(tuple(mat_vec(a, r))) for r in f.rays]
             if None in images or len(set(images)) != len(images):
                 continue

@@ -153,26 +153,35 @@ class Fan:
         return Cone(tuple(self.rays[i] for i in self.max_cones[ci]), self.rank)
 
     @cached_property
+    def cone_facets(self):
+        """Per maximal cone: (d, m), d the determinant of its ray matrix and m
+        its adjugate times sign(d), so the cone is {x : m x >= 0} and m / |d|
+        is the inverse of the ray matrix. m is None when d == 0."""
+        out = []
+        for c in self.max_cones:
+            d, adj = adjugate(columns_matrix(tuple(self.rays[i] for i in c)))
+            out.append((d, adj if d >= 0 else tuple(map(vec_neg, adj))))
+        return tuple(out)
+
+    def is_transitive(self, ci: int) -> bool:
+        """Maximal cone ci is smooth and every ray outside it lies in its
+        negative: |d| = 1 and m r <= 0 for every such ray r."""
+        d, m = self.cone_facets[ci]
+        cone = self.max_cones[ci]
+        return abs(d) == 1 and all(
+            dot(row, r) <= 0 for i, r in enumerate(self.rays) if i not in cone
+            for row in m)
+
+    @cached_property
     def validation(self) -> ValidationReport:
         return validate_fan(self)
 
 
-def _cone_location_data(fan, adjugates):
-    """Per maximal cone: (M, gens) with x interior to the cone <=> M x > 0,
-    from the (det, adjugate) pair of each cone's ray matrix."""
-    data = []
-    for c, (d, adj) in zip(fan.max_cones, adjugates):
-        gens = tuple(fan.rays[i] for i in c)
-        if d < 0:
-            adj = tuple(tuple(-x for x in row) for row in adj)
-        data.append((adj, gens))
-    return data
-
-
-def _interiors_disjoint(a, b, n):
-    """Exact: do two full-dimensional simplicial cones have disjoint interiors?"""
-    loc1, gens1 = a
-    loc2, gens2 = b
+def _interiors_disjoint(f, a, b):
+    """Exact: do maximal cones a and b of a fan have disjoint interiors?"""
+    n = f.rank
+    loc1, loc2 = f.cone_facets[a][1], f.cone_facets[b][1]
+    gens1, gens2 = (tuple(f.rays[i] for i in f.max_cones[c]) for c in (a, b))
     # cheap pass: a facet hyperplane of one cone separating the other.
     for ma, gb in ((loc1, gens2), (loc2, gens1)):
         for row in ma:
@@ -219,21 +228,16 @@ def validate_fan(f: Fan, samples: int = 128, seed: int = 0) -> ValidationReport:
     cone_smooth = []
     simplicial = True
     if not failures:
-        adjugates = [adjugate(columns_matrix(tuple(f.rays[i] for i in c)))
-                     for c in f.max_cones]
-        for ci, (d, _adj) in enumerate(adjugates):
+        for ci, (d, _m) in enumerate(f.cone_facets):
             if d == 0:
                 failures.append(f"maximal cone {ci} is degenerate")
                 simplicial = False
-                cone_smooth.append(False)
-            else:
-                cone_smooth.append(abs(d) == 1)
+            cone_smooth.append(abs(d) == 1)
 
     complete = False
     if not failures:
-        loc = _cone_location_data(f, adjugates)
         for a, b in itertools.combinations(range(len(f.max_cones)), 2):
-            if not _interiors_disjoint(loc[a], loc[b], n):
+            if not _interiors_disjoint(f, a, b):
                 failures.append(f"maximal cones {a} and {b} overlap")
                 break
         if not failures:
@@ -291,8 +295,10 @@ class LatticePolytope:
                    for nv, off in zip(self.normals, self.offsets))
 
     @cached_property
-    def vertices(self):
-        """All vertices, exact rational coordinates, lexicographically sorted."""
+    def incidence(self):
+        """Vertex-facet incidence: each vertex, in exact rational coordinates
+        and lexicographic order, mapped to the frozenset of the indices of
+        the inequalities tight at it."""
         n = self.dim
         out = {}
         rows = list(zip(self.normals, self.offsets))
@@ -300,11 +306,23 @@ class LatticePolytope:
             sub = [rows[i][0] for i in combo]
             rhs = [rows[i][1] for i in combo]
             x = solve_unique(sub, rhs)
-            if x is None:
+            if x is None or x in out:
                 continue
-            if self.contains(x):
-                out[x] = None
-        return tuple(sorted(out))
+            tight = []
+            for i, (nv, off) in enumerate(rows):
+                value = dot(nv, x)
+                if value > off:
+                    break
+                if value == off:
+                    tight.append(i)
+            else:
+                out[x] = frozenset(tight)
+        return {x: out[x] for x in sorted(out)}
+
+    @cached_property
+    def vertices(self):
+        """All vertices, exact rational coordinates, lexicographically sorted."""
+        return tuple(self.incidence)
 
     def bounding_box(self):
         """Exact integer bounding box (lo, hi), or None when empty.
@@ -413,13 +431,7 @@ def lattice_points(p: LatticePolytope):
 
 def polytope_vertex_tight_sets(p: LatticePolytope):
     """For each vertex, the set of inequality indices tight at it."""
-    out = []
-    for v in p.vertices:
-        tight = frozenset(
-            i for i, (nv, off) in enumerate(zip(p.normals, p.offsets))
-            if dot(nv, v) == off)
-        out.append(tight)
-    return out
+    return list(p.incidence.values())
 
 
 def vertex_neighbors(p: LatticePolytope):

@@ -772,3 +772,24 @@ def test_roots_of_an_invalid_fan(tmp_path, capsys):
     code, doc, _ = run_cli(["roots", "--fan", str(fanfile)], capsys)
     assert code == 1
     assert doc["error"].startswith("invalid fan: ")
+
+
+@pytest.mark.parametrize("command", ["dim", "certify"])
+def test_missing_system_names_every_input(command, capsys):
+    code, doc, _ = run_cli([command, "--class", "2,1", "--mults", "2"],
+                           capsys)
+    assert (code, doc) == (1, {
+        "error": "need --system FILE or --fan/--example plus --class/--mults",
+        "path": None})
+
+
+def test_certify_system_not_in_standard_form(tmp_path, capsys):
+    # the origin is a transitive vertex, but its edge to (2, 2) is slanted
+    system = tmp_path / "slanted.json"
+    system.write_text(json.dumps({
+        "polytope": {"normals": [[-1, 0], [1, -1], [0, 1]],
+                     "offsets": [0, 0, 2]},
+        "multiplicities": [2, 2]}))
+    code, doc, _ = run_cli(["certify", "--system", str(system)], capsys)
+    assert (code, doc) == (1, {
+        "error": "edges at the origin are not along the axes", "path": None})

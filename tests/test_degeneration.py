@@ -217,6 +217,30 @@ def test_ensure_standard_form_rejects_slanted_origin_edges():
         ensure_standard_form(triangle)
 
 
+# one polytope {m : <m, normal_i> <= offset_i} per standard-form failure, in
+# the order the checks run; the second also fails the later "origin is not a
+# vertex" check, the last has a transitive origin with slanted edges
+STANDARD_FORM_FAILURES = [
+    (((-1, 0), (0, -1), (1, 0), (0, 1)), (0, 0, 0, 1), "not full-dimensional"),
+    (((-1, 0), (0, -1), (1, 1)), (1, 0, 2),
+     "polytope leaves the first orthant"),
+    (((-1, 0), (0, -1), (0, 1), (-1, 1)), (0, 0, 2, 1), "unbounded polyhedron"),
+    (((-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 0, 1), (0, 1, 1)),
+     (0, 0, 0, 1, 1), "vertex is not simple"),
+    (((-1, 0), (0, -1), (-1, 1), (1, 1)), (0, 0, 1, 3),
+     "origin is not a transitive vertex"),
+    (((-1, 0), (1, -1), (0, 1)), (0, 0, 2),
+     "edges at the origin are not along the axes"),
+]
+
+
+@pytest.mark.parametrize("normals, offsets, message", STANDARD_FORM_FAILURES)
+def test_ensure_standard_form_messages(normals, offsets, message):
+    with pytest.raises(ValueError) as exc:
+        ensure_standard_form(LatticePolytope(normals, offsets))
+    assert str(exc.value) == message
+
+
 def test_certificate_roundtrip_and_verify():
     cert = certify(PolytopeSystem(box_polytope((3, 2)), (2, 1)), cfg=CFG)
     assert cert is not None

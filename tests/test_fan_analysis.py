@@ -9,9 +9,12 @@ from toric_linsys import (
     Fan,
     LatticePolytope,
     build_presentation,
+    cone_contains,
+    cone_is_smooth,
     demazure_roots,
     detect_p1_power,
     fan_symmetries,
+    gl_change_of_basis,
     normal_fan,
     ray_index_partition,
     roots_outside_sigma_check,
@@ -454,3 +457,32 @@ def test_diagonal_fan_symmetries():
     # the dihedral group of the square, though no cone is smooth
     assert not DIAGONAL_FAN.validation.smooth
     assert len(fan_symmetries(DIAGONAL_FAN)) == 8
+
+
+def cone_oracle_is_transitive(f, ci):
+    """The transitivity test through Cone objects: smooth, and every ray
+    outside the cone is a nonnegative combination of its negated rays."""
+    c = f.cone(ci)
+    return cone_is_smooth(c) and all(
+        cone_contains(c.negated(), r)
+        for i, r in enumerate(f.rays) if i not in f.max_cones[ci])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SYMMETRY_FANS), st.integers(0, 2**32 - 1),
+       st.booleans())
+def test_transitivity_matches_the_cone_oracle(fan, seed, moved):
+    if moved:
+        g = unimodular_matrix(fan.rank, random.Random(seed))
+        fan = Fan(fan.rank, tuple(tuple(mat_vec(g, r)) for r in fan.rays),
+                  fan.max_cones)
+    found = [ci for ci in range(len(fan.max_cones))
+             if cone_oracle_is_transitive(fan, ci)]
+    assert [ci for ci in range(len(fan.max_cones))
+            if fan.is_transitive(ci)] == found
+    verdict = transitive_cones(fan)
+    assert list(verdict.transitive_cone_indices) == found
+    if found:
+        assert verdict.basis_change == gl_change_of_basis(fan.cone(found[0]))
+    else:
+        assert verdict.basis_change is None

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -21,6 +22,7 @@ from toric_linsys import (
     primitivize,
     validate_fan,
 )
+from toric_linsys.lattice import polytope_vertex_tight_sets
 from toric_linsys.catalog import (
     bl3p2_fan,
     box_polytope,
@@ -40,6 +42,7 @@ from toric_linsys.linalg import (
     lp_solve,
     mat_vec,
     solve_in_span,
+    solve_unique,
 )
 
 from lp_oracles import lp_box, lp_interiors_meet, no_lp
@@ -440,6 +443,32 @@ def test_vertex_box_matches_lp(p):
     if box is None or isinstance(box, tuple):
         assert lattice_points(p) == brute_force_points(p, _scan_box(box,
                                                                     p.dim))
+
+
+def rescanned_incidence(p):
+    """The vertex search as it was before the incidence map, kept as an
+    oracle: keep each solution of n rows that satisfies every row, then
+    rescan every row for the ones tight at each vertex."""
+    found = {}
+    rows = list(zip(p.normals, p.offsets))
+    for combo in itertools.combinations(range(len(rows)), p.dim):
+        x = solve_unique([rows[i][0] for i in combo],
+                         [rows[i][1] for i in combo])
+        if x is not None and p.contains(x):
+            found[x] = None
+    return [(v, frozenset(i for i, (nv, off) in enumerate(rows)
+                          if dot(nv, v) == off))
+            for v in sorted(found)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(downsets(), general_polytopes()))
+def test_incidence_matches_a_rescan_of_the_rows(p):
+    expected = rescanned_incidence(p)
+    assert list(p.incidence.items()) == expected
+    assert p.vertices == tuple(v for v, _ in expected)
+    assert all(type(x) is Fraction for v in p.vertices for x in v)
+    assert polytope_vertex_tight_sets(p) == [t for _, t in expected]
 
 
 @st.composite
