@@ -69,7 +69,7 @@ def transitive_cones(f: Fan) -> TransitivityVerdict:
 
     sigma = f.max_cones[found[0]]
     # |d| = 1, so -m is minus the inverse of sigma's ray matrix: ray_i -> -e_i
-    basis_change = tuple(map(vec_neg, f.cone_facets[found[0]][1]))
+    basis_change = tuple(map(vec_neg, f.cone_facets(found[0])[1]))
     order = tuple(sigma) + tuple(i for i in range(len(f.rays)) if i not in sigma)
     position = {old: new for new, old in enumerate(order)}
     new_rays = tuple(tuple(mat_vec(basis_change, f.rays[old])) for old in order)
@@ -207,7 +207,7 @@ def fan_symmetries(f: Fan):
     _require_valid(f)
     ray_of = {r: i for i, r in enumerate(f.rays)}
     cone_set = {c for c in f.max_cones}
-    d, base_m = f.cone_facets[0]
+    d, base_m = f.cone_facets(0)
     d = abs(d)
     out = {}
     for target in f.max_cones:

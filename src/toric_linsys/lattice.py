@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, prod
+from math import ceil, floor, gcd, prod
 
 from .linalg import (
     _echelon,
@@ -26,7 +26,6 @@ from .linalg import (
     pivot_columns,
     rank as matrix_rank,
     solve_in_span,
-    solve_unique,
     vec_gcd,
     vec_neg,
 )
@@ -134,6 +133,7 @@ class Fan:
         cones = tuple(tuple(sorted(_as_int_vector(c))) for c in self.max_cones)
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "max_cones", cones)
+        object.__setattr__(self, "_cone_facets", {})  # filled by cone_facets
         if self.rank < 1:
             raise ValueError("rank must be positive")
         for r in rays:
@@ -152,21 +152,21 @@ class Fan:
     def cone(self, ci: int) -> Cone:
         return Cone(tuple(self.rays[i] for i in self.max_cones[ci]), self.rank)
 
-    @cached_property
-    def cone_facets(self):
-        """Per maximal cone: (d, m), d the determinant of its ray matrix and m
-        its adjugate times sign(d), so the cone is {x : m x >= 0} and m / |d|
-        is the inverse of the ray matrix. m is None when d == 0."""
-        out = []
-        for c in self.max_cones:
-            d, adj = adjugate(columns_matrix(tuple(self.rays[i] for i in c)))
-            out.append((d, adj if d >= 0 else tuple(map(vec_neg, adj))))
-        return tuple(out)
+    def cone_facets(self, ci: int):
+        """(d, m) of maximal cone ci, computed on first use: d the determinant
+        of its ray matrix and m its adjugate times sign(d), so the cone is
+        {x : m x >= 0} and m / |d| is the inverse of the ray matrix. m is
+        None when d == 0."""
+        if ci not in self._cone_facets:
+            d, adj = adjugate(columns_matrix(
+                tuple(self.rays[i] for i in self.max_cones[ci])))
+            self._cone_facets[ci] = d, adj if d >= 0 else tuple(map(vec_neg, adj))
+        return self._cone_facets[ci]
 
     def is_transitive(self, ci: int) -> bool:
         """Maximal cone ci is smooth and every ray outside it lies in its
         negative: |d| = 1 and m r <= 0 for every such ray r."""
-        d, m = self.cone_facets[ci]
+        d, m = self.cone_facets(ci)
         cone = self.max_cones[ci]
         return abs(d) == 1 and all(
             dot(row, r) <= 0 for i, r in enumerate(self.rays) if i not in cone
@@ -180,7 +180,7 @@ class Fan:
 def _interiors_disjoint(f, a, b):
     """Exact: do maximal cones a and b of a fan have disjoint interiors?"""
     n = f.rank
-    loc1, loc2 = f.cone_facets[a][1], f.cone_facets[b][1]
+    loc1, loc2 = f.cone_facets(a)[1], f.cone_facets(b)[1]
     gens1, gens2 = (tuple(f.rays[i] for i in f.max_cones[c]) for c in (a, b))
     # cheap pass: a facet hyperplane of one cone separating the other.
     for ma, gb in ((loc1, gens2), (loc2, gens1)):
@@ -228,7 +228,8 @@ def validate_fan(f: Fan, samples: int = 128, seed: int = 0) -> ValidationReport:
     cone_smooth = []
     simplicial = True
     if not failures:
-        for ci, (d, _m) in enumerate(f.cone_facets):
+        for ci in range(len(f.max_cones)):
+            d = f.cone_facets(ci)[0]
             if d == 0:
                 failures.append(f"maximal cone {ci} is degenerate")
                 simplicial = False
@@ -298,26 +299,54 @@ class LatticePolytope:
     def incidence(self):
         """Vertex-facet incidence: each vertex, in exact rational coordinates
         and lexicographic order, mapped to the frozenset of the indices of
-        the inequalities tight at it."""
+        the inequalities tight at it.
+
+        One depth-first walk over row subsets in index order finds them: each
+        step reduces a row (offset last) against its prefix's integer echelon
+        and divides out its gcd; a row whose normal part reduces to zero ends
+        the branch, as every superset is singular. At depth n integer back
+        substitution gives a gcd-reduced key (numerators, denominator), so a
+        vertex found twice is scanned once. Every row is tested in integers
+        as N.num <= offset * den; only accepted vertices become Fractions."""
         n = self.dim
-        out = {}
-        rows = list(zip(self.normals, self.offsets))
-        for combo in itertools.combinations(range(len(rows)), n):
-            sub = [rows[i][0] for i in combo]
-            rhs = [rows[i][1] for i in combo]
-            x = solve_unique(sub, rhs)
-            if x is None or x in out:
-                continue
-            tight = []
-            for i, (nv, off) in enumerate(rows):
-                value = dot(nv, x)
-                if value > off:
-                    break
-                if value == off:
-                    tight.append(i)
-            else:
-                out[x] = frozenset(tight)
-        return {x: out[x] for x in sorted(out)}
+        # each row with its offset last; dot(row, num) reads the normal part
+        rows = [(*nv, off) for nv, off in zip(self.normals, self.offsets)]
+        seen = set()
+        found = []
+
+        def scan(echelon):
+            num, den = [0] * n, 1
+            for col, row in reversed(echelon):
+                s = row[n] * den - dot(row, num)
+                num = [x * row[col] for x in num]
+                num[col], den = s, den * row[col]
+            g = gcd(den, *num) * (1 if den > 0 else -1)
+            key = (*(x // g for x in num), den // g)
+            if key in seen:
+                return
+            seen.add(key)
+            *num, den = key
+            slack = [row[n] * den - dot(row, num) for row in rows]
+            if min(slack) >= 0:
+                tight = frozenset(i for i, gap in enumerate(slack) if not gap)
+                found.append((tuple(Fraction(x, den) for x in num), tight))
+
+        def walk(start, echelon):
+            if len(echelon) == n:
+                return scan(echelon)
+            for i in range(start, len(rows) - n + len(echelon) + 1):
+                row = rows[i]
+                for col, piv in echelon:
+                    if f := row[col]:
+                        row = [piv[col] * x - f * y for x, y in zip(row, piv)]
+                col = next((j for j in range(n) if row[j]), None)
+                if col is not None:  # else every superset is singular
+                    g = gcd(*row)
+                    walk(i + 1, echelon + [(col, [x // g for x in row])])
+
+        walk(0, [])
+        # distinct keys give distinct vertices, so no tight sets are compared
+        return dict(sorted(found))
 
     @cached_property
     def vertices(self):

@@ -1,8 +1,10 @@
 """Golden stdout of the commands whose documents no other test pins byte for
 byte: transitive, roots, symmetries, cox, h0 --points, split, capsule and
 sweep (counts on stdout, records in the --out file), with one failing call
-per error path. The expected bytes live in golden_cli.json; file paths in
-them read <tmp>."""
+per error path. Also some callers of the vertex search: capsule at every
+vertex of a polytope with rational vertices, validate on a fan of 32 cones
+and a certify search. The expected bytes live in golden_cli.json; file
+paths in them read <tmp>."""
 
 import json
 from pathlib import Path
@@ -19,10 +21,18 @@ GOLDEN = json.loads(
 H1 = fan_to_json(hirzebruch_fan(1))
 BOX = polytope_to_json(box_polytope((2, 1)))
 TRIANGLE3 = {"normals": [[-1, 0], [0, -1], [1, 1]], "offsets": [0, 0, 3]}
+# the cube [0, 2]^3 cut by x + y + z <= 9/2: seven integral vertices and
+# three rational ones on the cut
+CHOPPED_CUBE = {"normals": [[-1, 0, 0], [0, -1, 0], [0, 0, -1], [1, 0, 0],
+                            [0, 1, 0], [0, 0, 1], [2, 2, 2]],
+                "offsets": [0, 0, 0, 2, 2, 2, 9]}
+CHOPPED_CUBE_VERTICES = ("0,0,0", "0,0,2", "0,2,0", "0,2,2", "2,0,0",
+                         "2,0,2", "2,2,0", "1/2,2,2", "2,1/2,2", "2,2,1/2")
 
 FILES = {
     "h1.json": H1,
     "box.json": BOX,
+    "chopped_cube.json": CHOPPED_CUBE,
     "no_rays.json": {"rank": 2, "max_cones": H1["max_cones"]},
     "div.json": {"coeffs": [1, 1, 0, 0]},
     "div_short.json": {"standard": [2]},
@@ -71,6 +81,13 @@ CASES = {
     "capsule-hexagon": ["capsule", "--example", "bl3p2", "--vertex", "0,1"],
     "capsule-cube": ["capsule", "--example", "box:1x1x1",
                      "--vertex", "0,0,0"],
+    **{f"capsule-chopped-cube-{v}": ["capsule", "--polytope",
+                                     "<tmp>/chopped_cube.json", "--vertex", v]
+       for v in CHOPPED_CUBE_VERTICES},
+    "validate-p1n5": ["validate", "--example", "p1n:5"],
+    "certify-hirzebruch1-depth1": ["certify", "--example", "hirzebruch:1",
+                                   "--class", "6,4", "--mults", "2,2,2,2,2",
+                                   "--max-depth", "1"],
     "sweep": ["sweep", "--job", "<tmp>/job.json"],
     "sweep-out": ["sweep", "--job", "<tmp>/job.json", "--out",
                   "<tmp>/records.jsonl"],

@@ -30,6 +30,7 @@ from toric_linsys.catalog import (
     hexagon_polytope,
     hirzebruch_fan,
     projective_space_fan,
+    simplex_polytope,
     trapezoid_polytope,
 )
 from toric_linsys import lattice as lattice_module
@@ -469,6 +470,57 @@ def test_incidence_matches_a_rescan_of_the_rows(p):
     assert p.vertices == tuple(v for v, _ in expected)
     assert all(type(x) is Fraction for v in p.vertices for x in v)
     assert polytope_vertex_tight_sets(p) == [t for _, t in expected]
+
+
+@st.composite
+def moved_catalog_polytopes(draw):
+    """Catalog boxes and simplices of dimension 5-6 under a unimodular map
+    and a translation, with duplicated, parallel, zero and dependent rows
+    mixed in. Parallel and dependent rows may cut, giving rational and
+    non-simple vertices; a negative zero row empties the polytope. Some
+    repeat a column, so their normals are rank-deficient."""
+    n = draw(st.integers(5, 6))
+    if draw(st.booleans()):
+        p = box_polytope(draw(st.lists(st.integers(1, 2), min_size=n,
+                                       max_size=n)))
+    else:
+        p = simplex_polytope(n, draw(st.integers(1, 3)))
+    cols = tuple(zip(*draw(unimodular(n))))
+    t = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    rows = []
+    for nv, off in zip(p.normals, p.offsets):
+        nv = [dot(nv, c) for c in cols]
+        rows.append((nv, off + dot(nv, t)))
+    row = st.sampled_from(rows)
+    delta = st.integers(-1, 1)
+    for kind in draw(st.lists(st.sampled_from(
+            ("duplicate", "parallel", "zero", "dependent")), max_size=3)):
+        (nv, off), d = draw(row), draw(delta)
+        if kind == "duplicate":
+            rows.append((list(nv), off))
+        elif kind == "parallel":
+            # a half or third step in or out: in, it cuts at rational points
+            k, step = draw(st.integers(2, 3)), draw(st.sampled_from((-1, 1)))
+            rows.append(([k * x for x in nv], k * off + step))
+        elif kind == "zero":
+            rows.append(([0] * n, d))
+        else:
+            nv2, off2 = draw(row)
+            rows.append(([x + y for x, y in zip(nv, nv2)], off + off2 + d))
+    if draw(st.integers(0, 4)) == 0:
+        for nv, _ in rows:
+            nv[-1] = nv[0]
+    rows = draw(st.permutations(rows))
+    return LatticePolytope(tuple(tuple(nv) for nv, _ in rows),
+                           tuple(off for _, off in rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(moved_catalog_polytopes())
+def test_incidence_matches_a_rescan_in_dimensions_5_and_6(p):
+    items = list(p.incidence.items())
+    assert items == rescanned_incidence(p)
+    assert all(type(x) is Fraction for v, _ in items for x in v)
 
 
 @st.composite
