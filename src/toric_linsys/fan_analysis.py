@@ -200,31 +200,49 @@ def _basis_index(col):
 def fan_symmetries(f: Fan):
     """All unimodular maps permuting the rays and the maximal cones.
 
-    Anchored search: the image of the first maximal cone determines the
-    candidate map, the rest is filtering. An integral map that permutes rays
-    spanning R^n maps their lattice onto itself, so it is unimodular.
+    A symmetry is fixed by where it sends the rays of cone 0 (the first
+    maximal cone), in order, so each candidate is one ordering of a maximal
+    cone. The n! orderings of cone 0 itself are all checked: the accepted
+    maps form its stabiliser H. For every other maximal cone T, T's orderings
+    are checked until one map g_T is accepted (T is skipped if none is); the
+    symmetries sending cone 0 onto T are then exactly the coset g_T H, built
+    as products with no check. An integral map that permutes rays spanning
+    R^n maps their lattice onto itself, so it is unimodular.
     """
     _require_valid(f)
     ray_of = {r: i for i, r in enumerate(f.rays)}
-    cone_set = {c for c in f.max_cones}
+    cone_set = set(f.max_cones)
     d, base_m = f.cone_facets(0)
     d = abs(d)
-    out = {}
-    for target in f.max_cones:
-        for perm in itertools.permutations(target):
-            # the candidate t . base^-1 = t . m / |d| is integral iff |d|
-            # divides every entry of t . m
-            t_m = mat_mul(columns_matrix(tuple(f.rays[i] for i in perm)),
-                          base_m)
-            if any(x % d for row in t_m for x in row):
-                continue
-            a = tuple(tuple(x // d for x in row) for row in t_m)
-            images = [ray_of.get(tuple(mat_vec(a, r))) for r in f.rays]
-            if None in images or len(set(images)) != len(images):
-                continue
-            if all(tuple(sorted(images[i] for i in c)) in cone_set
-                   for c in f.max_cones):
-                out[a] = None
+
+    def accepted(perm):
+        # the candidate t . base^-1 = t . m / |d| is integral iff |d|
+        # divides every entry of t . m
+        t_m = mat_mul(columns_matrix(tuple(f.rays[i] for i in perm)), base_m)
+        if any(x % d for row in t_m for x in row):
+            return None
+        a = tuple(tuple(x // d for x in row) for row in t_m)
+        images = [ray_of.get(mat_vec(a, r)) for r in f.rays]
+        if None in images or len(set(images)) != len(images):
+            return None
+        if all(tuple(sorted(images[i] for i in c)) in cone_set
+               for c in f.max_cones):
+            return a
+        return None
+
+    # an accepted map is a nonempty tuple, so filter(None, ...) keeps them
+    orderings = itertools.permutations
+    stabiliser = list(filter(None, map(accepted, orderings(f.max_cones[0]))))
+    firsts = (next(filter(None, map(accepted, orderings(t))), None)
+              for t in f.max_cones[1:])
+    cosets = [g for g in firsts if g is not None]
+    # g_T h row by row: the g_T share few distinct rows, so each row . h is
+    # computed once per h
+    rows = tuple({row for g in cosets for row in g})
+    out = list(stabiliser)
+    for h in stabiliser:
+        times_h = dict(zip(rows, mat_mul(rows, h)))
+        out.extend(tuple(map(times_h.__getitem__, g)) for g in cosets)
     return tuple(sorted(out))
 
 

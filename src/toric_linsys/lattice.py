@@ -523,20 +523,21 @@ def jsonable(x):
     """Recursively convert reports to plain JSON values; Fractions become
     'p/q' strings, exact integers stay integers, dataclasses become objects
     with one key per field and JSON values pass through."""
+    # plain types first: the Fraction test goes through ABCMeta
+    if isinstance(x, (int, float, str)) or x is None:
+        return x
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return int(x)
         return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, (int, float, str)) or x is None:
-        return x
     if is_dataclass(x) and not isinstance(x, type):
         return {f.name: jsonable(getattr(x, f.name)) for f in fields(x)}
     if isinstance(x, (frozenset, set)):
         return sorted(jsonable(v) for v in x)
     if isinstance(x, dict):
         return {str(k): jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [jsonable(v) for v in x]
     raise TypeError(f"cannot serialize {type(x)!r}")
 
 

@@ -14,10 +14,12 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    # map stops at the shorter operand, as zip does
+    return sum(map(mul, a, b))
 
 
 def vec_sub(a, b):
@@ -36,7 +38,7 @@ def vec_gcd(v):
 
 
 def transpose(m):
-    return tuple(tuple(row[j] for row in m) for j in range(len(m[0])))
+    return tuple(zip(*m))
 
 
 def mat_vec(m, v):

@@ -121,6 +121,10 @@ def build_point_matrix(columns, mults, points, prime=None) -> InterpolationMatri
     coordinates j of the order-u_j vectors; modular rows are reduced once."""
     n = len(columns[0]) if columns else (len(points[0]) if points else 0)
     coords = list(zip(*columns)) if columns else [()] * n
+    # _order_vectors reads each exponent as a list index
+    if any(min(cj, default=0) < 0 for cj in coords):
+        raise ValueError("negative exponent in the monomial support; "
+                         "the polytope is not in the first orthant")
     orders = {mu: derivative_orders(n, mu) for mu in set(mults)}
     rows = []
     labels = []

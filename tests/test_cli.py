@@ -432,6 +432,42 @@ def test_dim_rejects_negative_multiplicity(tmp_path, capsys):
                        "path": None}
 
 
+# polytopes off the first orthant: the first exited 0 with a wrong rank and
+# toric_special true, the second ended dim and a whole sweep in an
+# IndexError traceback
+NEGATIVE_EXPONENT_SYSTEMS = {
+    "wrong-rank": {"polytope": {"normals": [[-1, 2], [-1, 2], [0, -1], [1, 0]],
+                                "offsets": [1, 4, 0, 3]},
+                   "multiplicities": [3, 3, 2]},
+    "index-error": {"polytope": {"normals": [[1, 1], [-1, 2], [2, -1], [-2, 0],
+                                             [0, 0]],
+                                 "offsets": [-2, 2, -1, 4, 0]},
+                    "multiplicities": [3, 3, 2]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_EXPONENT_SYSTEMS))
+def test_dim_rejects_a_negative_exponent(name, tmp_path, capsys):
+    sysfile = tmp_path / "s.json"
+    sysfile.write_text(json.dumps(NEGATIVE_EXPONENT_SYSTEMS[name]))
+    code, doc, err = run_cli(["dim", "--system", str(sysfile)], capsys)
+    assert code == 1
+    assert "negative exponent" in doc["error"]
+    assert "Traceback" not in err
+
+
+def test_sweep_negative_exponent_fails_that_task(tmp_path, capsys):
+    job = tmp_path / "job.json"
+    tasks = [NEGATIVE_EXPONENT_SYSTEMS[name]
+             for name in sorted(NEGATIVE_EXPONENT_SYSTEMS)]
+    tasks.append({"polytope": TRIANGLE3, "multiplicities": [2]})
+    job.write_text(json.dumps({"tasks": tasks}))
+    code, doc, err = run_cli(["sweep", "--job", str(job)], capsys)
+    assert code == 0
+    assert doc["total"] == 3 and doc["ok"] == 1 and doc["failed"] == 2
+    assert err.count("negative exponent") == 2
+
+
 def test_sweep_negative_multiplicity_fails_that_task(tmp_path, capsys):
     job = tmp_path / "job.json"
     job.write_text(json.dumps({"tasks": [

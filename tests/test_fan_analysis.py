@@ -421,10 +421,35 @@ def fan_symmetries_with_det(f: Fan):
 # not smooth
 DIAGONAL_FAN = Fan(2, ((1, 1), (-1, 1), (-1, -1), (1, -1)),
                    ((0, 1), (1, 2), (2, 3), (0, 3)))
+
+
+def p2_bundle_fan(a):
+    """P(O + O(a)) over the projective plane."""
+    return Fan(3, ((-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 1, a), (0, 0, 1)),
+               tuple((i, j, w) for i, j in ((0, 1), (1, 3), (0, 3))
+                     for w in (2, 4)))
+
+
+def p1xp1_bundle_fan(a, b):
+    """A P^1-bundle over P^1 x P^1 twisted by (a, b)."""
+    return Fan(3, ((-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 0, a), (0, 1, b),
+                   (0, 0, 1)),
+               tuple((x, y, z) for x in (0, 3) for y in (1, 4) for z in (2, 5)))
+
+
+# the face fan of the cube [-1, 1]^3, each square cut by a diagonal: all 48
+# signed permutations permute the rays, but only 4 of them the cones
+CUBE_FAN = Fan(3, tuple(itertools.product((-1, 1), repeat=3)),
+               ((0, 2, 3), (0, 1, 3), (4, 6, 7), (4, 5, 7), (0, 4, 5),
+                (0, 1, 5), (3, 6, 7), (2, 3, 6), (0, 4, 6), (0, 2, 6),
+                (3, 5, 7), (1, 3, 5)))
+# fans whose symmetries move cone 0 onto only some of the cones
+PARTIAL_ORBIT_FANS = (p2_bundle_fan(1), p2_bundle_fan(2),
+                      p1xp1_bundle_fan(1, 1), p1xp1_bundle_fan(1, 2), CUBE_FAN)
 SYMMETRY_FANS = (projective_space_fan(2), projective_space_fan(3),
                  p1_power_fan(2), p1_power_fan(3), hirzebruch_fan(1),
                  hirzebruch_fan(2), hirzebruch_fan(3), bl3p2_fan(),
-                 DIAGONAL_FAN)
+                 DIAGONAL_FAN) + PARTIAL_ORBIT_FANS
 
 
 def unimodular_matrix(n, rng, steps=6):
@@ -440,17 +465,59 @@ def unimodular_matrix(n, rng, steps=6):
     return tuple(map(tuple, a))
 
 
-@settings(max_examples=60, deadline=None)
+def relabelled(fan, rng):
+    """The same fan with its rays and its maximal cones in a random order."""
+    order = list(range(len(fan.rays)))
+    rng.shuffle(order)
+    position = {old: new for new, old in enumerate(order)}
+    cones = [tuple(position[i] for i in c) for c in fan.max_cones]
+    rng.shuffle(cones)
+    return Fan(fan.rank, tuple(fan.rays[old] for old in order), tuple(cones))
+
+
+def cone_zero_images(fan, syms):
+    """The maximal cone that each symmetry sends cone 0 onto."""
+    ray_of = {r: i for i, r in enumerate(fan.rays)}
+    return [tuple(sorted(ray_of[mat_vec(a, fan.rays[i])]
+                         for i in fan.max_cones[0])) for a in syms]
+
+
+@settings(max_examples=80, deadline=None)
 @given(st.sampled_from(SYMMETRY_FANS), st.integers(0, 2**32 - 1),
-       st.booleans())
-def test_fan_symmetries_match_the_determinant_oracle(fan, seed, moved):
+       st.booleans(), st.booleans())
+def test_fan_symmetries_match_the_determinant_oracle(fan, seed, moved,
+                                                     relabel):
+    rng = random.Random(seed)
+    original = fan
     if moved:
-        g = unimodular_matrix(fan.rank, random.Random(seed))
+        g = unimodular_matrix(fan.rank, rng)
         assert abs(det(g)) == 1
         fan = Fan(fan.rank, tuple(tuple(mat_vec(g, r)) for r in fan.rays),
                   fan.max_cones)
+    if relabel:
+        # the symmetries are maps, so no labelling changes them
+        fan = relabelled(fan, rng)
+        if not moved:
+            assert fan_symmetries(fan) == fan_symmetries(original)
     assert fan.validation.valid
     assert fan_symmetries(fan) == fan_symmetries_with_det(fan)
+
+
+@pytest.mark.parametrize("fan", [projective_space_fan(4), p1_power_fan(4)])
+def test_fan_symmetries_match_the_determinant_oracle_in_rank_4(fan):
+    assert fan_symmetries(fan) == fan_symmetries_with_det(fan)
+
+
+def test_cone_zero_orbit_misses_cones():
+    # these targets have no coset; every other coset has the same size
+    assert len(fan_symmetries(CUBE_FAN)) == 4
+    for fan in PARTIAL_ORBIT_FANS:
+        for f in (fan, relabelled(fan, random.Random(7))):
+            images = cone_zero_images(f, fan_symmetries(f))
+            orbit = set(images)
+            assert 1 < len(orbit) < len(f.max_cones)
+            assert all(images.count(t) == images.count(f.max_cones[0])
+                       for t in orbit)
 
 
 def test_diagonal_fan_symmetries():

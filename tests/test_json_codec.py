@@ -4,9 +4,12 @@ Also the enumeration budgets that keep huge integers from ending in a
 traceback or an exhausted memory."""
 
 import json
+from dataclasses import dataclass, fields, is_dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toric_linsys import degeneration
 from toric_linsys.catalog import (bl3p2_fan, box_polytope, hexagon_polytope,
@@ -16,7 +19,7 @@ from toric_linsys.cli import main
 from toric_linsys.degeneration import (PolytopeSystem, certificate_to_json,
                                        certify)
 from toric_linsys.lattice import (POINT_BUDGET, Fan, LatticePolytope,
-                                  fan_from_json, fan_to_json, json_ints,
+                                  dumps, fan_from_json, fan_to_json, json_ints,
                                   json_typed, jsonable, polytope_from_json,
                                   polytope_to_json)
 from toric_linsys.linsys import derivative_orders
@@ -48,6 +51,50 @@ def test_one_writer_and_no_fan_or_polytope_branch():
     source = (SRC / "lattice.py").read_text()
     body = source.split("def jsonable(x):", 1)[1].split("\ndef ", 1)[0]
     assert "LatticePolytope" not in body and "Fan" not in body
+
+
+def jsonable_before(x):
+    """`jsonable` as it was before the plain types were tested first, kept
+    verbatim as an oracle."""
+    if isinstance(x, Fraction):
+        if x.denominator == 1:
+            return int(x)
+        return f"{x.numerator}/{x.denominator}"
+    if isinstance(x, (int, float, str)) or x is None:
+        return x
+    if is_dataclass(x) and not isinstance(x, type):
+        return {f.name: jsonable_before(getattr(x, f.name)) for f in fields(x)}
+    if isinstance(x, (frozenset, set)):
+        return sorted(jsonable_before(v) for v in x)
+    if isinstance(x, dict):
+        return {str(k): jsonable_before(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable_before(v) for v in x]
+    raise TypeError(f"cannot serialize {type(x)!r}")
+
+
+@dataclass(frozen=True)
+class Pair:
+    first: object
+    second: object
+
+
+LEAVES = st.one_of(st.integers(), st.booleans(), st.fractions(), st.none(),
+                   st.text(max_size=4))
+DOCUMENTS = st.recursive(LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    # members of one set must sort against each other once encoded
+    st.frozensets(st.integers(), max_size=4),
+    st.frozensets(st.text(max_size=4), max_size=4),
+    st.dictionaries(st.one_of(st.integers(), st.text(max_size=4)), kids,
+                    max_size=4),
+    st.builds(Pair, kids, kids)), max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOCUMENTS)
+def test_dumps_equals_the_encoder_before_the_reorder(doc):
+    assert dumps(doc) == json.dumps(jsonable_before(doc), sort_keys=True)
 
 
 @pytest.mark.parametrize("fan", [

@@ -266,3 +266,35 @@ def test_solve_in_span_property(vectors, data):
 @given(matrices(rational=False), st.sampled_from([2, 3, 5, 7, 2 ** 61 - 1]))
 def test_rank_mod_p_never_exceeds_exact_rank(rows, p):
     assert rank_mod_p(rows, p) <= rank_exact(rows)
+
+
+def dot_before(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def mat_mul_before(a, b):
+    cols = tuple(tuple(row[j] for row in b) for j in range(len(b[0])))
+    return tuple(tuple(dot_before(row, col) for col in cols) for row in a)
+
+
+NUMBERS = st.one_of(st.integers(-10**20, 10**20), st.fractions())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(NUMBERS, max_size=7), st.lists(NUMBERS, max_size=7))
+def test_dot_equals_the_generator_form(a, b):
+    # unequal lengths sum over the shorter operand, as zip does; the vertex
+    # walk of LatticePolytope.incidence dots each (normal, offset) row with
+    # the n numerators of a vertex
+    got, want = dot(tuple(a), b), dot_before(a, b)
+    assert got == want and type(got) is type(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_mat_mul_equals_the_generator_form(a, data):
+    b = data.draw(matrices(rows=len(a[0])))
+    got, want = mat_mul(a, b), mat_mul_before(a, b)
+    assert got == want
+    assert [type(x) for row in got for x in row] == \
+        [type(x) for row in want for x in row]

@@ -437,6 +437,24 @@ def test_genericity_error_on_non_downset_support():
         analyze_polytope_system(shifted, (2,), RankConfig(seed=1))
 
 
+# {-x + 2y <= 1, -x + 2y <= 4, y >= 0, x <= 3} holds the point (-1, 0); the
+# exponent -1 was read as a negative list index, giving rank 8 where its
+# translate by (1, 0) has rank 9
+OFF_ORTHANT = LatticePolytope(((-1, 2), (-1, 2), (0, -1), (1, 0)), (1, 4, 0, 3))
+
+
+def test_negative_exponent_is_an_error_not_an_index():
+    assert (-1, 0) in OFF_ORTHANT.points
+    for prime in (None, 101):
+        with pytest.raises(ValueError, match="negative exponent"):
+            build_point_matrix(OFF_ORTHANT.points, (2,), [(3, 5)], prime)
+    with pytest.raises(ValueError, match="negative exponent"):
+        analyze_polytope_system(OFF_ORTHANT, (3, 3, 2), RankConfig(seed=0))
+    # the translate into the first orthant builds as before
+    moved = OFF_ORTHANT.translate((1, 0))
+    assert build_point_matrix(moved.points, (2,), [(3, 5)]).rows
+
+
 @pytest.mark.parametrize("divisor", [(2.5, 1), (Fraction(5, 2), 1)])
 def test_non_integral_divisor_is_an_error_not_truncated(divisor):
     # int() used to read (2.5, 1) as the class (2, 1)
