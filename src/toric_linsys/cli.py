@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 from functools import cache
 
 from . import catalog
@@ -136,6 +137,15 @@ def parse_int_list(text):
         return tuple(int(x) for x in text.split(",") if x.strip() != "")
     except ValueError as exc:
         raise InputError(f"malformed integer list '{text}': {exc}")
+
+
+def parse_vertex(text):
+    """Comma-separated integer or p/q coordinates, as Fractions."""
+    try:
+        return tuple(Fraction(*map(int, x.split("/", 1)))
+                     for x in text.split(","))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"malformed vertex '{text}': {exc}")
 
 
 def standard_coeffs_from(args, verdict, cp) -> tuple:
@@ -268,7 +278,7 @@ def cmd_capsule(args):
     poly = load_input(args, "polytope")
     if args.vertex is None:
         raise InputError("need --vertex LIST")
-    vertex = parse_int_list(args.vertex)
+    vertex = parse_vertex(args.vertex)
     result = vertex_capsule(poly, vertex)
     emit(result, args,
          f"contains_polytope={result.contains_polytope} certified={result.certified}")
@@ -449,7 +459,7 @@ def build_parser():
             fan=True)
     p = command("capsule", cmd_capsule, "convex capsule test at a vertex",
                 polytope=True)
-    p.add_argument("--vertex", help="vertex coordinates, e.g. '0,1'")
+    p.add_argument("--vertex", help="vertex coordinates, e.g. '0,1/2'")
     command("cox", cmd_cox, "Cox presentation matrices", fan=True)
     p = command("h0", cmd_h0, "section count of a divisor class", fan=True)
     p.add_argument("--divisor", help="divisor JSON file")

@@ -11,7 +11,6 @@ dim = tedim. Failure to find a certificate proves nothing.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, fields, replace
-from fractions import Fraction
 
 from .lattice import (
     LatticePolytope,
@@ -50,7 +49,7 @@ def ensure_standard_form(p: LatticePolytope):
     verts = p.vertices
     if affine_rank(verts) != n:
         raise ValueError("not full-dimensional")
-    origin = tuple(Fraction(0) for _ in range(n))
+    origin = (0,) * n
     if any(x < 0 for v in verts for x in v):
         raise ValueError("polytope leaves the first orthant")
     if origin not in verts:
@@ -227,13 +226,11 @@ def _leaf(polytope, mults, cfg):
 
 
 def _level_order(width):
-    mid = Fraction(width + 1, 2)
-    return sorted(range(1, width + 1), key=lambda c: (abs(c - mid), c))
+    return sorted(range(1, width + 1), key=lambda c: (abs(2 * c - width - 1), c))
 
 
 def _split_order(k):
-    mid = Fraction(k, 2)
-    return sorted(range(1, k), key=lambda s: (abs(s - mid), s))
+    return sorted(range(1, k), key=lambda s: (abs(2 * s - k), s))
 
 
 def _certify(polytope, mults, depth, cfg):

@@ -177,36 +177,20 @@ class Fan:
         return validate_fan(self)
 
 
-def _interiors_disjoint(f, a, b):
-    """Exact: do maximal cones a and b of a fan have disjoint interiors?"""
-    n = f.rank
-    loc1, loc2 = f.cone_facets(a)[1], f.cone_facets(b)[1]
-    gens1, gens2 = (tuple(f.rays[i] for i in f.max_cones[c]) for c in (a, b))
-    # cheap pass: a facet hyperplane of one cone separating the other.
-    for ma, gb in ((loc1, gens2), (loc2, gens1)):
-        for row in ma:
-            # cone a lies in row.x >= 0; separated if cone b is in row.x <= 0.
-            if all(dot(row, g) <= 0 for g in gb):
-                return True
-    # they meet iff {M_a x >= 0, M_b x >= 0, (sum of rows of M_a).x <= 1}, a
-    # polytope inside cone a, has n + 1 affinely independent vertices
-    rows = tuple(vec_neg(row) for row in loc1 + loc2) + (
-        tuple(map(sum, zip(*loc1))),)
-    piece = LatticePolytope(rows, (0,) * (2 * n) + (1,))
-    return affine_rank(piece.vertices) < n
-
-
 def validate_fan(f: Fan, samples: int = 128, seed: int = 0) -> ValidationReport:
     """Check the fan invariants; the report carries failures instead of raising.
 
-    Completeness is decided exactly: the interiors of distinct maximal cones
-    must be disjoint and every facet of a maximal cone must lie in exactly
-    two of them. The two cones at a facet then lie on opposite sides of its
-    hyperplane, so every point of the facet's relative interior is interior
-    to the support. The boundary of the support therefore lies in the
-    codimension-two skeleton, which cannot separate R^n, so the support is
-    all of R^n. `samples` and `seed` are accepted for compatibility and
-    ignored.
+    Completeness is decided exactly by sign tests with the cone inverses m of
+    `Fan.cone_facets`: (1) the cones at a facet (n - 1 rays) lie on opposite
+    sides of it, as the row of m vanishing on it tells; (2) every facet lies
+    in exactly two maximal cones; (3) no later cone holds x, the sum of cone
+    0's rays. Let mu(y) count the cones whose interior holds y. Under (1)-(2)
+    crossing a facet leaves mu unchanged, so mu is constant off the faces of
+    dimension n - 2, a connected set for n >= 2; (3) makes mu = 1 near x,
+    so mu = 1 everywhere: the interiors are disjoint and cover R^n. Every
+    overlap reported is a true one. For n = 1, (1)-(2) suffice: the only
+    facet is the empty one and its two rays are +1 and -1. `samples` and
+    `seed` are accepted for compatibility and ignored.
     """
     failures = []
     n = f.rank
@@ -237,20 +221,26 @@ def validate_fan(f: Fan, samples: int = 128, seed: int = 0) -> ValidationReport:
 
     complete = False
     if not failures:
-        for a, b in itertools.combinations(range(len(f.max_cones)), 2):
-            if not _interiors_disjoint(f, a, b):
-                failures.append(f"maximal cones {a} and {b} overlap")
-                break
-        if not failures:
-            facets = {}
-            for c in f.max_cones:
-                for facet in itertools.combinations(c, n - 1):
-                    facets[facet] = facets.get(facet, 0) + 1
-            bad = [fc for fc, cnt in facets.items() if cnt != 2]
-            if bad:
-                failures.append(f"facet {bad[0]} shared by {facets[bad[0]]} cones")
-            else:
-                complete = True
+        # facet -> [(cone, position k of its other ray)], in the order of
+        # combinations(c, n - 1); row k of m vanishes on the facet
+        facets = {}
+        for ci, c in enumerate(f.max_cones):
+            for k in reversed(range(n)):
+                facets.setdefault(c[:k] + c[k + 1:], []).append((ci, k))
+        overlaps = [(a, b) for at in facets.values()
+                    for (a, ka), (b, kb) in itertools.combinations(at, 2)
+                    if dot(f.cone_facets(a)[1][ka],
+                           f.rays[f.max_cones[b][kb]]) > 0]
+        bad = [fc for fc, at in facets.items() if len(at) != 2]
+        if not overlaps and not bad:
+            x = tuple(map(sum, zip(*(f.rays[i] for i in f.max_cones[0]))))
+            overlaps = [(0, c) for c in range(1, len(f.max_cones)) if all(
+                dot(row, x) >= 0 for row in f.cone_facets(c)[1])]
+        if overlaps:
+            failures.append("maximal cones %d and %d overlap" % min(overlaps))
+        elif bad:
+            failures.append(f"facet {bad[0]} shared by {len(facets[bad[0]])} cones")
+        complete = not failures
 
     smooth = bool(cone_smooth) and all(cone_smooth)
     return ValidationReport(
@@ -490,16 +480,17 @@ def normal_fan(p: LatticePolytope):
         raise ValueError("not full-dimensional")
     p.bounding_box()  # raises when unbounded
     tight = polytope_vertex_tight_sets(p)
+    # a facet iff its tight set is nonempty and strictly inside no other (a
+    # proper face lies in a facet); zero rows, tight everywhere at 0, stay out
+    faces = {i: frozenset(vi for vi, t in enumerate(tight) if i in t)
+             for i, nv in enumerate(p.normals) if any(nv)}
     ray_index = {}
     rays = []
     facet_ray = {}
-    for i, nv in enumerate(p.normals):
-        touching = [vi for vi, t in enumerate(tight) if i in t]
-        if not touching:
-            continue
-        if affine_rank([verts[vi] for vi in touching]) != n - 1:
+    for i, face in faces.items():
+        if not face or any(face < other for other in faces.values()):
             continue  # lower-dimensional or redundant contact
-        prim = primitivize(nv)
+        prim = primitivize(p.normals[i])
         if prim not in ray_index:
             ray_index[prim] = len(rays)
             rays.append(prim)

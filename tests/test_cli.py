@@ -50,6 +50,18 @@ def test_capsule(capsys):
     assert doc["certified"] is True
 
 
+@pytest.mark.parametrize("vertex", ["1.5,0", "1/0,0", "1/2/3,0", "1/,0",
+                                    "x,0", "0,,0"])
+def test_capsule_vertex_takes_integers_and_p_over_q_only(vertex, capsys):
+    code, doc, _ = run_cli(["capsule", "--example", "box:2x1",
+                            "--vertex", vertex], capsys)
+    assert code == 1
+    assert doc["error"].startswith(f"malformed vertex '{vertex}'")
+    code, doc, _ = run_cli(["capsule", "--example", "box:2x1",
+                            "--vertex", "4/2,2/2"], capsys)
+    assert code == 0 and doc["vertex"] == [2, 1]
+
+
 def test_cox(capsys):
     code, doc, _ = run_cli(["cox", "--example", "hirzebruch:1"], capsys)
     assert code == 0

@@ -2,8 +2,9 @@
 byte: transitive, roots, symmetries, cox, h0 --points, split, capsule and
 sweep (counts on stdout, records in the --out file), with one failing call
 per error path. Also some callers of the vertex search: capsule at every
-vertex of a polytope with rational vertices, validate on a fan of 32 cones
-and a certify search. The expected bytes live in golden_cli.json; file
+vertex of a polytope with rational vertices (p/q coordinates included),
+validate on a fan of 32 cones, on a double cover and on two overlapping
+cones, and a certify search. The expected bytes live in golden_cli.json; file
 paths in them read <tmp>."""
 
 import json
@@ -34,6 +35,13 @@ FILES = {
     "box.json": BOX,
     "chopped_cube.json": CHOPPED_CUBE,
     "no_rays.json": {"rank": 2, "max_cones": H1["max_cones"]},
+    # every ray in two cones, winding twice around the origin
+    "double_cover.json": {"rank": 2, "rays": [[1, 0], [-1, 1], [0, -1],
+                                              [1, 1], [-2, -1]],
+                          "max_cones": [[0, 1], [1, 2], [2, 3], [3, 4],
+                                        [0, 4]]},
+    "overlap.json": {"rank": 2, "rays": [[1, 0], [0, 1], [1, 1]],
+                     "max_cones": [[0, 1], [0, 2]]},
     "div.json": {"coeffs": [1, 1, 0, 0]},
     "div_short.json": {"standard": [2]},
     "job.json": {"tasks": [
@@ -85,6 +93,8 @@ CASES = {
                                      "<tmp>/chopped_cube.json", "--vertex", v]
        for v in CHOPPED_CUBE_VERTICES},
     "validate-p1n5": ["validate", "--example", "p1n:5"],
+    "validate-double-cover": ["validate", "--fan", "<tmp>/double_cover.json"],
+    "validate-overlap": ["validate", "--fan", "<tmp>/overlap.json"],
     "certify-hirzebruch1-depth1": ["certify", "--example", "hirzebruch:1",
                                    "--class", "6,4", "--mults", "2,2,2,2,2",
                                    "--max-depth", "1"],

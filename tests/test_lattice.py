@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -143,7 +144,7 @@ def test_validate_p2_with_cone_removed():
     rep = validate_fan(broken)
     assert not rep.complete
     assert not rep.valid
-    assert any("facet" in msg for msg in rep.failures)
+    assert rep.failures == ("facet (1,) shared by 1 cones",)
 
 
 def test_validate_f1():
@@ -157,7 +158,49 @@ def test_validate_overlapping_cones():
     fan = Fan(2, ((1, 0), (0, 1), (1, 1)), ((0, 1), (0, 2)))
     rep = validate_fan(fan)
     assert not rep.valid
-    assert any("overlap" in msg for msg in rep.failures)
+    assert rep.failures == ("maximal cones 0 and 1 overlap",)
+
+
+# winds twice around the origin: every ray lies in exactly two cones, on
+# opposite sides, so only the interior point of cone 0 shows the overlap
+DOUBLE_COVER = Fan(2, ((1, 0), (-1, 1), (0, -1), (1, 1), (-2, -1)),
+                   ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
+
+
+def test_validate_double_cover():
+    counts = [sum(i in c for c in DOUBLE_COVER.max_cones) for i in range(5)]
+    assert counts == [2] * 5
+    rep = validate_fan(DOUBLE_COVER)
+    assert rep.failures == ("maximal cones 0 and 3 overlap",)
+    assert not rep.valid and not rep.complete and rep.smooth
+    assert lp_interiors_meet(*(DOUBLE_COVER.cone(c).rays for c in (0, 3)))
+
+
+def test_validate_three_cones_at_one_facet():
+    # the facet (1,) = ray (0, 1) lies in cones 0, 1 and 3, and cones 1 and
+    # 3 lie on its negative side; at the facet (2,) cones 1 and 4 lie on one
+    # side too, and the smaller pair is reported
+    fan = Fan(2, ((1, 0), (0, 1), (-1, -1), (-1, 0)),
+              ((0, 1), (1, 2), (0, 2), (1, 3), (2, 3)))
+    rep = validate_fan(fan)
+    assert rep.failures == ("maximal cones 1 and 3 overlap",)
+    assert not rep.valid and not rep.complete
+
+
+def test_validate_reads_only_cone_inverses():
+    # completeness comes from sign tests on the cached cone inverses: no
+    # polytope is built and no vertex or affine rank is computed
+    fans = [DOUBLE_COVER, projective_space_fan(3), hirzebruch_fan(2),
+            Fan(2, ((1, 0), (0, 1), (1, 1)), ((0, 1), (0, 2)))]
+    fail = AssertionError("polytope layer")
+    with mock.patch.object(LatticePolytope, "__post_init__", side_effect=fail), \
+            mock.patch.object(LatticePolytope, "incidence",
+                              new=property(mock.Mock(side_effect=fail))), \
+            mock.patch.object(lattice_module, "affine_rank",
+                              wraps=affine_rank) as spy:
+        reports = [validate_fan(f) for f in fans]
+    assert not spy.called
+    assert [r.valid for r in reports] == [False, True, True, False]
 
 
 def test_validate_nonprimitive_ray():
@@ -473,13 +516,13 @@ def test_incidence_matches_a_rescan_of_the_rows(p):
 
 
 @st.composite
-def moved_catalog_polytopes(draw):
-    """Catalog boxes and simplices of dimension 5-6 under a unimodular map
-    and a translation, with duplicated, parallel, zero and dependent rows
-    mixed in. Parallel and dependent rows may cut, giving rational and
-    non-simple vertices; a negative zero row empties the polytope. Some
-    repeat a column, so their normals are rank-deficient."""
-    n = draw(st.integers(5, 6))
+def moved_catalog_polytopes(draw, dims=(5, 6)):
+    """Catalog boxes and simplices of dimension 5-6 (or `dims`) under a
+    unimodular map and a translation, with duplicated, parallel, zero and
+    dependent rows mixed in. Parallel and dependent rows may cut, giving
+    rational and non-simple vertices; a negative zero row empties the
+    polytope. Some repeat a column, so their normals are rank-deficient."""
+    n = draw(st.integers(*dims))
     if draw(st.booleans()):
         p = box_polytope(draw(st.lists(st.integers(1, 2), min_size=n,
                                        max_size=n)))
@@ -551,42 +594,108 @@ def test_vertex_box_of_moved_root_regions_matches_lp(spec, data):
     assert box == lp_box(p)
 
 
+def reported_overlaps(rep):
+    """(a, b) of every "maximal cones a and b overlap" failure."""
+    return [tuple(int(w) for w in msg.split()[2:5:2]) for msg in rep.failures
+            if msg.endswith("overlap")]
+
+
 @st.composite
-def cone_pairs(draw):
-    """Two full-dimensional simplicial cones of rank 2-4 as a two-cone fan
-    (rays shared between them appear once)."""
+def facet_pairs(draw):
+    """Two full-dimensional simplicial cones of rank 2-4 sharing n - 1 rays,
+    as a two-cone fan: its only test is the side of the shared facet."""
     n = draw(st.integers(2, 4))
     ray = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any)
-    cones = []
-    for _ in range(2):
-        rays = [primitivize(tuple(r)) for r in
-                draw(st.lists(ray, min_size=n, max_size=n))]
-        assume(det(rays) != 0)
-        cones.append(rays)
-    rays = list(dict.fromkeys(cones[0] + cones[1]))
-    fan = Fan(n, tuple(rays), tuple(tuple(rays.index(r) for r in c)
-                                    for c in cones))
-    return fan, cones
+    rays = list(dict.fromkeys(primitivize(tuple(r)) for r in
+                              draw(st.lists(ray, min_size=n + 1,
+                                            max_size=n + 1))))
+    assume(len(rays) == n + 1)
+    cones = (tuple(range(n)), tuple(range(n - 1)) + (n,))
+    assume(all(det([rays[i] for i in c]) != 0 for c in cones))
+    return Fan(n, tuple(rays), cones)
 
 
 def test_cone_overlap_matches_lp():
-    decided_by_vertices = []
+    outcomes = set()
 
     @settings(max_examples=200, deadline=None)
-    @given(cone_pairs())
-    def check(pair):
-        fan, (gens_a, gens_b) = pair
-        with no_lp(), mock.patch("toric_linsys.lattice.affine_rank",
-                                 wraps=affine_rank) as spy:
+    @given(facet_pairs())
+    def check(fan):
+        with no_lp():
             rep = validate_fan(fan)
-        overlap = "maximal cones 0 and 1 overlap" in rep.failures
-        assert overlap == lp_interiors_meet(gens_a, gens_b)
-        if spy.called:
-            decided_by_vertices.append(overlap)
+        overlap = reported_overlaps(rep) == [(0, 1)]
+        assert overlap == lp_interiors_meet(fan.cone(0).rays,
+                                            fan.cone(1).rays)
+        outcomes.add(overlap)
 
     check()
-    # the vertex test, not only the facet pass, decided many pairs
-    assert len(decided_by_vertices) >= 20
+    assert outcomes == {False, True}
+
+
+SMALL_FAN_SPECS = ("pn:2", "pn:3", "p1n:2", "p1n:3", "hirzebruch:0",
+                   "hirzebruch:1", "hirzebruch:2", "hirzebruch:3", "bl3p2",
+                   "box:2x1", "box:1x2x3", "simplex:3:2", "trapezoid:2:1")
+
+
+@st.composite
+def small_fans(draw):
+    """Fans of rank 2-3 with at most 8 cones, all rays used and no cone
+    degenerate: a catalog fan or the double cover under a unimodular map,
+    with cones dropped, duplicated, added or replaced and rays moved."""
+    base = draw(st.sampled_from(SMALL_FAN_SPECS + ("double cover",)))
+    fan = DOUBLE_COVER if base == "double cover" else example_fan(base)
+    n = fan.rank
+    a = draw(unimodular(n))
+    rays = [tuple(mat_vec(a, r)) for r in fan.rays]
+    cones = list(fan.max_cones)
+    index = st.integers(0, len(rays) - 1)
+    some_cone = st.lists(index, min_size=n, max_size=n, unique=True)
+    for kind in draw(st.lists(st.sampled_from(
+            ("drop", "duplicate", "add", "replace", "move")), max_size=2)):
+        i = draw(st.integers(0, len(cones) - 1))
+        if kind == "drop" and len(cones) > 1:
+            del cones[i]
+        elif kind == "duplicate":
+            cones.append(cones[i])
+        elif kind == "add":
+            cones.append(draw(some_cone))
+        elif kind == "replace":
+            cones[i] = draw(some_cone)
+        elif kind == "move":
+            r = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+            assume(any(r) and primitivize(tuple(r)) not in rays)
+            rays[draw(index)] = primitivize(tuple(r))
+    assume(len(cones) <= 8)
+    assume(set(range(len(rays))) <= {i for c in cones for i in c})
+    assume(all(det([rays[i] for i in c]) != 0 for c in cones))
+    return Fan(n, tuple(rays), tuple(draw(st.permutations(cones))))
+
+
+def test_validate_matches_pairwise_lp():
+    """valid iff every pair of maximal cones has disjoint interiors by LP
+    and every facet lies in exactly two cones; each reported overlap is one
+    the LP confirms."""
+    verdicts = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_fans())
+    def check(fan):
+        with no_lp():
+            rep = validate_fan(fan)
+        gens = [fan.cone(c).rays for c in range(len(fan.max_cones))]
+        for a, b in reported_overlaps(rep):
+            assert lp_interiors_meet(gens[a], gens[b])
+        facets = collections.Counter(
+            f for c in fan.max_cones
+            for f in itertools.combinations(c, fan.rank - 1))
+        expected = (set(facets.values()) == {2} and not any(
+            lp_interiors_meet(ga, gb)
+            for ga, gb in itertools.combinations(gens, 2)))
+        assert rep.valid == expected
+        verdicts.add(rep.valid)
+
+    check()
+    assert verdicts == {False, True}
 
 
 def test_normal_fan_of_trapezoid_is_hirzebruch():
@@ -594,6 +703,42 @@ def test_normal_fan_of_trapezoid_is_hirzebruch():
     assert set(fan.rays) == {(-1, 0), (0, -1), (1, 1), (0, 1)}
     assert validate_fan(fan).valid
     assert len(fan.max_cones) == len(verts) == 4
+
+
+def normal_fan_by_affine_rank(p):
+    """normal_fan as it was before the tight-set test, kept as an oracle: a
+    row is a facet iff the vertices tight on it have affine rank n - 1."""
+    n = p.dim
+    if affine_rank(p.vertices) != n:
+        raise ValueError("not full-dimensional")
+    p.bounding_box()
+    facets = [i for i in range(len(p.normals)) if affine_rank(
+        [v for v, t in p.incidence.items() if i in t]) == n - 1]
+    rays = list(dict.fromkeys(primitivize(p.normals[i]) for i in facets))
+    cones = []
+    for t in p.incidence.values():
+        cone = {rays.index(primitivize(p.normals[i])) for i in t & set(facets)}
+        if len(cone) != n:
+            raise ValueError("vertex is not simple")
+        cones.append(tuple(sorted(cone)))
+    return Fan(n, tuple(rays), tuple(cones)), p.vertices
+
+
+def result_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(general_polytopes(), moved_catalog_polytopes((2, 4))))
+def test_normal_fan_facets_match_affine_rank(p):
+    with mock.patch.object(lattice_module, "affine_rank",
+                           wraps=affine_rank) as spy:
+        got = result_or_error(normal_fan, p)
+    assert spy.call_count <= 1  # the full-dimension check only
+    assert got == result_or_error(normal_fan_by_affine_rank, p)
 
 
 def test_normal_fan_needs_full_dimension():
