@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -132,9 +133,19 @@ def presentation_for(fan, path=None) -> tuple:
     return verdict, build_presentation(verdict)
 
 
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
+def _int_token(x):
+    """int(x) for an optional sign and ASCII digits, whitespace aside."""
+    if not _INT_TOKEN.fullmatch(x.strip()):
+        raise ValueError(f"invalid literal for int() with base 10: {x!r}")
+    return int(x)
+
+
 def parse_int_list(text):
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip() != "")
+        return tuple(map(_int_token, text.split(",")))
     except ValueError as exc:
         raise InputError(f"malformed integer list '{text}': {exc}")
 

@@ -518,6 +518,8 @@ def jsonable(x):
     if isinstance(x, (int, float, str)) or x is None:
         return x
     if isinstance(x, (list, tuple)):
+        if all(type(v) is int for v in x):
+            return list(x)  # one copy, not one call per integer
         return [jsonable(v) for v in x]
     if isinstance(x, Fraction):
         if x.denominator == 1:

@@ -8,15 +8,21 @@ Schwartz-Zippel a trial misses the generic rank with probability at most
 Each trial's rank is a lower bound on the generic rank: a minor that is
 nonzero mod p is nonzero as an integer polynomial.
 
-The modular elimination packs each row into one integer, a slot of w bits
-per column with column 0 in the lowest slot (Kronecker substitution), and
-delays reduction: entries are reduced mod p once, when packed, and only the
-pivot row's tail is reduced again, to normalise it. Every other row takes
-`(v >> w) + (p - f) * tail`, which drops its first column and adds less
-than p^2 to each slot. A row takes at most k = min(rows, cols) updates, so
-a slot stays nonnegative and below p + k * p^2 < 2^w for
-w = 8 * ceil((2 * bits(p) + bits(k) + 2) / 8): no slot carries into the
-next, and each slot stays congruent mod p to its field entry.
+The modular elimination is left-looking. Zero rows are dropped, and the
+longer side of the rest (rows, or columns if fewer) supplies the vectors,
+the shorter side, of length s, the slots. A vector is packed into one
+integer, w bits per slot, slot 0 lowest (Kronecker substitution), and walked
+from slot 0 against an echelon basis of at most one pivot per slot. A slot
+with a pivot takes `(v >> w) + (p - f) * tail`, f the slot mod p and tail
+the pivot's normalised rest: the slot drops and each later one gains less
+than p^2. At a slot with no pivot, f != 0 makes v the pivot there; a vector
+that reaches 0 is dependent. Reading stops at rank s, so a wide matrix of
+full row rank costs about s^3 / 3 slot updates and never touches the columns
+left without a pivot. Entries are reduced mod p once, when packed, and a
+pivot's tail once more. A vector takes at most one update per pivot, fewer
+than k = min(rows, cols), so a slot stays nonnegative and below
+p + k * p^2 < 2^w for w = 8 * ceil((2 * bits(p) + bits(k) + 2) / 8): no slot
+carries into the next, and each slot stays congruent mod p to its entry.
 
 An exact trial evaluates at random positive integer points. A nonzero
 minor mod 2^61 - 1 is a nonzero integer minor, so a mod-p rank of
@@ -29,7 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
+from itertools import chain, count
 from math import gcd, isqrt, prod
 
 from .linalg import _integer_rows, rank as matrix_rank
@@ -139,35 +145,39 @@ class TrialEvidence:
 def rank_mod_p(rows, p: int) -> int:
     """Rank of an integer matrix over the field with p elements; `rows` is
     not modified."""
+    if not all(issubclass(t, int) for t in set(map(type, chain(*rows)))):
+        raise TypeError("rank_mod_p needs integer entries")
     ncols = len(rows[0]) if rows else 0
     # slot width w = 8 * ceil((2 bits(p) + bits(min(rows, cols)) + 2) / 8)
     nbytes = (2 * p.bit_length() + min(len(rows), ncols).bit_length() + 9) // 8
     w = 8 * nbytes
     mask = (1 << w) - 1
-    try:
-        a = [int.from_bytes(b"".join([(x % p).to_bytes(nbytes, "little")
-                                      for x in row]), "little") for row in rows]
-    except AttributeError:  # a Fraction or float has no to_bytes
-        raise TypeError("rank_mod_p needs integer entries") from None
-    a = [v for v in a if v]
+    a = [row for row in rows if any(row)]
+    s = min(len(a), ncols)
+    tails = [None] * s  # tails[j]: the pivot at slot j past its leading 1
     rk = 0
-    for col in range(ncols):
-        if not a:
+    for vec in a if len(a) >= ncols else zip(*a):
+        if rk == s:
             break
-        lows = [(v & mask) % p for v in a]
-        piv = next((i for i, f in enumerate(lows) if f), None)
-        if piv is None:
-            a = [v >> w for v in a]
-            continue
-        inv = pow(lows.pop(piv), -1, p)
-        rest = (a.pop(piv) >> w).to_bytes((ncols - col - 1) * nbytes, "little")
-        tail = int.from_bytes(b"".join([
-            (int.from_bytes(rest[i:i + nbytes], "little") * inv % p)
-            .to_bytes(nbytes, "little")
-            for i in range(0, len(rest), nbytes)]), "little")
-        rk += 1
-        a = [(v >> w) + (p - f) * tail if f else v >> w
-             for v, f in zip(a, lows)]
+        v = int.from_bytes(b"".join([(x % p).to_bytes(nbytes, "little")
+                                     for x in vec]), "little")
+        for j, tail in enumerate(tails):
+            f = (v & mask) % p
+            if not f:
+                if not v:
+                    break  # v is dependent on the pivots
+                v >>= w
+            elif tail is not None:
+                v = (v >> w) + (p - f) * tail
+            else:
+                inv = pow(f, -1, p)
+                rest = (v >> w).to_bytes((s - j - 1) * nbytes, "little")
+                tails[j] = int.from_bytes(b"".join([
+                    (int.from_bytes(rest[i:i + nbytes], "little") * inv % p)
+                    .to_bytes(nbytes, "little")
+                    for i in range(0, len(rest), nbytes)]), "little")
+                rk += 1
+                break
     return rk
 
 

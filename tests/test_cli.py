@@ -62,6 +62,21 @@ def test_capsule_vertex_takes_integers_and_p_over_q_only(vertex, capsys):
     assert code == 0 and doc["vertex"] == [2, 1]
 
 
+@pytest.mark.parametrize("cls, mults", [
+    ("2,,1", "2,2"), ("2,1,", "2,2"), ("2,1_0", "2,2"),
+    ("2,1", "2,,2"), ("2,1", "2,2,"), ("2,1", "1_0,2")])
+def test_integer_lists_take_sign_and_ascii_digits_only(cls, mults, capsys):
+    # an empty token is not dropped and '1_0' is not read as 10
+    bad = cls if cls != "2,1" else mults
+    code, doc, _ = run_cli(["dim", "--example", "hirzebruch:1", "--class",
+                            cls, "--mults", mults], capsys)
+    assert code == 1
+    assert doc["error"].startswith(f"malformed integer list '{bad}'")
+    code, doc, _ = run_cli(["dim", "--example", "hirzebruch:1", "--class",
+                            " 2, +1", "--mults", "2 ,2"], capsys)
+    assert code == 0 and doc["divisor_standard"] == [2, 1]
+
+
 def test_cox(capsys):
     code, doc, _ = run_cli(["cox", "--example", "hirzebruch:1"], capsys)
     assert code == 0

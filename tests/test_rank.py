@@ -244,21 +244,63 @@ def staircase_product(m, n, p):
 
 
 @pytest.mark.parametrize("p", (2 ** 61 - 1, P78))
-@pytest.mark.parametrize("shape", ((64, 64), (200, 231)))
+@pytest.mark.parametrize("shape", ((64, 64), (200, 231), (231, 200)))
 def test_rank_mod_p_slots_do_not_overflow(p, shape):
+    # the staircase's rows are the inserted vectors only when rows >= cols;
+    # then each takes up to min(m, n) - 1 updates with f = 1 against tails
+    # of p - 1
     m, n = shape
     rng = random.Random(m * n + p % 1000)
     rows = [tuple(rng.choice((0, p - 2, p - 1)) for _ in range(n))
             for _ in range(m)]
-    assert rank_mod_p(rows, p) == textbook_rank_mod_p(rows, p) == m
+    assert rank_mod_p(rows, p) == textbook_rank_mod_p(rows, p) == min(m, n)
     stair = staircase_product(m, n, p)
     before = [list(row) for row in stair]
-    assert rank_mod_p(stair, p) == m - 1
+    assert rank_mod_p(stair, p) == min(m, n) - 1
     assert stair == before
 
 
+@st.composite
+def long_and_short_sides(draw):
+    """A matrix up to 12 x 30 or 30 x 12 with zero rows and columns
+    inserted; sometimes the first s vectors along the longer side are
+    multiples of a later one, so the walk must read past them."""
+    p = draw(st.sampled_from(PRIMES))
+    short, long = draw(st.integers(1, 12)), draw(st.integers(1, 30))
+    m, n = (long, short) if draw(st.booleans()) else (short, long)
+    entry = st.one_of(st.integers(-3 * p, 3 * p), st.integers(-3, 3))
+    rows = draw_rows(draw, m, n, entry)
+    for j in draw(st.lists(st.integers(0, n), max_size=3)):
+        for row in rows:
+            row.insert(j, 0)
+    m, n = len(rows), len(rows[0])
+    if draw(st.booleans()):
+        vecs = rows if m >= n else [list(c) for c in zip(*rows)]
+        s = min(m, n)
+        if len(vecs) > s:
+            later = vecs[draw(st.integers(s, len(vecs) - 1))]
+            for i in range(s):
+                c = draw(st.integers(-3, 3))
+                vecs[i] = [c * x for x in later]
+            rows = vecs if m >= n else [list(r) for r in zip(*vecs)]
+    return p, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(long_and_short_sides())
+def test_rank_mod_p_is_the_same_along_either_side(case):
+    p, rows = case
+    transpose = [list(col) for col in zip(*rows)]
+    assert rank_mod_p(rows, p) == rank_mod_p(transpose, p) \
+        == textbook_rank_mod_p(rows, p)
+
+
 def test_rank_mod_p_rejects_non_integer_entries():
-    for rows in ([[Fraction(1, 2), 1], [1, 2]], [[1, 2], [0.5, 1]]):
+    # in the third and fourth cases the last column is never read: the
+    # first two already give rank 2, the most two rows can have
+    for rows in ([[Fraction(1, 2), 1], [1, 2]], [[1, 2], [0.5, 1]],
+                 [[1, 0, Fraction(1, 2)], [0, 1, 0]], [[1, 0, 0.5], [0, 1, 0]],
+                 [[0, Fraction(0)], [1, 2]]):
         with pytest.raises(TypeError, match="rank_mod_p needs integer entries"):
             rank_mod_p(rows, 7)
 
