@@ -17,7 +17,6 @@ from functools import cached_property
 from math import ceil, floor, gcd, prod
 
 from .linalg import (
-    _echelon,
     adjugate,
     affine_rank,
     columns_matrix,
@@ -257,6 +256,29 @@ def validate_fan(f: Fan, samples: int = 128, seed: int = 0) -> ValidationReport:
 # Lattice polytopes
 
 
+def _echelon_walk(rows, n, size, leaf):
+    """Call leaf(echelon) on each subset of `size` rows whose first n columns
+    are independent, by one depth-first walk in index order: each step
+    reduces a row against its prefix's integer echelon of (pivot column, row)
+    and divides out its gcd. A row whose first n entries reduce to zero ends
+    its branch, as every superset is dependent."""
+    def walk(start, echelon):
+        if len(echelon) == size:
+            return leaf(echelon)
+        # room for the size - len(echelon) rows still to come
+        for i in range(start, len(rows) - size + len(echelon) + 1):
+            row = rows[i]
+            for col, piv in echelon:
+                if f := row[col]:
+                    row = [piv[col] * x - f * y for x, y in zip(row, piv)]
+            col = next((j for j in range(n) if row[j]), None)
+            if col is not None:
+                g = gcd(*row)
+                walk(i + 1, echelon + [(col, [x // g for x in row])])
+
+    walk(0, [])
+
+
 @dataclass(frozen=True)
 class LatticePolytope:
     """Rational polytope {m : <m, normal_i> <= offset_i} with integer data."""
@@ -291,13 +313,10 @@ class LatticePolytope:
         and lexicographic order, mapped to the frozenset of the indices of
         the inequalities tight at it.
 
-        One depth-first walk over row subsets in index order finds them: each
-        step reduces a row (offset last) against its prefix's integer echelon
-        and divides out its gcd; a row whose normal part reduces to zero ends
-        the branch, as every superset is singular. At depth n integer back
-        substitution gives a gcd-reduced key (numerators, denominator), so a
-        vertex found twice is scanned once. Every row is tested in integers
-        as N.num <= offset * den; only accepted vertices become Fractions."""
+        `_echelon_walk` reaches each independent n-subset of the rows (offset
+        last); back substitution gives a gcd-reduced integer key, so a vertex
+        found twice is scanned once, and rows are tested as N.num <= offset *
+        den: only accepted vertices become Fractions."""
         n = self.dim
         # each row with its offset last; dot(row, num) reads the normal part
         rows = [(*nv, off) for nv, off in zip(self.normals, self.offsets)]
@@ -321,20 +340,7 @@ class LatticePolytope:
                 tight = frozenset(i for i, gap in enumerate(slack) if not gap)
                 found.append((tuple(Fraction(x, den) for x in num), tight))
 
-        def walk(start, echelon):
-            if len(echelon) == n:
-                return scan(echelon)
-            for i in range(start, len(rows) - n + len(echelon) + 1):
-                row = rows[i]
-                for col, piv in echelon:
-                    if f := row[col]:
-                        row = [piv[col] * x - f * y for x, y in zip(row, piv)]
-                col = next((j for j in range(n) if row[j]), None)
-                if col is not None:  # else every superset is singular
-                    g = gcd(*row)
-                    walk(i + 1, echelon + [(col, [x // g for x in row])])
-
-        walk(0, [])
+        _echelon_walk(rows, n, n, scan)
         # distinct keys give distinct vertices, so no tight sets are compared
         return dict(sorted(found))
 
@@ -388,26 +394,30 @@ class LatticePolytope:
 
     def _vertex_box(self):
         n = self.dim
-        basis = pivot_columns(self.normals)
-        p = self if len(basis) == n else LatticePolytope(
-            tuple(tuple(nv[j] for j in basis) for nv in self.normals),
-            self.offsets)
-        if not p.vertices:
-            return None
-        if p is not self:
+        if not self.vertices:  # a vertex needs normals of rank n
+            basis = pivot_columns(self.normals)
+            if len(basis) == n or not LatticePolytope(
+                    tuple(tuple(nv[j] for j in basis) for nv in self.normals),
+                    self.offsets).vertices:
+                return None
             raise ValueError("unbounded polyhedron")
-        for rows in itertools.combinations(self.normals, n - 1):
-            a, pivots, last, _ = _echelon(rows)
-            if len(pivots) < n - 1:
-                continue
-            # the kernel line: free column = pivot minor, integral by Cramer
+
+        def recession(echelon):
+            # the kernel line of n - 1 independent normals, by integer back
+            # substitution from 1 in the free column, the one no pivot takes
             d = [0] * n
-            d[min(set(range(n)).difference(pivots))] = last
-            for row, j in zip(reversed(a), reversed(pivots)):
-                d[j] = -dot(row, d) // row[j]
-            values = [dot(nv, d) for nv in self.normals]
-            if max(values) <= 0 or min(values) >= 0:
-                raise ValueError("unbounded polyhedron")
+            d[n * (n - 1) // 2 - sum(col for col, _ in echelon)] = 1
+            for col, row in reversed(echelon):
+                d, d[col] = [x * row[col] for x in d], -dot(row, d)
+            pos = neg = False
+            for nv in self.normals:
+                v = dot(nv, d)
+                pos, neg = pos or v > 0, neg or v < 0
+                if pos and neg:
+                    return
+            raise ValueError("unbounded polyhedron")
+
+        _echelon_walk(self.normals, n, n - 1, recession)
         cols = tuple(zip(*self.vertices))
         return (tuple(ceil(min(c)) for c in cols),
                 tuple(floor(max(c)) for c in cols))

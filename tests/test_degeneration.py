@@ -18,6 +18,7 @@ from toric_linsys import (
     delta_c_mu,
     ensure_standard_form,
     lattice_points,
+    normal_fan,
     split_polytope,
     verify_certificate,
 )
@@ -239,6 +240,57 @@ def test_ensure_standard_form_messages(normals, offsets, message):
     with pytest.raises(ValueError) as exc:
         ensure_standard_form(LatticePolytope(normals, offsets))
     assert str(exc.value) == message
+
+
+# conv{0, e1, e2} + cone{(1, 1, 1), (1, 1, -1)}: full-dimensional and
+# unbounded, but its three vertices span only the plane z = 0
+WEDGE = (((-1, 0, -1), (-1, 0, 1), (-1, 1, 0), (0, -1, -1), (0, -1, 1),
+          (1, -1, 0)), (0, 0, 1, 0, 0, 1))
+
+# (normals, offsets, the message of normal_fan, that of ensure_standard_form)
+# on lower-dimensional and unbounded inputs. Both test the affine rank of the
+# vertices before boundedness, so an unbounded polyhedron whose vertices span
+# less than the space, even a full-dimensional one, is "not full-dimensional"
+DIMENSION_BEFORE_BOUNDEDNESS = [
+    (((1,), (-1,)), (-1, 0), "not full-dimensional", "not full-dimensional"),
+    (((1, 0), (-1, 0), (0, 1), (0, -1)), (-1, 0, 1, 0),
+     "not full-dimensional", "not full-dimensional"),
+    (((1, 0), (-1, 0), (0, 1), (0, -1)), (0, 0, 2, 0),
+     "not full-dimensional", "not full-dimensional"),
+    (((1, 0), (-1, 0)), (1, 0), "not full-dimensional", "not full-dimensional"),
+    (((0, 1), (0, -1), (-1, 0)), (0, 0, 0),
+     "not full-dimensional", "not full-dimensional"),
+    (((-1, 0), (0, -1)), (0, 0), "not full-dimensional", "not full-dimensional"),
+    (*WEDGE, "not full-dimensional", "not full-dimensional"),
+    (((-1, 0), (0, -1), (-1, -2), (-2, -1)), (0, 0, -2, -2),
+     "unbounded polyhedron", "origin is not a vertex"),
+    (((-1, 0), (0, -1), (0, 1), (-1, 1)), (0, 0, 2, 1),
+     "unbounded polyhedron", "unbounded polyhedron"),
+]
+
+
+@pytest.mark.parametrize("normals, offsets, fan_message, form_message",
+                         DIMENSION_BEFORE_BOUNDEDNESS)
+def test_dimension_and_boundedness_messages(normals, offsets, fan_message,
+                                            form_message):
+    p = LatticePolytope(normals, offsets)
+    for fn, message in ((normal_fan, fan_message),
+                        (ensure_standard_form, form_message)):
+        with pytest.raises(ValueError) as exc:
+            fn(p)
+        assert str(exc.value) == message
+
+
+def test_wedge_vertices_share_no_tight_row():
+    """On a bounded polytope, "not full-dimensional" means no vertex or a
+    nonzero row tight at every vertex. The wedge has no such row, so that
+    rule would let it pass to the boundedness test and change its message
+    to "unbounded polyhedron"; the affine rank of the vertices stays."""
+    p = LatticePolytope(*WEDGE)
+    assert len(p.vertices) == 3
+    assert frozenset.intersection(*p.incidence.values()) == frozenset()
+    with pytest.raises(ValueError, match="unbounded polyhedron"):
+        p.bounding_box()
 
 
 def test_certificate_roundtrip_and_verify():

@@ -2,6 +2,7 @@ import collections
 import itertools
 import random
 from fractions import Fraction
+from math import ceil, floor
 from unittest import mock
 
 import pytest
@@ -38,11 +39,13 @@ from toric_linsys import lattice as lattice_module
 from toric_linsys.fan_analysis import demazure_roots, root_region
 from toric_linsys.linalg import (
     OPTIMAL,
+    _echelon,
     affine_rank,
     det,
     dot,
     lp_solve,
     mat_vec,
+    pivot_columns,
     solve_in_span,
     solve_unique,
 )
@@ -592,6 +595,105 @@ def test_vertex_box_of_moved_root_regions_matches_lp(spec, data):
     with no_lp():
         box = p.bounding_box()
     assert box == lp_box(p)
+
+
+def vertex_box_by_subsets(self):
+    """LatticePolytope._vertex_box as it was before the recession walk, kept
+    as an oracle: one Bareiss elimination per (n - 1)-subset of normals."""
+    n = self.dim
+    basis = pivot_columns(self.normals)
+    p = self if len(basis) == n else LatticePolytope(
+        tuple(tuple(nv[j] for j in basis) for nv in self.normals),
+        self.offsets)
+    if not p.vertices:
+        return None
+    if p is not self:
+        raise ValueError("unbounded polyhedron")
+    for rows in itertools.combinations(self.normals, n - 1):
+        a, pivots, last, _ = _echelon(rows)
+        if len(pivots) < n - 1:
+            continue
+        # the kernel line: free column = pivot minor, integral by Cramer
+        d = [0] * n
+        d[min(set(range(n)).difference(pivots))] = last
+        for row, j in zip(reversed(a), reversed(pivots)):
+            d[j] = -dot(row, d) // row[j]
+        values = [dot(nv, d) for nv in self.normals]
+        if max(values) <= 0 or min(values) >= 0:
+            raise ValueError("unbounded polyhedron")
+    cols = tuple(zip(*self.vertices))
+    return (tuple(ceil(min(c)) for c in cols),
+            tuple(floor(max(c)) for c in cols))
+
+
+def walked_and_oracle_boxes(p):
+    """The box or error of the recession walk and of the subset oracle, each
+    on a fresh copy of p so that neither reads the other's cached vertices."""
+    fresh = LatticePolytope(p.normals, p.offsets)
+    return (box_or_error(p._vertex_box),
+            box_or_error(lambda: vertex_box_by_subsets(fresh)))
+
+
+@st.composite
+def recession_polytopes(draw):
+    """Polytopes of dimension 1-5 for the recession check. The normals are
+    random, or those of a pointed cone whose kernel lines need pivots other
+    than +-1 (|det| > 1), sometimes closed by a box. Zero, duplicate and
+    parallel rows are mixed in, and some repeat a column."""
+    n = draw(st.integers(1, 5))
+    vec = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    kind = draw(st.sampled_from(("random", "cone", "boxed cone")))
+    if kind == "random":
+        rows = draw(st.lists(vec, min_size=1, max_size=n + 3))
+    else:
+        rows = draw(st.lists(vec, min_size=n, max_size=n))
+        assume(abs(det(rows)) > 1)
+        if kind == "boxed cone":
+            rows += [[s * int(i == j) for j in range(n)]
+                     for i in range(n) for s in (1, -1)]
+    for extra in draw(st.lists(st.sampled_from(
+            ("zero", "duplicate", "parallel")), max_size=3)):
+        nv = draw(st.sampled_from(rows))
+        if extra == "zero":
+            rows.append([0] * n)
+        elif extra == "duplicate":
+            rows.append(list(nv))
+        else:
+            k = draw(st.sampled_from((-2, 2, 3)))
+            rows.append([k * x for x in nv])
+    if n > 1 and draw(st.integers(0, 3)) == 0:
+        for nv in rows:
+            nv[-1] = nv[0]
+    rows = draw(st.permutations(rows))
+    offsets = draw(st.lists(st.integers(-2, 4), min_size=len(rows),
+                            max_size=len(rows)))
+    return LatticePolytope(tuple(map(tuple, rows)), tuple(offsets))
+
+
+def test_recession_walk_matches_the_subset_oracle():
+    outcomes = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(recession_polytopes())
+    def check(p):
+        got, expected = walked_and_oracle_boxes(p)
+        assert got == expected
+        outcomes.add(got if got is None or isinstance(got, str) else "box")
+
+    check()
+    assert outcomes == {None, "box", "unbounded polyhedron"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("pn:5", "p1n:5")), st.data())
+def test_recession_walk_on_moved_root_regions_in_dimension_5(spec, data):
+    fan = example_fan(spec)
+    a = data.draw(unimodular(fan.rank))
+    moved = Fan(fan.rank, tuple(tuple(mat_vec(a, r)) for r in fan.rays),
+                fan.max_cones)
+    p = root_region(moved, data.draw(st.integers(0, len(fan.rays) - 1)))
+    got, expected = walked_and_oracle_boxes(p)
+    assert got == expected and isinstance(got, tuple)
 
 
 def reported_overlaps(rep):
