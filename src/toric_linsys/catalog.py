@@ -100,21 +100,12 @@ def unit_square_polytope() -> LatticePolytope:
 
 
 def polygon_is_smooth(p: LatticePolytope) -> bool:
-    from .lattice import primitivize, vertex_neighbors
-    from .linalg import det, vec_sub
-    nbrs = vertex_neighbors(p)
-    for v, ws in nbrs.items():
-        if len(ws) != 2:
-            return False
-        dirs = []
-        for w in ws:
-            diff = vec_sub(w, v)
-            if any(x.denominator != 1 for x in diff):
-                return False
-            dirs.append(primitivize(tuple(int(x) for x in diff)))
-        if abs(det(dirs)) != 1:
-            return False
-    return True
+    """Every vertex is smooth and its edge vectors are integral."""
+    from .lattice import is_smooth_vertex, vertex_neighbors
+    from .linalg import vec_sub
+    return all(is_smooth_vertex(v, ws) and all(
+        x.denominator == 1 for w in ws for x in vec_sub(w, v))
+        for v, ws in vertex_neighbors(p).items())
 
 
 def _edge_length(v, w):
@@ -139,9 +130,8 @@ def random_smooth_polygon(rng: random.Random) -> LatticePolytope:
 
 
 def _chop_random_corner(p: LatticePolytope, rng: random.Random):
-    from .lattice import polytope_vertex_tight_sets, primitivize, vertex_neighbors
+    from .lattice import primitivize, vertex_neighbors
     verts = p.vertices
-    tight = polytope_vertex_tight_sets(p)
     nbrs = vertex_neighbors(p)
     candidates = []
     for vi, v in enumerate(verts):
@@ -156,7 +146,7 @@ def _chop_random_corner(p: LatticePolytope, rng: random.Random):
     vi, maxk = candidates[rng.randrange(len(candidates))]
     v = verts[vi]
     k = rng.randint(1, min(maxk, 2))
-    nus = [primitivize(p.normals[i]) for i in sorted(tight[vi])]
+    nus = [primitivize(p.normals[i]) for i in sorted(p.incidence[v])]
     if len(nus) != 2:
         return None
     new_normal = tuple(a + b for a, b in zip(nus[0], nus[1]))

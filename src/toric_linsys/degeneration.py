@@ -21,7 +21,6 @@ from .lattice import (
     normal_fan,
     polytope_from_json,
 )
-from .linalg import affine_rank
 from .linsys import (
     SpecialityReport,
     analyze_polytope_system,
@@ -46,9 +45,8 @@ def ensure_standard_form(p: LatticePolytope):
     """Standard form: full-dimensional, in the first orthant, the origin a
     smooth transitive vertex whose edges run along the coordinate axes."""
     n = p.dim
+    p.require_full_dimensional()
     verts = p.vertices
-    if affine_rank(verts) != n:
-        raise ValueError("not full-dimensional")
     origin = (0,) * n
     if any(x < 0 for v in verts for x in v):
         raise ValueError("polytope leaves the first orthant")

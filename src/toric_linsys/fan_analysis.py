@@ -12,19 +12,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .lattice import (
     Fan,
     LatticePolytope,
+    is_smooth_vertex,
     lattice_points,
-    primitivize,
     vertex_neighbors,
 )
 from .linalg import (
-    affine_rank,
     columns_matrix,
-    det,
     mat_mul,
     mat_vec,
     solve_in_span,
@@ -99,26 +96,18 @@ def vertex_capsule(p: LatticePolytope, vertex) -> CapsuleResult:
     only for n = 2; in higher rank the fan criterion stays authoritative.
     """
     n = p.dim
-    verts = p.vertices
     v = tuple(Fraction(x) for x in vertex)
-    if v not in verts:
+    if v not in p.incidence:
         raise ValueError("not a vertex of the polytope")
-    if affine_rank(verts) != n:
-        raise ValueError("polytope is not full-dimensional")
+    p.require_full_dimensional()
     neighbors = vertex_neighbors(p)[v]
-    if len(neighbors) != n:
+    if not is_smooth_vertex(v, neighbors):
         raise ValueError("capsule undefined at non-smooth vertex")
     edges = [vec_sub(w, v) for w in neighbors]
-    dirs = []
-    for diff in edges:
-        denom = lcm(*(x.denominator for x in diff)) if diff else 1
-        dirs.append(primitivize(tuple(int(x * denom) for x in diff)))
-    if abs(det(columns_matrix(dirs))) != 1:
-        raise ValueError("capsule undefined at non-smooth vertex")
     reflection = tuple(sum(w[i] for w in neighbors) - (n - 1) * v[i]
                        for i in range(n))
     capsule = (v,) + tuple(neighbors) + (reflection,)
-    ys = (solve_in_span(edges, vec_sub(w, v)) for w in verts)
+    ys = (solve_in_span(edges, vec_sub(w, v)) for w in p.vertices)
     contains = all(min(y) >= 0 and sum(y) - (n - 1) * min(y) <= 1 for y in ys)
     return CapsuleResult(v, capsule, contains, certified=(n == 2))
 

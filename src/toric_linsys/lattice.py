@@ -14,11 +14,10 @@ import json
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, gcd, prod
+from math import ceil, floor, gcd, lcm, prod
 
 from .linalg import (
     adjugate,
-    affine_rank,
     columns_matrix,
     det,
     dot,
@@ -27,6 +26,7 @@ from .linalg import (
     solve_in_span,
     vec_gcd,
     vec_neg,
+    vec_sub,
 )
 
 
@@ -422,6 +422,21 @@ class LatticePolytope:
         return (tuple(ceil(min(c)) for c in cols),
                 tuple(floor(max(c)) for c in cols))
 
+    def require_full_dimensional(self):
+        """Raise ValueError("unbounded polyhedron") if the polytope is
+        unbounded, else ValueError("not full-dimensional") if it has no
+        vertex or a nonzero row is tight at every vertex. A bounded polytope
+        is the hull of its vertices, so the rows tight at every vertex are
+        its implicit equalities, and its dimension is n minus their rank
+        (Schrijver, Theory of Linear and Integer Programming, 1986, ch. 8).
+        Unbounded, the vertices may span less: the wedge conv{0, e1, e2} +
+        cone{(1, 1, 1), (1, 1, -1)} is full-dimensional."""
+        self.bounding_box()
+        tight = self.incidence.values()
+        if not tight or any(any(self.normals[i])
+                            for i in frozenset.intersection(*tight)):
+            raise ValueError("not full-dimensional")
+
     @cached_property
     def points(self):
         """All integer points, lexicographically sorted, enumerated once per
@@ -458,16 +473,11 @@ def lattice_points(p: LatticePolytope):
     return list(p.points)
 
 
-def polytope_vertex_tight_sets(p: LatticePolytope):
-    """For each vertex, the set of inequality indices tight at it."""
-    return list(p.incidence.values())
-
-
 def vertex_neighbors(p: LatticePolytope):
     """Adjacency among vertices: w is a neighbor of v when the smallest face
     containing both is one-dimensional."""
     verts = p.vertices
-    tight = polytope_vertex_tight_sets(p)
+    tight = list(p.incidence.values())
     nbrs = {v: [] for v in verts}
     for a, b in itertools.combinations(range(len(verts)), 2):
         common = tight[a] & tight[b]
@@ -478,18 +488,26 @@ def vertex_neighbors(p: LatticePolytope):
     return nbrs
 
 
+def is_smooth_vertex(v, neighbors) -> bool:
+    """True iff the primitive directions of the edges from v to its
+    (rational) neighbors are n vectors of determinant +-1."""
+    dirs = []
+    for w in neighbors:
+        diff = vec_sub(w, v)
+        denom = lcm(*(x.denominator for x in diff))
+        dirs.append(primitivize(tuple(int(x * denom) for x in diff)))
+    return len(dirs) == len(v) and abs(det(dirs)) == 1
+
+
 def normal_fan(p: LatticePolytope):
     """Outer-normal fan of a full-dimensional simple polytope.
 
     Returns (fan, vertices): maximal cone j is spanned by the primitive outer
     facet normals at vertices[j].
     """
-    verts = p.vertices
+    p.require_full_dimensional()
     n = p.dim
-    if affine_rank(verts) != n:
-        raise ValueError("not full-dimensional")
-    p.bounding_box()  # raises when unbounded
-    tight = polytope_vertex_tight_sets(p)
+    tight = p.incidence.values()
     # a facet iff its tight set is nonempty and strictly inside no other (a
     # proper face lies in a facet); zero rows, tight everywhere at 0, stay out
     faces = {i: frozenset(vi for vi, t in enumerate(tight) if i in t)
@@ -511,7 +529,7 @@ def normal_fan(p: LatticePolytope):
         if len(cone) != n:
             raise ValueError("vertex is not simple")
         cones.append(tuple(cone))
-    return Fan(n, tuple(rays), tuple(cones)), verts
+    return Fan(n, tuple(rays), tuple(cones)), p.vertices
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +612,9 @@ def polytope_to_json(p: LatticePolytope) -> dict:
 
 def polytope_from_json(obj) -> LatticePolytope:
     try:
-        return LatticePolytope(tuple(map(json_ints, obj["normals"])),
-                               json_ints(obj["offsets"]))
+        normals = tuple(map(json_ints, obj["normals"]))
+        if () in normals:  # only `_vertex_box` builds 0-coordinate rows
+            raise ValueError("normal vector needs at least one entry")
+        return LatticePolytope(normals, json_ints(obj["offsets"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed polytope object: {exc}") from exc

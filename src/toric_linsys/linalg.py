@@ -7,6 +7,8 @@ elimination, which clears row denominators and then stays in the integers.
 
 No other module calls the simplex; it stays as the tests' reference for the
 vertex-based polytope code and because the benchmark's tracer binds it.
+The affine rank of a point set is test-only too, the reference for
+`LatticePolytope.require_full_dimensional`.
 """
 
 from __future__ import annotations

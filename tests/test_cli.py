@@ -50,6 +50,37 @@ def test_capsule(capsys):
     assert doc["certified"] is True
 
 
+def test_capsule_rejects_unbounded_polygon(tmp_path, capsys):
+    # {y >= 0, x >= 0, x + y >= 1, x - y <= 2} at its smooth vertex (1, 0)
+    poly = tmp_path / "unbounded.json"
+    poly.write_text(json.dumps({"normals": [[0, -1], [-1, 0], [-1, -1],
+                                            [1, -1]], "offsets": [0, 0, -1, 2]}))
+    code, doc, err = run_cli(["capsule", "--polytope", str(poly),
+                              "--vertex", "1,0"], capsys)
+    assert code == 1
+    assert doc == {"error": "unbounded polyhedron", "path": None}
+    assert "Traceback" not in err
+
+
+def test_polytope_rows_need_an_entry(tmp_path, capsys):
+    # rows of length 0 are an input error for dim, a sweep task and certify
+    message = "normal vector needs at least one entry"
+    system = {"polytope": {"normals": [[], []], "offsets": [0, 1]},
+              "multiplicities": [1]}
+    sysfile = tmp_path / "s.json"
+    sysfile.write_text(json.dumps(system))
+    for command in ("dim", "certify"):
+        code, doc, _ = run_cli([command, "--system", str(sysfile)], capsys)
+        assert code == 1
+        assert doc == {"error": message, "path": str(sysfile)}
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"tasks": [system]}))
+    code, doc, err = run_cli(["sweep", "--job", str(job)], capsys)
+    assert code == 0 and doc["failed"] == 1
+    assert json.loads(err.splitlines()[0]) == {"error": message,
+                                               "label": "task-0"}
+
+
 @pytest.mark.parametrize("vertex", ["1.5,0", "1/0,0", "1/2/3,0", "1/,0",
                                     "x,0", "0,,0"])
 def test_capsule_vertex_takes_integers_and_p_over_q_only(vertex, capsys):

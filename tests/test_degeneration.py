@@ -219,8 +219,9 @@ def test_ensure_standard_form_rejects_slanted_origin_edges():
 
 
 # one polytope {m : <m, normal_i> <= offset_i} per standard-form failure, in
-# the order the checks run; the second also fails the later "origin is not a
-# vertex" check, the last has a transitive origin with slanted edges
+# the order the checks run except the third, whose check runs first; the
+# second also fails the later "origin is not a vertex" check, the last has a
+# transitive origin with slanted edges
 STANDARD_FORM_FAILURES = [
     (((-1, 0), (0, -1), (1, 0), (0, 1)), (0, 0, 0, 1), "not full-dimensional"),
     (((-1, 0), (0, -1), (1, 1)), (1, 0, 2),
@@ -248,29 +249,31 @@ WEDGE = (((-1, 0, -1), (-1, 0, 1), (-1, 1, 0), (0, -1, -1), (0, -1, 1),
           (1, -1, 0)), (0, 0, 1, 0, 0, 1))
 
 # (normals, offsets, the message of normal_fan, that of ensure_standard_form)
-# on lower-dimensional and unbounded inputs. Both test the affine rank of the
-# vertices before boundedness, so an unbounded polyhedron whose vertices span
-# less than the space, even a full-dimensional one, is "not full-dimensional"
-DIMENSION_BEFORE_BOUNDEDNESS = [
+# on lower-dimensional and unbounded inputs: two empty ones, a segment, the
+# strip 0 <= x <= 1, the ray {y = 0, x >= 0}, the quadrant, the wedge, the
+# corner {x + 2y >= 2, 2x + y >= 2} in the quadrant and a half-strip. Both
+# test boundedness first, so every unbounded one is "unbounded polyhedron",
+# even when its vertices span less than the space or the origin is no vertex
+BOUNDEDNESS_BEFORE_DIMENSION = [
     (((1,), (-1,)), (-1, 0), "not full-dimensional", "not full-dimensional"),
     (((1, 0), (-1, 0), (0, 1), (0, -1)), (-1, 0, 1, 0),
      "not full-dimensional", "not full-dimensional"),
     (((1, 0), (-1, 0), (0, 1), (0, -1)), (0, 0, 2, 0),
      "not full-dimensional", "not full-dimensional"),
-    (((1, 0), (-1, 0)), (1, 0), "not full-dimensional", "not full-dimensional"),
+    (((1, 0), (-1, 0)), (1, 0), "unbounded polyhedron", "unbounded polyhedron"),
     (((0, 1), (0, -1), (-1, 0)), (0, 0, 0),
-     "not full-dimensional", "not full-dimensional"),
-    (((-1, 0), (0, -1)), (0, 0), "not full-dimensional", "not full-dimensional"),
-    (*WEDGE, "not full-dimensional", "not full-dimensional"),
+     "unbounded polyhedron", "unbounded polyhedron"),
+    (((-1, 0), (0, -1)), (0, 0), "unbounded polyhedron", "unbounded polyhedron"),
+    (*WEDGE, "unbounded polyhedron", "unbounded polyhedron"),
     (((-1, 0), (0, -1), (-1, -2), (-2, -1)), (0, 0, -2, -2),
-     "unbounded polyhedron", "origin is not a vertex"),
+     "unbounded polyhedron", "unbounded polyhedron"),
     (((-1, 0), (0, -1), (0, 1), (-1, 1)), (0, 0, 2, 1),
      "unbounded polyhedron", "unbounded polyhedron"),
 ]
 
 
 @pytest.mark.parametrize("normals, offsets, fan_message, form_message",
-                         DIMENSION_BEFORE_BOUNDEDNESS)
+                         BOUNDEDNESS_BEFORE_DIMENSION)
 def test_dimension_and_boundedness_messages(normals, offsets, fan_message,
                                             form_message):
     p = LatticePolytope(normals, offsets)
@@ -283,14 +286,16 @@ def test_dimension_and_boundedness_messages(normals, offsets, fan_message,
 
 def test_wedge_vertices_share_no_tight_row():
     """On a bounded polytope, "not full-dimensional" means no vertex or a
-    nonzero row tight at every vertex. The wedge has no such row, so that
-    rule would let it pass to the boundedness test and change its message
-    to "unbounded polyhedron"; the affine rank of the vertices stays."""
+    nonzero row tight at every vertex. The wedge is full-dimensional and has
+    no such row, yet its three vertices span only a plane: the rule holds
+    only when bounded, so `require_full_dimensional` tests boundedness first
+    and the wedge is "unbounded polyhedron"."""
     p = LatticePolytope(*WEDGE)
     assert len(p.vertices) == 3
     assert frozenset.intersection(*p.incidence.values()) == frozenset()
-    with pytest.raises(ValueError, match="unbounded polyhedron"):
-        p.bounding_box()
+    for check in (p.bounding_box, p.require_full_dimensional):
+        with pytest.raises(ValueError, match="unbounded polyhedron"):
+            check()
 
 
 def test_certificate_roundtrip_and_verify():

@@ -142,6 +142,20 @@ def test_capsule_errors():
         vertex_capsule(tri, (0, 1))
 
 
+# {y >= 0, x >= 0, x + y >= 1, x - y <= 2}: unbounded, with a smooth vertex
+# (1, 0) whose capsule would hold every vertex; "not a vertex" is tested first
+UNBOUNDED_POLYGON = LatticePolytope(((0, -1), (-1, 0), (-1, -1), (1, -1)),
+                                    (0, 0, -1, 2))
+
+
+def test_capsule_rejects_unbounded_polygon():
+    with pytest.raises(ValueError) as exc:
+        vertex_capsule(UNBOUNDED_POLYGON, (1, 0))
+    assert str(exc.value) == "unbounded polyhedron"
+    with pytest.raises(ValueError, match="not a vertex"):
+        vertex_capsule(UNBOUNDED_POLYGON, (0, 0))
+
+
 def test_lp_hull_oracle():
     square = [(0, 0), (1, 0), (0, 1), (1, 1)]
     assert lp_in_hull(square, (Fraction(1, 2), Fraction(1, 2)))

@@ -24,7 +24,6 @@ from toric_linsys import (
     primitivize,
     validate_fan,
 )
-from toric_linsys.lattice import polytope_vertex_tight_sets
 from toric_linsys.catalog import (
     bl3p2_fan,
     box_polytope,
@@ -192,15 +191,15 @@ def test_validate_three_cones_at_one_facet():
 
 def test_validate_reads_only_cone_inverses():
     # completeness comes from sign tests on the cached cone inverses: no
-    # polytope is built and no vertex or affine rank is computed
+    # polytope is built and no vertex or full-dimension check is computed
     fans = [DOUBLE_COVER, projective_space_fan(3), hirzebruch_fan(2),
             Fan(2, ((1, 0), (0, 1), (1, 1)), ((0, 1), (0, 2)))]
     fail = AssertionError("polytope layer")
     with mock.patch.object(LatticePolytope, "__post_init__", side_effect=fail), \
             mock.patch.object(LatticePolytope, "incidence",
                               new=property(mock.Mock(side_effect=fail))), \
-            mock.patch.object(lattice_module, "affine_rank",
-                              wraps=affine_rank) as spy:
+            mock.patch.object(LatticePolytope, "require_full_dimensional",
+                              side_effect=fail) as spy:
         reports = [validate_fan(f) for f in fans]
     assert not spy.called
     assert [r.valid for r in reports] == [False, True, True, False]
@@ -515,7 +514,7 @@ def test_incidence_matches_a_rescan_of_the_rows(p):
     assert list(p.incidence.items()) == expected
     assert p.vertices == tuple(v for v, _ in expected)
     assert all(type(x) is Fraction for v in p.vertices for x in v)
-    assert polytope_vertex_tight_sets(p) == [t for _, t in expected]
+    assert list(p.incidence.values()) == [t for _, t in expected]
 
 
 @st.composite
@@ -809,11 +808,12 @@ def test_normal_fan_of_trapezoid_is_hirzebruch():
 
 def normal_fan_by_affine_rank(p):
     """normal_fan as it was before the tight-set test, kept as an oracle: a
-    row is a facet iff the vertices tight on it have affine rank n - 1."""
+    row is a facet iff the vertices tight on it have affine rank n - 1. It
+    tests boundedness first, then the affine rank of all vertices."""
     n = p.dim
+    p.bounding_box()
     if affine_rank(p.vertices) != n:
         raise ValueError("not full-dimensional")
-    p.bounding_box()
     facets = [i for i in range(len(p.normals)) if affine_rank(
         [v for v, t in p.incidence.items() if i in t]) == n - 1]
     rays = list(dict.fromkeys(primitivize(p.normals[i]) for i in facets))
@@ -836,11 +836,45 @@ def result_or_error(fn, *args):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(general_polytopes(), moved_catalog_polytopes((2, 4))))
 def test_normal_fan_facets_match_affine_rank(p):
-    with mock.patch.object(lattice_module, "affine_rank",
-                           wraps=affine_rank) as spy:
+    check = LatticePolytope.require_full_dimensional
+    with mock.patch.object(LatticePolytope, "require_full_dimensional",
+                           autospec=True, side_effect=check) as spy:
         got = result_or_error(normal_fan, p)
-    assert spy.call_count <= 1  # the full-dimension check only
+    assert spy.call_count == 1  # the one full-dimension check
     assert got == result_or_error(normal_fan_by_affine_rank, p)
+
+
+def full_dimension_by_affine_rank(p):
+    """The full-dimension check of normal_fan and ensure_standard_form as it
+    was before `require_full_dimensional`, kept as an oracle: the affine rank
+    of all vertices, then the bounding box."""
+    if affine_rank(p.vertices) != p.dim:
+        raise ValueError("not full-dimensional")
+    p.bounding_box()
+
+
+def test_full_dimension_from_tight_sets_matches_affine_rank():
+    """On a bounded or empty polytope, no vertex or a nonzero row tight at
+    every vertex is the same verdict as the affine rank of the vertices. An
+    unbounded one is "unbounded polyhedron" exactly when its box says so."""
+    outcomes = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(general_polytopes(), recession_polytopes()))
+    def check(p):
+        got = result_or_error(p.require_full_dimensional)
+        fresh = LatticePolytope(p.normals, p.offsets)
+        if box_or_error(fresh.bounding_box) == "unbounded polyhedron":
+            assert got == "unbounded polyhedron"
+        else:
+            assert got == result_or_error(full_dimension_by_affine_rank, fresh)
+        # a zero row with offset 0 is tight everywhere and cuts nothing
+        padded = p.with_inequality((0,) * p.dim, 0)
+        assert result_or_error(padded.require_full_dimensional) == got
+        outcomes.add(got)
+
+    check()
+    assert outcomes == {None, "not full-dimensional", "unbounded polyhedron"}
 
 
 def test_normal_fan_needs_full_dimension():
