@@ -14,11 +14,11 @@ from dataclasses import astuple, dataclass, fields, replace
 
 from .lattice import (
     LatticePolytope,
+    _normal_fan,
     json_ints,
     json_typed,
     jsonable,
     lattice_points,
-    normal_fan,
     polytope_from_json,
 )
 from .linsys import (
@@ -52,7 +52,7 @@ def ensure_standard_form(p: LatticePolytope):
         raise ValueError("polytope leaves the first orthant")
     if origin not in verts:
         raise ValueError("origin is not a vertex")
-    fan, fan_verts = normal_fan(p)  # raises when a vertex is not simple
+    fan, fan_verts = _normal_fan(p)  # raises when a vertex is not simple
     ci = fan_verts.index(origin)
     if not fan.is_transitive(ci):
         raise ValueError("origin is not a transitive vertex")
@@ -136,19 +136,32 @@ class HypothesisTranscript:
     witness: tuple | None    # (hypothesis name, point index, order) of first failure
 
 
-def _containment_witness(n, pieces: SplitPieces, split: SplitSpec, mults):
+def _simplex_fits(piece: LatticePolytope, axis: int, c: int, mu: int) -> bool:
+    """Whether delta_c_mu(n, axis, c, mu) lies in the convex piece: iff its
+    vertices do, the corner c e_axis (j = -1) and the corner + (mu - 1) e_j."""
+    return all(piece.contains(tuple(c * (i == axis) + (mu - 1) * (i == j)
+                                    for i in range(piece.dim)))
+               for j in range(-1, piece.dim if mu > 1 else 0))
+
+
+def _containment_witness(n, pieces: SplitPieces, split: SplitSpec, mults,
+                         first_out=None):
     """First (hypothesis name, point index, order) whose simplex leaves its
-    piece, or None. The shifted simplices of the first point_split points
-    must lie in the plus piece, the base simplices of the rest in the
-    minus_prev piece."""
+    piece, or None: shifted simplices of the first point_split points in plus,
+    base ones of the rest in minus_prev; first_out holds it per (name, mu)."""
+    first_out = {} if first_out is None else first_out
     for i, mu in enumerate(mults):
         if i < split.point_split:
             name, piece, level = "shifted_delta_in_plus", pieces.plus, split.level
         else:
             name, piece, level = "base_delta_in_minus", pieces.minus_prev, 0
-        for u in delta_c_mu(n, split.axis, level, mu):
-            if not piece.contains(u):
-                return name, i, u
+        if (name, mu) not in first_out:
+            first_out[name, mu] = None if _simplex_fits(
+                piece, split.axis, level, mu) else next(
+                u for u in delta_c_mu(n, split.axis, level, mu)
+                if not piece.contains(u))
+        if first_out[name, mu] is not None:
+            return name, i, first_out[name, mu]
     return None
 
 
@@ -214,8 +227,17 @@ class CertificateNode:
                 yield from child.leaves()
 
 
-def _leaf(polytope, mults, cfg):
-    report = analyze_polytope_system(polytope, mults, cfg)
+def _analyze(polytope, mults, cfg, memo):
+    """analyze_polytope_system once per (dim, points, mults), all it reads;
+    the points come through lattice_points, as traced runs expect."""
+    key = (polytope.dim, tuple(lattice_points(polytope)), tuple(mults))
+    if key not in memo:
+        memo[key] = analyze_polytope_system(polytope, mults, cfg)
+    return memo[key]
+
+
+def _leaf(polytope, mults, cfg, memo=None):
+    report = _analyze(polytope, mults, cfg, {} if memo is None else memo)
     if report.dim != report.tedim:
         return None
     h0, truncs, tvdim = toric_counts(polytope, mults)
@@ -231,7 +253,7 @@ def _split_order(k):
     return sorted(range(1, k), key=lambda s: (abs(2 * s - k), s))
 
 
-def _certify(polytope, mults, depth, cfg):
+def _certify(polytope, mults, depth, cfg, memo):
     """Certificate within depth splits, or None. A split is skipped before
     its children are searched when a simplex leaves its piece or when
     (tvdim_minus + 1)(tvdim_plus + 1) < 0: the children's nodes would carry
@@ -248,18 +270,20 @@ def _certify(polytope, mults, depth, cfg):
             for level in _level_order(widths[axis]):
                 pieces = split_polytope(polytope, axis, level)
                 plus = pieces.plus_child
+                first_out = {}  # per (side, mu): the same for every s here
                 for s in _split_order(k):
                     spec = SplitSpec(axis, level, s)
-                    if _containment_witness(n, pieces, spec, mults):
+                    if _containment_witness(n, pieces, spec, mults, first_out):
                         continue
                     tv_minus = toric_counts(pieces.minus_prev, mults[:s])[2]
                     tv_plus = toric_counts(plus, mults[s:])[2]
                     if (tv_minus + 1) * (tv_plus + 1) < 0:
                         continue
-                    left = _certify(pieces.minus_prev, mults[:s], depth - 1, cfg)
+                    left = _certify(pieces.minus_prev, mults[:s], depth - 1,
+                                    cfg, memo)
                     if left is None:
                         continue
-                    right = _certify(plus, mults[s:], depth - 1, cfg)
+                    right = _certify(plus, mults[s:], depth - 1, cfg, memo)
                     if right is None:
                         continue
                     transcript = check_hypotheses(polytope, spec, mults,
@@ -271,7 +295,7 @@ def _certify(polytope, mults, depth, cfg):
                         "split", polytope, tuple(mults), h0, truncs, tvdim,
                         split=spec, transcript=transcript,
                         children=(left, right))
-    return _leaf(polytope, mults, cfg)
+    return _leaf(polytope, mults, cfg, memo)
 
 
 def certify(system: PolytopeSystem, max_depth: int = 8,
@@ -285,7 +309,7 @@ def certify(system: PolytopeSystem, max_depth: int = 8,
     """
     ensure_standard_form(system.polytope)
     mults = tuple(sorted(system.multiplicities, reverse=True))
-    return _certify(system.polytope, mults, max_depth, cfg)
+    return _certify(system.polytope, mults, max_depth, cfg, {})
 
 
 def verify_certificate(cert: CertificateNode, cfg: RankConfig = RankConfig()) -> bool:
@@ -294,12 +318,12 @@ def verify_certificate(cert: CertificateNode, cfg: RankConfig = RankConfig()) ->
     Each recomputed transcript must equal the stored one, and each fresh leaf
     report the stored one apart from its samples, seed and mode."""
     try:
-        return _verify_node(cert, cfg)
+        return _verify_node(cert, cfg, {})
     except (ValueError, KeyError):
         return False
 
 
-def _verify_node(node: CertificateNode, cfg) -> bool:
+def _verify_node(node: CertificateNode, cfg, memo) -> bool:
     if toric_counts(node.polytope, node.mults) != \
             (node.h0, tuple(node.truncations), node.tvdim):
         return False
@@ -307,7 +331,7 @@ def _verify_node(node: CertificateNode, cfg) -> bool:
         stored = node.report
         if stored is None or stored.dim != stored.tedim:
             return False
-        fresh = analyze_polytope_system(node.polytope, node.mults, cfg)
+        fresh = _analyze(node.polytope, node.mults, cfg, memo)
         return stored == replace(fresh, samples=stored.samples,
                                  seed=stored.seed, mode=stored.mode)
     if node.kind != "split" or node.split is None or node.children is None:
@@ -330,7 +354,7 @@ def _verify_node(node: CertificateNode, cfg) -> bool:
     transcript = check_hypotheses(node.polytope, spec, node.mults, left, right)
     if not transcript.passed or transcript != node.transcript:
         return False
-    return _verify_node(left, cfg) and _verify_node(right, cfg)
+    return _verify_node(left, cfg, memo) and _verify_node(right, cfg, memo)
 
 
 # ---------------------------------------------------------------------------

@@ -503,9 +503,13 @@ def normal_fan(p: LatticePolytope):
     """Outer-normal fan of a full-dimensional simple polytope.
 
     Returns (fan, vertices): maximal cone j is spanned by the primitive outer
-    facet normals at vertices[j].
+    facet normals at vertices[j]. _normal_fan omits the full-dimension check.
     """
     p.require_full_dimensional()
+    return _normal_fan(p)
+
+
+def _normal_fan(p: LatticePolytope):
     n = p.dim
     tight = p.incidence.values()
     # a facet iff its tight set is nonempty and strictly inside no other (a

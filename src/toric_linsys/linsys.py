@@ -18,6 +18,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from operator import mul
 
@@ -58,6 +59,7 @@ class LinearSystem:
         return section_polytope(self.presentation, self.divisor)
 
 
+@lru_cache(maxsize=256)
 def derivative_orders(n: int, mu: int):
     """All u >= 0 with |u| <= mu - 1, lexicographic; count C(n+mu-1, n). A
     count above POINT_BUDGET raises ValueError before any is built."""

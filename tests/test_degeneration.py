@@ -37,6 +37,7 @@ from toric_linsys.degeneration import (
     CertificateNode,
     axis_widths,
 )
+from toric_linsys.cli import main as cli_main
 from toric_linsys.linsys import GenericityError, toric_counts
 
 
@@ -541,3 +542,131 @@ def test_prune_skips_rank_trials_of_rejected_splits(monkeypatch):
     got = certify(PolytopeSystem(poly, mults), max_depth=1, cfg=CFG)
     assert _certificate_bytes(got) == _certificate_bytes(expected)
     assert len(calls) < unpruned
+
+
+def test_ensure_standard_form_bounds_the_polytope_once(monkeypatch):
+    # the full-dimension check runs once: normal_fan's own copy is skipped
+    calls = []
+    original = LatticePolytope.bounding_box
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(LatticePolytope, "bounding_box", counted)
+    ensure_standard_form(box_polytope((1, 1, 1)))
+    assert len(calls) == 1
+
+
+def _containment_witness_by_scan(n, pieces, split, mults):
+    """`_containment_witness` before the vertex test, kept as an oracle: every
+    order of every simplex is tested, in order."""
+    for i, mu in enumerate(mults):
+        if i < split.point_split:
+            name, piece, level = "shifted_delta_in_plus", pieces.plus, split.level
+        else:
+            name, piece, level = "base_delta_in_minus", pieces.minus_prev, 0
+        for u in delta_c_mu(n, split.axis, level, mu):
+            if not piece.contains(u):
+                return name, i, u
+    return None
+
+
+@st.composite
+def down_sets(draw):
+    """A bounded orthant down-set in dimension 1-4: a box with sides 1-3 cut
+    by up to two rows with entries 0-2."""
+    n = draw(st.integers(1, 4))
+    box = box_polytope(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    cuts = draw(st.lists(st.tuples(
+        st.lists(st.integers(0, 2), min_size=n, max_size=n),
+        st.integers(0, 6)), max_size=2))
+    for normal, offset in cuts:
+        box = box.with_inequality(tuple(normal), offset)
+    return box
+
+
+def _witnesses_match_the_scan(poly, mults):
+    """Check `_containment_witness`, alone and with one `first_out` per slice
+    as in certify, against the scan on every valid (axis, level, s); return
+    the hypothesis names of the witnesses met (None for no witness)."""
+    n = poly.dim
+    kinds = set()
+    for axis, width in enumerate(axis_widths(poly)):
+        for level in range(1, width + 1):
+            pieces = split_polytope(poly, axis, level)
+            first_out = {}
+            for s in range(len(mults) + 1):
+                spec = SplitSpec(axis, level, s)
+                expected = _containment_witness_by_scan(n, pieces, spec, mults)
+                assert _containment_witness(n, pieces, spec, mults) == expected
+                assert _containment_witness(n, pieces, spec, mults,
+                                            first_out) == expected
+                kinds.add(expected and expected[0])
+    return kinds
+
+
+@settings(max_examples=300, deadline=None)
+@given(down_sets(), st.lists(st.integers(1, 4), min_size=1, max_size=4))
+def test_containment_by_vertices_matches_the_full_scan(poly, mults):
+    _witnesses_match_the_scan(poly, mults)
+
+
+def test_containment_sweep_reaches_both_failing_pieces():
+    # seeded draws like the oracle test's, which must meet a witness from
+    # each piece
+    rng = random.Random(21)
+    kinds = set()
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        poly = box_polytope([rng.randint(1, 3) for _ in range(n)])
+        if rng.random() < 0.5:
+            poly = poly.with_inequality(
+                tuple(rng.randint(0, 2) for _ in range(n)), rng.randint(1, 6))
+        mults = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+        kinds |= _witnesses_match_the_scan(poly, mults)
+    assert kinds == {None, "shifted_delta_in_plus", "base_delta_in_minus"}
+
+
+def test_each_distinct_leaf_is_analysed_once_per_call(monkeypatch):
+    # the four leaves of box 3x3 with four double points at depth 2 are all
+    # the unit square with one double point: one analysis per certify and
+    # one per verify (four each before the memo), and none is kept between
+    # calls
+    calls = []
+    original = degeneration.analyze_polytope_system
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(degeneration, "analyze_polytope_system", counted)
+    system = PolytopeSystem(box_polytope((3, 3)), (2, 2, 2, 2))
+    cert = certify(system, max_depth=2, cfg=RankConfig(seed=1))
+    assert len(list(cert.leaves())) == 4
+    assert len(calls) == 1
+    assert verify_certificate(cert, RankConfig(seed=2))
+    assert len(calls) == 2
+    assert _certificate_bytes(certify(system, max_depth=2,
+                                      cfg=RankConfig(seed=1))) \
+        == _certificate_bytes(cert)
+    assert len(calls) == 3
+
+
+def test_verify_compares_every_repeated_leaf_on_its_own(tmp_path):
+    system = tmp_path / "box33.json"
+    system.write_text(json.dumps({
+        "polytope": {"normals": [[-1, 0], [0, -1], [1, 0], [0, 1]],
+                     "offsets": [0, 0, 3, 3]},
+        "multiplicities": [2, 2, 2, 2]}))
+    cert = tmp_path / "cert.json"
+    assert cli_main(["certify", "--system", str(system), "--max-depth", "2",
+                     "--seed", "1", "--out", str(cert)]) == 0
+    assert cli_main(["verify", "--certificate", str(cert), "--seed", "2"]) == 0
+    doc = json.loads(cert.read_text())
+    # the last leaf repeats the first one's system; only its report changes
+    leaf = doc["certificate"]["children"][1]["children"][1]
+    assert leaf["kind"] == "leaf"
+    leaf["report"]["special"] = not leaf["report"]["special"]
+    cert.write_text(json.dumps(doc))
+    assert cli_main(["verify", "--certificate", str(cert), "--seed", "2"]) == 4

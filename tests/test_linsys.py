@@ -58,6 +58,14 @@ def test_derivative_orders_counts_and_membership():
     assert derivative_orders(2, 2) == ((0, 0), (0, 1), (1, 0))
 
 
+def test_derivative_orders_cache_is_bounded_and_never_keeps_the_error():
+    assert derivative_orders.cache_info().maxsize is not None
+    assert derivative_orders(3, 2) is derivative_orders(3, 2)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="enumeration budget"):
+            derivative_orders(2, 10**30)
+
+
 def test_falling_factorial():
     assert falling(5, 0) == 1
     assert falling(5, 2) == 20
