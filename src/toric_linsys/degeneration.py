@@ -174,8 +174,14 @@ def check_hypotheses(p: LatticePolytope, split: SplitSpec, mults,
     covers the first point_split multiplicities on the minus-(level-1) piece,
     the plus report the rest on the plus-level piece.
     """
-    pieces = split_polytope(p, split.axis, split.level)
-    witness = _containment_witness(p.dim, pieces, split, mults)
+    return _check_split(split_polytope(p, split.axis, split.level), split,
+                        mults, report_minus, report_plus)
+
+
+def _check_split(pieces: SplitPieces, split: SplitSpec, mults, report_minus,
+                 report_plus) -> HypothesisTranscript:
+    """check_hypotheses on pieces that split_polytope has already built."""
+    witness = _containment_witness(pieces.plus.dim, pieces, split, mults)
     name = witness[0] if witness else None
     shifted_ok = name != "shifted_delta_in_plus"
     base_ok = name != "base_delta_in_minus"
@@ -286,8 +292,7 @@ def _certify(polytope, mults, depth, cfg, memo):
                     right = _certify(plus, mults[s:], depth - 1, cfg, memo)
                     if right is None:
                         continue
-                    transcript = check_hypotheses(polytope, spec, mults,
-                                                  left, right)
+                    transcript = _check_split(pieces, spec, mults, left, right)
                     if not transcript.passed:
                         continue
                     h0, truncs, tvdim = toric_counts(polytope, mults)
@@ -351,7 +356,7 @@ def _verify_node(node: CertificateNode, cfg, memo) -> bool:
         return False
     if lattice_points(right.polytope) != lattice_points(pieces.plus_child):
         return False
-    transcript = check_hypotheses(node.polytope, spec, node.mults, left, right)
+    transcript = _check_split(pieces, spec, node.mults, left, right)
     if not transcript.passed or transcript != node.transcript:
         return False
     return _verify_node(left, cfg, memo) and _verify_node(right, cfg, memo)

@@ -15,14 +15,17 @@ integer, w bits per slot, slot 0 lowest (Kronecker substitution), and walked
 from slot 0 against an echelon basis of at most one pivot per slot. A slot
 with a pivot takes `(v >> w) + (p - f) * tail`, f the slot mod p and tail
 the pivot's normalised rest: the slot drops and each later one gains less
-than p^2. At a slot with no pivot, f != 0 makes v the pivot there; a vector
+than 2p^2. At a slot with no pivot, f != 0 makes v the pivot there; a vector
 that reaches 0 is dependent. Reading stops at rank s, so a wide matrix of
 full row rank costs about s^3 / 3 slot updates and never touches the columns
 left without a pivot. Entries are reduced mod p once, when packed, and a
-pivot's tail once more. A vector takes at most one update per pivot, fewer
-than k = min(rows, cols), so a slot stays nonnegative and below
-p + k * p^2 < 2^w for w = 8 * ceil((2 * bits(p) + bits(k) + 2) / 8): no slot
-carries into the next, and each slot stays congruent mod p to its entry.
+new pivot's rest is scaled by 1/f on all its slots at once (`_scale_slots`),
+which leaves each tail slot in [0, 2p). A vector takes at most one update
+per pivot, fewer than k = min(rows, cols), so a slot stays nonnegative and
+below p + 2k * p^2 < 2^w for w = 8 * ceil((2 * bits(p) + bits(k) + 2) / 8):
+no slot carries into the next, and each slot stays congruent mod p to its
+entry. Tails in [0, p) need one bit less, but the width already had it to
+spare: 2^w >= 4 * 2^bits(k) * 2^(2 bits(p)) > 4k * p^2 > p + 2k * p^2.
 
 An exact trial evaluates at random positive integer points. A nonzero
 minor mod 2^61 - 1 is a nonzero integer minor, so a mod-p rank of
@@ -142,6 +145,18 @@ class TrialEvidence:
     rank: int
 
 
+def _scale_slots(v: int, c: int, p: int, w: int, evens: int) -> int:
+    """Each w-bit slot x of v (x < 2^w) replaced by x c - q p in [0, 2p),
+    q = floor(x floor(c 2^w / p) / 2^w): Barrett reduction by a fixed
+    factor c < p (Shoup's form). Even and odd slots go apart, in 2w-bit
+    fields whose low halves `evens` masks, so no product carries over."""
+    cw = (c << w) // p
+    even, odd = v & evens, v >> w & evens
+    even = even * c - (even * cw >> w & evens) * p
+    odd = odd * c - (odd * cw >> w & evens) * p
+    return even | odd << w
+
+
 def rank_mod_p(rows, p: int) -> int:
     """Rank of an integer matrix over the field with p elements; `rows` is
     not modified."""
@@ -154,6 +169,8 @@ def rank_mod_p(rows, p: int) -> int:
     mask = (1 << w) - 1
     a = [row for row in rows if any(row)]
     s = min(len(a), ncols)
+    evens = int.from_bytes((b"\xff" * nbytes + bytes(nbytes)) * (s // 2 + 1),
+                           "little")  # the low w bits of each 2w-bit field
     tails = [None] * s  # tails[j]: the pivot at slot j past its leading 1
     rk = 0
     for vec in a if len(a) >= ncols else zip(*a):
@@ -170,12 +187,7 @@ def rank_mod_p(rows, p: int) -> int:
             elif tail is not None:
                 v = (v >> w) + (p - f) * tail
             else:
-                inv = pow(f, -1, p)
-                rest = (v >> w).to_bytes((s - j - 1) * nbytes, "little")
-                tails[j] = int.from_bytes(b"".join([
-                    (int.from_bytes(rest[i:i + nbytes], "little") * inv % p)
-                    .to_bytes(nbytes, "little")
-                    for i in range(0, len(rest), nbytes)]), "little")
+                tails[j] = _scale_slots(v >> w, pow(f, -1, p), p, w, evens)
                 rk += 1
                 break
     return rk

@@ -526,7 +526,8 @@ def test_pruned_search_finds_the_unpruned_certificate(poly, mults, depth, seed):
 
 def test_prune_skips_rank_trials_of_rejected_splits(monkeypatch):
     # simplex 2:4 with five double points at depth 1 is inconclusive; the
-    # unpruned search runs 31 leaf analyses to find that out, the pruned 7
+    # unpruned search runs 31 leaf analyses to find that out, the pruned 6
+    # (one per distinct leaf)
     calls = []
     original = degeneration.analyze_polytope_system
 
@@ -651,6 +652,34 @@ def test_each_distinct_leaf_is_analysed_once_per_call(monkeypatch):
                                       cfg=RankConfig(seed=1))) \
         == _certificate_bytes(cert)
     assert len(calls) == 3
+
+
+def test_each_split_is_built_once(monkeypatch):
+    # box 3x3 with four double points at depth 2 is certified by three
+    # splits, each the first tried at its node: certify and verify build
+    # each split's pieces once and check the hypotheses on those pieces (six
+    # builds each when check_hypotheses split the polytope again)
+    calls = []
+    original = degeneration.split_polytope
+
+    def counted(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(degeneration, "split_polytope", counted)
+    system = PolytopeSystem(box_polytope((3, 3)), (2, 2, 2, 2))
+    cert = certify(system, max_depth=2, cfg=RankConfig(seed=1))
+    splits = [(node.split.axis, node.split.level) for node in (
+        cert, *cert.children) if node.kind == "split"]
+    assert calls == splits == [(0, 2), (1, 2), (1, 2)]
+    calls.clear()
+    assert verify_certificate(cert, RankConfig(seed=2))
+    assert calls == splits
+    # the public checker still splits for itself
+    calls.clear()
+    transcript = check_hypotheses(cert.polytope, cert.split, cert.mults,
+                                  *cert.children)
+    assert transcript == cert.transcript and calls == [(0, 2)]
 
 
 def test_verify_compares_every_repeated_leaf_on_its_own(tmp_path):

@@ -233,9 +233,8 @@ def test_rank_mod_p_matches_textbook_elimination(case):
 def staircase_product(m, n, p):
     """L * U with rank min(m, n) - 1: U is unit upper triangular with p - 1
     above the diagonal and L has ones on and below it. Without row swaps
-    every update has f = 1 against a tail of p - 1, the largest growth a
-    slot can take, and the last row takes min(m, n) - 1 updates before it
-    reaches zero mod p."""
+    every update has f = 1 against tail slots congruent to p - 1, and the
+    last row takes min(m, n) - 1 updates before it reaches zero mod p."""
     r = min(m, n) - 1
     upper = [[(1 if j == i else p - 1) if j >= i else 0 for j in range(n)]
              for i in range(r)]
@@ -247,8 +246,9 @@ def staircase_product(m, n, p):
 @pytest.mark.parametrize("shape", ((64, 64), (200, 231), (231, 200)))
 def test_rank_mod_p_slots_do_not_overflow(p, shape):
     # the staircase's rows are the inserted vectors only when rows >= cols;
-    # then each takes up to min(m, n) - 1 updates with f = 1 against tails
-    # of p - 1
+    # then each takes up to min(m, n) - 1 updates with f = 1 against tail
+    # slots of p - 1 or 2p - 1; the largest growth, (p - 1)(2p - 1) per
+    # update, is bounded for every width by test_slot_width_bounds_the_growth
     m, n = shape
     rng = random.Random(m * n + p % 1000)
     rows = [tuple(rng.choice((0, p - 2, p - 1)) for _ in range(n))
@@ -258,6 +258,67 @@ def test_rank_mod_p_slots_do_not_overflow(p, shape):
     before = [list(row) for row in stair]
     assert rank_mod_p(stair, p) == min(m, n) - 1
     assert stair == before
+
+
+def slot_width(p, k):
+    """rank_mod_p's slot width for prime p and k = min(rows, cols)."""
+    return 8 * ((2 * p.bit_length() + k.bit_length() + 9) // 8)
+
+
+def even_slots(w, n):
+    """The low w bits of each 2w-bit field, over at least n w-bit slots."""
+    return sum(((1 << w) - 1) << (2 * w * i) for i in range(n // 2 + 1))
+
+
+def unpack(v, w, n):
+    return [v >> (w * i) & ((1 << w) - 1) for i in range(n)]
+
+
+def test_slot_width_bounds_the_growth():
+    # a slot starts below p and takes fewer than k updates, each adding at
+    # most (p - f) * tail <= (p - 1)(2p - 1) with tails in [0, 2p)
+    for p in PRIMES:
+        for k in range(1, 10 ** 5 + 1):
+            assert (p - 1) + k * (p - 1) * (2 * p - 1) < 2 ** slot_width(p, k)
+
+
+def check_scale_slots(p, c, n, slots):
+    w = slot_width(p, n)
+    v = sum(x << (w * i) for i, x in enumerate(slots))
+    out = rank_module._scale_slots(v, c, p, w, even_slots(w, n))
+    assert out >> (w * n) == 0
+    for x, y in zip(slots, unpack(out, w, n)):
+        assert 0 <= y < 2 * p and (y - x * c) % p == 0
+
+
+def test_scale_slots_matches_per_slot_arithmetic():
+    rng = random.Random(22)
+    for p in PRIMES:
+        for n in (1, 2, 3, 4, 7, 64, 199, 230, 231):
+            top = 2 ** slot_width(p, n) - 1
+            for c in (1, p - 1, rng.randrange(1, p)):
+                for slots in ([0] * n, [top] * n,
+                              [rng.randint(0, top) for _ in range(n)],
+                              [rng.choice((0, 1, p - 1, p, 2 * p - 1, top))
+                               for _ in range(n)]):
+                    check_scale_slots(p, c, n, slots)
+
+
+@st.composite
+def scale_case(draw):
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, 40))
+    top = 2 ** slot_width(p, n) - 1
+    slots = draw(st.lists(st.one_of(st.integers(0, top),
+                                    st.integers(top - 2 * p, top)),
+                          min_size=n, max_size=n))
+    return p, draw(st.integers(1, p - 1)), n, slots
+
+
+@settings(max_examples=300, deadline=None)
+@given(scale_case())
+def test_scale_slots_is_congruent_and_below_2p(case):
+    check_scale_slots(*case)
 
 
 @st.composite
