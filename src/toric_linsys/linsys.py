@@ -6,6 +6,16 @@ derivative order u with |u| <= mu - 1. The entry at (u, m) is the u-th
 partial derivative of x^m evaluated at the point:
 prod_j falling(m_j, u_j) * prod_j p_j^(m_j - u_j), zero when some u_j > m_j.
 
+`build_point_matrix` builds this matrix entry by entry; it is the public
+matrix and the reference for the trials. A modular trial packs the rank
+kernel's vectors straight from two factor tables instead (`_trial_rank`):
+it multiplies row (i, u) by x_i^u, a unit mod p because every coordinate is
+drawn from [1, p - 1], which turns the entry into F_u[m] X_i[m] with
+F_u[m] = prod_j falling(m_j, u_j) mod p and X_i[m] = x_i^m mod p. Scaling
+rows by units keeps the rank, and the scaled row is zero exactly when the
+row is, so every trial rank, and every TrialEvidence, is that of
+rank_mod_p on build_point_matrix at the same prime and points.
+
 dim = h0 - rank - 1. The virtual dimension subtracts the full count of
 derivative conditions; the toric virtual dimension only subtracts orders
 that lie inside the section polytope (rows outside it vanish identically
@@ -19,12 +29,14 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import comb
 from operator import mul
 
 from .cox import CoxPresentation, SectionPolytope, section_polytope
 from .lattice import POINT_BUDGET, LatticePolytope, _as_int_vector, lattice_points
-from .rank import RankConfig, TrialEvidence, rank_exact, rank_mod_p, trial_prime
+from .rank import (RankConfig, TrialEvidence, _eliminate, _slot_bytes, rank_exact,
+                   trial_prime)
 
 
 class GenericityError(RuntimeError):
@@ -116,18 +128,25 @@ def _order_vectors(coords, x, mu, prime):
     return out
 
 
+def _exponents_and_orders(columns, n, mults):
+    """The support's exponents by coordinate, and the derivative orders per
+    multiplicity: the checks every interpolation matrix needs, run before
+    any table is built."""
+    coords = list(zip(*columns)) if columns else [()] * n
+    # the tables read each exponent as a list index
+    if any(min(cj, default=0) < 0 for cj in coords):
+        raise ValueError("negative exponent in the monomial support; "
+                         "the polytope is not in the first orthant")
+    return coords, {mu: derivative_orders(n, mu) for mu in set(mults)}
+
+
 def build_point_matrix(columns, mults, points, prime=None) -> InterpolationMatrix:
     """Stacked derivative-condition blocks over the given monomial support.
 
     The row of order u at a point is the elementwise product over the
     coordinates j of the order-u_j vectors; modular rows are reduced once."""
     n = len(columns[0]) if columns else (len(points[0]) if points else 0)
-    coords = list(zip(*columns)) if columns else [()] * n
-    # _order_vectors reads each exponent as a list index
-    if any(min(cj, default=0) < 0 for cj in coords):
-        raise ValueError("negative exponent in the monomial support; "
-                         "the polytope is not in the first orthant")
-    orders = {mu: derivative_orders(n, mu) for mu in set(mults)}
+    coords, orders = _exponents_and_orders(columns, n, mults)
     rows = []
     labels = []
     for pi, (mu, pt) in enumerate(zip(mults, points)):
@@ -141,6 +160,49 @@ def build_point_matrix(columns, mults, points, prime=None) -> InterpolationMatri
             rows.append(tuple(row))
             labels.append((pi, u))
     return InterpolationMatrix(tuple(rows), tuple(columns), tuple(labels), prime)
+
+
+def _column_products(tables, coords, ncols, p):
+    """Per column m, prod_j tables[j][m_j] mod p."""
+    out = [1] * ncols
+    for table, cj in zip(tables, coords):
+        out = map(mul, out, map(table.__getitem__, cj))
+    return list(map(p.__rmod__, out))
+
+
+def _trial_rank(coords, orders, mults, points, p):
+    """The rank mod p of the trial's matrix, packed column by column from
+    two factor tables. Row (i, u) times the unit x_i^u has the entries
+    F_u[m] X_i[m], with F_u[m] = prod_j falling(m_j, u_j) and X_i[m] = x_i^m
+    mod p; the orders u with F_u = 0 mod p give the zero rows, left out."""
+    ncols = len(coords[0]) if coords else 1
+    falls = [[1] * (max(map(max, coords), default=0) + 1)]
+    for v in range(1, max(mults)):  # falls[v][d] = falling(d, v) mod p
+        falls.append([f * (d - v + 1) % p for d, f in enumerate(falls[-1])])
+    by_order = {u: _column_products([falls[uj] for uj in u], coords, ncols, p)
+                for u in orders[max(mults)]}
+    kept = {mu: [by_order[u] for u in us if any(by_order[u])]
+            for mu, us in orders.items()}
+    nrows = sum(len(kept[mu]) for mu in mults)
+    s = min(nrows, ncols)
+    nbytes = _slot_bytes(p, s)
+    # phis[mu][m]: column m of the F_u over the kept orders u, packed
+    phis = {mu: list(map(int.from_bytes, map(b"".join, zip(*[
+        map(int.to_bytes, f, repeat(nbytes), repeat("little")) for f in fs])),
+        repeat("little"))) for mu, fs in kept.items()}
+    blocks = []
+    for mu, pt in zip(mults, points):
+        if kept[mu]:
+            powers = []  # powers[j][d] = x_j^d mod p
+            for x, cj in zip(pt, coords):
+                powers.append([1])
+                for _ in range(max(cj)):
+                    powers[-1].append(powers[-1][-1] * x % p)
+            xs = _column_products(powers, coords, ncols, p)
+            blocks.append(map(int.to_bytes, map(mul, xs, phis[mu]),
+                              repeat(len(kept[mu]) * nbytes), repeat("little")))
+    vectors = map(int.from_bytes, map(b"".join, zip(*blocks)), repeat("little"))
+    return _eliminate(vectors, nrows, s, p, nbytes)
 
 
 def build_matrix(system: LinearSystem, points, prime=None) -> InterpolationMatrix:
@@ -159,12 +221,17 @@ def build_matrix(system: LinearSystem, points, prime=None) -> InterpolationMatri
 def generic_rank_for_support(columns, n, mults, cfg: RankConfig):
     """Max rank over seeded random trials plus the per-trial evidence.
 
-    Every leaf of a certify search has the same seed, so `trial_prime` runs
-    each trial's prime search once and replays its draws on the trial rng:
-    the points, ranks and evidence are those of a fresh search."""
+    The support and multiplicities are checked once, before any trial. A
+    modular trial's rank is `_trial_rank` at its prime and points, equal to
+    rank_mod_p of build_point_matrix there; an exact trial's is rank_exact
+    of build_point_matrix. Every leaf of a certify search has the same
+    seed, so `trial_prime` runs each trial's prime search once and replays
+    its draws on the trial rng: the points, ranks and evidence are those of
+    a fresh search."""
     k = len(mults)
     if k == 0 or not columns:
         return 0, ()
+    coords, orders = _exponents_and_orders(columns, n, mults)
     master = random.Random(cfg.seed)
     best = 0
     evidence = []
@@ -175,8 +242,8 @@ def generic_rank_for_support(columns, n, mults, cfg: RankConfig):
         top = 1 << 16 if p is None else p - 1
         pts = [tuple(trng.randint(1, top) for _ in range(n))
                for _ in range(k)]
-        mat = build_point_matrix(columns, mults, pts, prime=p)
-        rk = rank_exact(mat.rows) if p is None else rank_mod_p(mat.rows, p)
+        rk = (rank_exact(build_point_matrix(columns, mults, pts).rows)
+              if p is None else _trial_rank(coords, orders, mults, pts, p))
         evidence.append(TrialEvidence(p, tseed, rk))
         best = max(best, rk)
     return best, tuple(evidence)

@@ -8,24 +8,30 @@ Schwartz-Zippel a trial misses the generic rank with probability at most
 Each trial's rank is a lower bound on the generic rank: a minor that is
 nonzero mod p is nonzero as an integer polynomial.
 
-The modular elimination is left-looking. Zero rows are dropped, and the
-longer side of the rest (rows, or columns if fewer) supplies the vectors,
-the shorter side, of length s, the slots. A vector is packed into one
-integer, w bits per slot, slot 0 lowest (Kronecker substitution), and walked
-from slot 0 against an echelon basis of at most one pivot per slot. A slot
-with a pivot takes `(v >> w) + (p - f) * tail`, f the slot mod p and tail
-the pivot's normalised rest: the slot drops and each later one gains less
-than 2p^2. At a slot with no pivot, f != 0 makes v the pivot there; a vector
-that reaches 0 is dependent. Reading stops at rank s, so a wide matrix of
-full row rank costs about s^3 / 3 slot updates and never touches the columns
-left without a pivot. Entries are reduced mod p once, when packed, and a
-new pivot's rest is scaled by 1/f on all its slots at once (`_scale_slots`),
-which leaves each tail slot in [0, 2p). A vector takes at most one update
-per pivot, fewer than k = min(rows, cols), so a slot stays nonnegative and
-below p + 2k * p^2 < 2^w for w = 8 * ceil((2 * bits(p) + bits(k) + 2) / 8):
-no slot carries into the next, and each slot stays congruent mod p to its
-entry. Tails in [0, p) need one bit less, but the width already had it to
-spare: 2^w >= 4 * 2^bits(k) * 2^(2 bits(p)) > 4k * p^2 > p + 2k * p^2.
+The modular elimination is one left-looking kernel, `_eliminate`. Its
+input is a sequence of vectors, each packed into one integer, w bits per
+slot, slot 0 lowest (Kronecker substitution), and s, the largest rank the
+vectors can have. `rank_mod_p` drops zero rows and lets the longer side of
+the rest (rows, or columns if fewer) supply the vectors and the shorter
+side, of length s, the slots; its entries are reduced mod p once, when
+packed, so its slots start below p. A modular trial (`linsys`) packs its
+matrix's columns as the vectors, straight from two factor tables, so it
+may have more slots than vectors; each of its slots, the product of two
+residues, starts below p^2.
+
+Each vector is walked from slot 0 against an echelon basis of at most one
+pivot per slot. A slot with a pivot takes `(v >> w) + (p - f) * tail`, f
+the slot mod p and tail the pivot's normalised rest: the slot drops and each
+later one gains less than 2p^2. At a slot with no pivot, f != 0 makes v the
+pivot there; a vector that reaches 0 is dependent. Reading stops at rank s,
+so a wide matrix of full row rank costs about s^3 / 3 slot updates and never
+touches the columns left without a pivot. A new pivot's rest is scaled by
+1/f on all its slots at once (`_scale_slots`), which leaves each tail slot
+in [0, 2p). A vector takes at most one update per pivot, fewer than s, so a
+slot stays nonnegative and below p^2 + 2s * p^2 < 2^w for
+w = 8 * ceil((2 * bits(p) + bits(s) + 2) / 8): no slot carries into the
+next, and each slot stays congruent mod p to its entry. The width has room
+to spare: 2^w >= 4 * 2^bits(s) * 2^(2 bits(p)) > 4s * p^2 > (2s + 1) * p^2.
 
 An exact trial evaluates at random positive integer points. A nonzero
 minor mod 2^61 - 1 is a nonzero integer minor, so a mod-p rank of
@@ -157,27 +163,23 @@ def _scale_slots(v: int, c: int, p: int, w: int, evens: int) -> int:
     return even | odd << w
 
 
-def rank_mod_p(rows, p: int) -> int:
-    """Rank of an integer matrix over the field with p elements; `rows` is
-    not modified."""
-    if not all(issubclass(t, int) for t in set(map(type, chain(*rows)))):
-        raise TypeError("rank_mod_p needs integer entries")
-    ncols = len(rows[0]) if rows else 0
-    # slot width w = 8 * ceil((2 bits(p) + bits(min(rows, cols)) + 2) / 8)
-    nbytes = (2 * p.bit_length() + min(len(rows), ncols).bit_length() + 9) // 8
+def _slot_bytes(p: int, s: int) -> int:
+    """w / 8 for w = 8 * ceil((2 bits(p) + bits(s) + 2) / 8)."""
+    return (2 * p.bit_length() + s.bit_length() + 9) // 8
+
+
+def _eliminate(vectors, nslots: int, s: int, p: int, nbytes: int) -> int:
+    """Rank mod p of packed vectors of `nslots` slots, `nbytes` bytes each,
+    read until the rank reaches s >= the rank."""
     w = 8 * nbytes
     mask = (1 << w) - 1
-    a = [row for row in rows if any(row)]
-    s = min(len(a), ncols)
-    evens = int.from_bytes((b"\xff" * nbytes + bytes(nbytes)) * (s // 2 + 1),
+    evens = int.from_bytes((b"\xff" * nbytes + bytes(nbytes)) * (nslots // 2 + 1),
                            "little")  # the low w bits of each 2w-bit field
-    tails = [None] * s  # tails[j]: the pivot at slot j past its leading 1
+    tails = [None] * nslots  # tails[j]: the pivot at slot j past its leading 1
     rk = 0
-    for vec in a if len(a) >= ncols else zip(*a):
+    for v in vectors:
         if rk == s:
             break
-        v = int.from_bytes(b"".join([(x % p).to_bytes(nbytes, "little")
-                                     for x in vec]), "little")
         for j, tail in enumerate(tails):
             f = (v & mask) % p
             if not f:
@@ -191,6 +193,21 @@ def rank_mod_p(rows, p: int) -> int:
                 rk += 1
                 break
     return rk
+
+
+def rank_mod_p(rows, p: int) -> int:
+    """Rank of an integer matrix over the field with p elements; `rows` is
+    not modified."""
+    if not all(issubclass(t, int) for t in set(map(type, chain(*rows)))):
+        raise TypeError("rank_mod_p needs integer entries")
+    ncols = len(rows[0]) if rows else 0
+    a = [row for row in rows if any(row)]
+    s = min(len(a), ncols)
+    nbytes = _slot_bytes(p, s)
+    vectors = (int.from_bytes(b"".join([(x % p).to_bytes(nbytes, "little")
+                                        for x in vec]), "little")
+               for vec in (a if len(a) >= ncols else zip(*a)))
+    return _eliminate(vectors, s, s, p, nbytes)
 
 
 def rank_exact(rows) -> int:

@@ -32,6 +32,8 @@ from toric_linsys.catalog import (
 from toric_linsys import rank as rank_module
 from toric_linsys.degeneration import axis_widths, split_polytope
 from toric_linsys.linsys import (
+    _exponents_and_orders,
+    _trial_rank,
     build_point_matrix,
     falling,
     generic_rank_for_support,
@@ -192,6 +194,39 @@ def test_rank_mod_p_against_exact_rank_of_point_matrix(case):
             assert rk_p == rk
 
 
+@st.composite
+def modular_trials(draw):
+    """A first-orthant support in dimension 1-4, often not a down-set (so
+    some rows vanish identically), mixed multiplicities, a prime of 3-20,
+    61 or 78 bits, and points in [1, p - 1]. Exponents reach 13 in
+    dimension 1 and 9 in dimension 2, past the primes of 3 and 4 bits, so
+    falling(m, u) = 0 mod p with u <= m occurs."""
+    bits = draw(st.one_of(st.integers(3, 4), st.integers(3, 20),
+                          st.sampled_from((61, 78))))
+    p = random_prime(bits, random.Random(draw(st.integers(0, 2 ** 32))))
+    n = draw(st.integers(1, 4))
+    top = (13, 9, 3, 3)[n - 1]
+    exponent = st.integers(0, top)
+    if p <= top:  # m_j = p, ..., p + 3 give falling(m_j, u_j) = 0 mod p
+        exponent = st.one_of(exponent, st.integers(p, min(p + 3, top)))
+    columns = draw(st.lists(st.tuples(*[exponent] * n),
+                            min_size=1, max_size=30, unique=True))
+    mults = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    coord = st.integers(1, p - 1)
+    points = [draw(st.tuples(*[coord] * n)) for _ in mults]
+    return columns, n, mults, points, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(modular_trials())
+def test_packed_trial_rank_is_the_rank_of_the_point_matrix(case):
+    # scaling row (i, u) by the unit x_i^u keeps the rank of every trial
+    columns, n, mults, points, p = case
+    coords, orders = _exponents_and_orders(columns, n, mults)
+    assert _trial_rank(coords, orders, mults, points, p) == rank_mod_p(
+        build_point_matrix(columns, mults, points, prime=p).rows, p)
+
+
 def test_build_matrix_integer_points_give_integer_entries():
     # integer points keep exact trials on integers; halving every coordinate
     # scales row u by 2^|u| and column m by 2^-|m|, so the rank is unchanged
@@ -265,7 +300,7 @@ def uncached_generic_rank(columns, n, mults, cfg):
     return max(e.rank for e in out), tuple(out)
 
 
-@pytest.mark.parametrize("bits", [4, 5, 61])
+@pytest.mark.parametrize("bits", [4, 5, 61, 78])
 def test_generic_rank_same_on_cold_and_warm_prime_cache(bits):
     columns = tuple(lattice_points(box_polytope((3, 2))))
     mults = (2, 2, 1)

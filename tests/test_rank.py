@@ -261,8 +261,20 @@ def test_rank_mod_p_slots_do_not_overflow(p, shape):
 
 
 def slot_width(p, k):
-    """rank_mod_p's slot width for prime p and k = min(rows, cols)."""
-    return 8 * ((2 * p.bit_length() + k.bit_length() + 9) // 8)
+    """The kernel's slot width for prime p and rank at most k."""
+    return 8 * rank_module._slot_bytes(p, k)
+
+
+@pytest.mark.parametrize("p", (2 ** 61 - 1, P78))
+def test_eliminate_slots_do_not_overflow_with_more_slots_than_vectors(p):
+    # a 231 x 200 staircase read by columns, as a modular trial reads its
+    # matrix: 200 vectors of 231 slots, the last taking 199 updates with
+    # f = 1, each slot starting at its entry plus (p - 1) p, so below p^2
+    nbytes = slot_width(p, 200) // 8
+    vectors = [int.from_bytes(b"".join((x + (p - 1) * p).to_bytes(nbytes, "little")
+                                       for x in col), "little")
+               for col in staircase_product(200, 231, p)]
+    assert rank_module._eliminate(vectors, 231, 200, p, nbytes) == 199
 
 
 def even_slots(w, n):
@@ -275,11 +287,13 @@ def unpack(v, w, n):
 
 
 def test_slot_width_bounds_the_growth():
-    # a slot starts below p and takes fewer than k updates, each adding at
-    # most (p - f) * tail <= (p - 1)(2p - 1) with tails in [0, 2p)
+    # a slot starts below p (rank_mod_p) or below p^2 (a modular trial's
+    # product of two residues) and takes fewer than k updates, each adding
+    # at most (p - f) * tail <= (p - 1)(2p - 1) with tails in [0, 2p)
     for p in PRIMES:
         for k in range(1, 10 ** 5 + 1):
-            assert (p - 1) + k * (p - 1) * (2 * p - 1) < 2 ** slot_width(p, k)
+            assert (p - 1) ** 2 + k * (p - 1) * (2 * p - 1) \
+                < 2 ** slot_width(p, k)
 
 
 def check_scale_slots(p, c, n, slots):
