@@ -16,6 +16,13 @@ rows by units keeps the rank, and the scaled row is zero exactly when the
 row is, so every trial rank, and every TrialEvidence, is that of
 rank_mod_p on build_point_matrix at the same prime and points.
 
+An exact trial draws its coordinates from [1, 2^16], units mod
+2^61 - 1, and screens with the same kernel mod that prime: its rank is a
+lower bound on the rank over Q, which is at most min(nonzero rows,
+columns), so a screen that reaches that count is the rank over Q. Only a
+screen that falls short builds the integer matrix and ranks it by Bareiss
+elimination; both ways give rank_exact of build_point_matrix.
+
 dim = h0 - rank - 1. The virtual dimension subtracts the full count of
 derivative conditions; the toric virtual dimension only subtracts orders
 that lie inside the section polytope (rows outside it vanish identically
@@ -31,11 +38,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import comb
-from operator import mul
+from operator import le, mul
 
 from .cox import CoxPresentation, SectionPolytope, section_polytope
 from .lattice import POINT_BUDGET, LatticePolytope, _as_int_vector, lattice_points
-from .rank import (RankConfig, TrialEvidence, _eliminate, _slot_bytes, rank_exact,
+from .linalg import rank as matrix_rank
+from .rank import (_SCREEN_PRIME, RankConfig, TrialEvidence, _eliminate, _slot_bytes,
                    trial_prime)
 
 
@@ -205,6 +213,15 @@ def _trial_rank(coords, orders, mults, points, p):
     return _eliminate(vectors, nrows, s, p, nbytes)
 
 
+def _nonzero_rows(columns, orders, mults):
+    """How many rows of the integer matrix are nonzero. Row (i, u) is one
+    exactly when some column m >= u: there every falling(m_j, u_j) > 0 and
+    x_i^(m_j - u_j) != 0, elsewhere some falling(m_j, u_j) is 0."""
+    reached = {u for u in orders[max(mults)]
+               if any(all(map(le, u, m)) for m in columns)}
+    return sum(len(reached.intersection(orders[mu])) for mu in mults)
+
+
 def build_matrix(system: LinearSystem, points, prime=None) -> InterpolationMatrix:
     """Interpolation matrix of the system at explicit torus points."""
     if len(points) != len(system.multiplicities):
@@ -223,8 +240,10 @@ def generic_rank_for_support(columns, n, mults, cfg: RankConfig):
 
     The support and multiplicities are checked once, before any trial. A
     modular trial's rank is `_trial_rank` at its prime and points, equal to
-    rank_mod_p of build_point_matrix there; an exact trial's is rank_exact
-    of build_point_matrix. Every leaf of a certify search has the same
+    rank_mod_p of build_point_matrix there. An exact trial's is
+    `_trial_rank` mod 2^61 - 1 when that reaches min(nonzero rows, columns),
+    else Bareiss on build_point_matrix: either way rank_exact of
+    build_point_matrix. Every leaf of a certify search has the same
     seed, so `trial_prime` runs each trial's prime search once and replays
     its draws on the trial rng: the points, ranks and evidence are those of
     a fresh search."""
@@ -232,6 +251,8 @@ def generic_rank_for_support(columns, n, mults, cfg: RankConfig):
     if k == 0 or not columns:
         return 0, ()
     coords, orders = _exponents_and_orders(columns, n, mults)
+    if cfg.exact:
+        full = min(_nonzero_rows(columns, orders, mults), len(columns))
     master = random.Random(cfg.seed)
     best = 0
     evidence = []
@@ -242,8 +263,10 @@ def generic_rank_for_support(columns, n, mults, cfg: RankConfig):
         top = 1 << 16 if p is None else p - 1
         pts = [tuple(trng.randint(1, top) for _ in range(n))
                for _ in range(k)]
-        rk = (rank_exact(build_point_matrix(columns, mults, pts).rows)
-              if p is None else _trial_rank(coords, orders, mults, pts, p))
+        rk = _trial_rank(coords, orders, mults, pts,
+                         _SCREEN_PRIME if p is None else p)
+        if p is None and rk < full:
+            rk = matrix_rank(build_point_matrix(columns, mults, pts).rows)
         evidence.append(TrialEvidence(p, tseed, rk))
         best = max(best, rk)
     return best, tuple(evidence)

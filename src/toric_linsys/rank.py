@@ -33,10 +33,13 @@ w = 8 * ceil((2 * bits(p) + bits(s) + 2) / 8): no slot carries into the
 next, and each slot stays congruent mod p to its entry. The width has room
 to spare: 2^w >= 4 * 2^bits(s) * 2^(2 bits(p)) > 4s * p^2 > (2s + 1) * p^2.
 
-An exact trial evaluates at random positive integer points. A nonzero
-minor mod 2^61 - 1 is a nonzero integer minor, so a mod-p rank of
-min(nonzero rows, cols) is the rank over Q; below that, fraction-free
-(Bareiss) elimination decides. It too is a lower bound on the generic rank.
+An exact trial evaluates at random positive integer points. It is screened
+mod _SCREEN_PRIME = 2^61 - 1 by the packed trial kernel (`linsys`), and
+`rank_exact` screens any integer matrix the same way: a nonzero minor mod
+p is a nonzero integer minor, so a mod-p rank of min(nonzero rows, cols) is
+the rank over Q. Below that, fraction-free (Bareiss) elimination of the
+integer matrix decides; an exact trial builds that matrix only then. Its
+rank too is a lower bound on the generic rank.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ _MR_BOUND = 318665857834031151167461
 MAX_PRIME_BITS = 78  # 2^78 < _MR_BOUND
 _TRIAL_PRIMES = 256  # (tseed, bits) prime searches trial_prime remembers
 MAX_TRIALS = 1000  # a larger trial count is an input error, not a long run
+_SCREEN_PRIME = (1 << 61) - 1  # the one prime of every exact rank's screen
 
 
 def is_prime(n: int) -> bool:
@@ -215,6 +219,6 @@ def rank_exact(rows) -> int:
     has one, else by fraction-free (Bareiss) elimination."""
     a = _integer_rows(rows)
     full = min(sum(1 for row in a if any(row)), len(a[0]) if a else 0)
-    if rank_mod_p(a, (1 << 61) - 1) == full:
+    if rank_mod_p(a, _SCREEN_PRIME) == full:
         return full
     return matrix_rank(a)

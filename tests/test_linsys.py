@@ -30,9 +30,11 @@ from toric_linsys.catalog import (
     trapezoid_polytope,
 )
 from toric_linsys import rank as rank_module
+from toric_linsys import linsys as linsys_module
 from toric_linsys.degeneration import axis_widths, split_polytope
 from toric_linsys.linsys import (
     _exponents_and_orders,
+    _nonzero_rows,
     _trial_rank,
     build_point_matrix,
     falling,
@@ -40,6 +42,7 @@ from toric_linsys.linsys import (
     normalize_mults,
     truncated_condition_counts,
 )
+from toric_linsys.linalg import rank as matrix_rank
 from toric_linsys.rank import TrialEvidence, random_prime, rank_exact, rank_mod_p
 
 
@@ -225,6 +228,92 @@ def test_packed_trial_rank_is_the_rank_of_the_point_matrix(case):
     coords, orders = _exponents_and_orders(columns, n, mults)
     assert _trial_rank(coords, orders, mults, points, p) == rank_mod_p(
         build_point_matrix(columns, mults, points, prime=p).rows, p)
+
+
+# special systems, each with a rank below min(nonzero rows, columns): the
+# Alexander-Hirschowitz double-point cases, O(2, 4) on P^1 x P^1 with five
+# double points, and a P^2 quintic through 3,3,2,2,2
+SPECIAL_SYSTEMS = (
+    (simplex_polytope(2, 2), (2, 2)),
+    (simplex_polytope(2, 4), (2, 2, 2, 2, 2)),
+    (simplex_polytope(3, 4), (2,) * 9),
+    (box_polytope((2, 4)), (2, 2, 2, 2, 2)),
+    (simplex_polytope(2, 5), (3, 3, 2, 2, 2)),
+)
+
+
+@st.composite
+def exact_trials(draw):
+    """A first-orthant support in dimension 1-3, mostly not a down-set, so
+    that some orders u have no column m >= u and give zero rows, with mixed
+    multiplicities 1-4; or one of the special systems."""
+    seed = draw(st.integers(0, 2 ** 32))
+    if draw(st.integers(0, 4)) == 0:
+        poly, mults = draw(st.sampled_from(SPECIAL_SYSTEMS))
+        return lattice_points(poly), poly.dim, mults, seed
+    n = draw(st.integers(1, 3))
+    exponent = st.integers(0, (9, 5, 3)[n - 1])
+    columns = draw(st.lists(st.tuples(*[exponent] * n),
+                            min_size=1, max_size=24, unique=True))
+    mults = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    return columns, n, mults, seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_trials())
+def test_exact_trial_ranks_are_rank_exact_of_the_point_matrix(case):
+    # the screen mod 2^61 - 1 and its Bareiss fallback give, trial by
+    # trial, rank_exact of the integer matrix at the trial's points; the
+    # screen is taken as the rank only at the matrix's nonzero-row count
+    columns, n, mults, seed = case
+    best, evidence = generic_rank_for_support(
+        columns, n, mults, RankConfig(exact=True, trials=2, seed=seed))
+    _, orders = _exponents_and_orders(columns, n, mults)
+    for ev in evidence:
+        assert ev.prime is None
+        rng = random.Random(ev.seed)
+        pts = [tuple(rng.randint(1, 2 ** 16) for _ in range(n))
+               for _ in mults]
+        rows = build_point_matrix(columns, mults, pts).rows
+        assert ev.rank == rank_exact(rows)
+        assert _nonzero_rows(columns, orders, mults) == sum(map(any, rows))
+    assert best == max(ev.rank for ev in evidence)
+
+
+def test_exact_trials_of_a_special_system_reach_bareiss(monkeypatch):
+    # Alexander-Hirschowitz: quartics through five double points of P^2 are
+    # special, so every screen falls short of 15 and Bareiss gives 14
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return matrix_rank(rows)
+
+    monkeypatch.setattr(linsys_module, "matrix_rank", counted)
+    L = LinearSystem(CP2, (4,), (2, 2, 2, 2, 2))
+    rk, evidence = generic_rank(L, RankConfig(exact=True))
+    assert rk == 14 and [ev.rank for ev in evidence] == [14] * 5
+    assert len(calls) == 5
+
+
+def test_exact_trials_fall_back_when_the_screen_falls_short(monkeypatch):
+    # a screen one short of full goes on to Bareiss, which finds the full
+    # rank of this non-special system; a full screen never builds the matrix
+    built = []
+
+    def counted(columns, mults, points, prime=None):
+        built.append(points)
+        return build_point_matrix(columns, mults, points, prime)
+
+    monkeypatch.setattr(linsys_module, "build_point_matrix", counted)
+    L = LinearSystem(CP2, (4,), (3, 2, 2))
+    cfg = RankConfig(exact=True, trials=3, seed=4)
+    rk, evidence = generic_rank(L, cfg)
+    assert rk == 12 and not built
+    monkeypatch.setattr(linsys_module, "_trial_rank",
+                        lambda *args: _trial_rank(*args) - 1)
+    assert generic_rank(L, cfg) == (rk, evidence)
+    assert len(built) == 3
 
 
 def test_build_matrix_integer_points_give_integer_entries():
