@@ -133,12 +133,39 @@ def root_region(f: Fan, ray_index: int) -> LatticePolytope:
 
 def demazure_roots(f: Fan):
     """All Demazure roots of a valid (hence complete) fan, grouped by ray,
-    lex order."""
+    each ray's roots in lex order: the lattice points of its `root_region`.
+
+    Each region lies on the hyperplane <m, rho> = -1 of its ray rho, so it
+    is enumerated in n - 1 coordinates. Take k with the smallest nonzero
+    |rho_k| (lowest index on ties) and a = rho_k; then m_k = (-1 - sum_{j !=
+    k} rho_j m_j) / a, and each row <m, r> >= 0 of another ray r, times |a|
+    to stay integral, becomes sign(a) sum_{j != k} (r_k rho_j - a r_j) m_j
+    <= -sign(a) r_k. A lattice point t of that (n - 1)-dimensional polytope
+    is a root iff a divides its numerator -1 - sum rho_j t_j (always when
+    |a| = 1). The rays of a complete fan positively span R^n, so no nonzero
+    direction has <d, r> >= 0 for every ray: the region and its projection
+    are bounded. Putting m_k back breaks the lex order of t, so each ray's
+    roots are sorted again.
+    """
     _require_valid(f)
+    n = f.rank
     roots = []
-    for i in range(len(f.rays)):
-        for m in lattice_points(root_region(f, i)):
-            roots.append(DemazureRoot(tuple(m), i))
+    for i, rho in enumerate(f.rays):
+        k = min((j for j in range(n) if rho[j]), key=lambda j: abs(rho[j]))
+        a = rho[k]
+        s = 1 if a > 0 else -1
+        rest = [j for j in range(n) if j != k]
+        others = f.rays[:i] + f.rays[i + 1:]
+        projected = LatticePolytope(
+            tuple(tuple(s * (r[k] * rho[j] - a * r[j]) for j in rest)
+                  for r in others),
+            tuple(-s * r[k] for r in others))
+        found = []
+        for t in lattice_points(projected):
+            mk, rem = divmod(-1 - sum(rho[j] * x for j, x in zip(rest, t)), a)
+            if not rem:
+                found.append((*t[:k], mk, *t[k:]))
+        roots.extend(DemazureRoot(m, i) for m in sorted(found))
     return tuple(roots)
 
 

@@ -58,11 +58,15 @@ def columns_matrix(vectors):
 
 
 def _integer_rows(rows):
-    """Each row times the lcm of its denominators: integer lists, same rank."""
+    """Each row times the lcm of its denominators: integer lists, same rank.
+    A row of plain ints (no bool, no Fraction) is copied as it is."""
     a = []
     for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        a.append([x.numerator * (den // x.denominator) for x in row])
+        if all(type(x) is int for x in row):
+            a.append(list(row))
+        else:
+            den = lcm(*(x.denominator for x in row))
+            a.append([x.numerator * (den // x.denominator) for x in row])
     return a
 
 
@@ -119,7 +123,9 @@ def _back_substitute(a, k, last, col):
 
 
 def _row_scale(m):
-    """Product of the row denominators _echelon clears."""
+    """Product of the row denominators _echelon clears: 1 for plain ints."""
+    if all(type(x) is int for row in m for x in row):
+        return 1
     return prod(lcm(*(x.denominator for x in row)) for row in m)
 
 

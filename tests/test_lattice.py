@@ -596,6 +596,53 @@ def test_vertex_box_of_moved_root_regions_matches_lp(spec, data):
     assert box == lp_box(p)
 
 
+def roots_by_region(fan):
+    """`demazure_roots` grouped by ray, each ray's roots in their order."""
+    return [[root.m for root in demazure_roots(fan) if root.ray_index == i]
+            for i in range(len(fan.rays))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(CATALOG_FAN_SPECS), st.data())
+def test_roots_on_the_hyperplane_match_the_full_region(spec, data):
+    fan = example_fan(spec)
+    a = data.draw(unimodular(fan.rank))
+    order = data.draw(st.permutations(range(len(fan.rays))))
+    label = {old: new for new, old in enumerate(order)}
+    moved = Fan(fan.rank, tuple(tuple(mat_vec(a, fan.rays[old]))
+                                for old in order),
+                tuple(tuple(label[i] for i in c) for c in fan.max_cones))
+    assert roots_by_region(moved) == [lattice_points(root_region(moved, i))
+                                      for i in range(len(moved.rays))]
+
+
+@pytest.mark.parametrize("fan, roots", [
+    # n = 1: each region is a point of the 0-dimensional projection
+    (example_fan("pn:1"), [[(-1,)], [(1,)]]),
+    # P(1, 2, 3): ray 2 has no +-1 entry, and a = -2 divides no numerator
+    (Fan(2, ((1, 0), (0, 1), (-2, -3)), ((0, 1), (1, 2), (0, 2))),
+     [[(-1, 0)], [(0, -1), (1, -1)], []]),
+])
+def test_roots_on_the_hyperplane_hand_cases(fan, roots):
+    assert roots_by_region(fan) == roots
+    assert roots == [lattice_points(root_region(fan, i))
+                     for i in range(len(fan.rays))]
+
+
+def test_point_budget_counts_the_projected_root_region(monkeypatch):
+    # P^2 with ray (-1, -1) first: its region is the segment from (1, 0) to
+    # (0, 1), a 4-cell box in 2 coordinates and a 2-cell box in 1
+    fan = Fan(2, ((-1, -1), (1, 0), (0, 1)), ((0, 1), (1, 2), (0, 2)))
+    monkeypatch.setattr(lattice_module, "POINT_BUDGET", 3)
+    with pytest.raises(ValueError, match="4 lattice cells"):
+        lattice_points(root_region(fan, 0))
+    assert roots_by_region(fan) == [[(0, 1), (1, 0)], [(-1, 0), (-1, 1)],
+                                    [(0, -1), (1, -1)]]
+    monkeypatch.setattr(lattice_module, "POINT_BUDGET", 1)
+    with pytest.raises(ValueError, match="bounding box of 2 lattice cells"):
+        demazure_roots(fan)
+
+
 def vertex_box_by_subsets(self):
     """LatticePolytope._vertex_box as it was before the recession walk, kept
     as an oracle: one Bareiss elimination per (n - 1)-subset of normals."""
