@@ -12,7 +12,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
+from operator import itemgetter
 
+from . import lattice
 from .lattice import (
     Fan,
     LatticePolytope,
@@ -21,7 +24,6 @@ from .lattice import (
     vertex_neighbors,
 )
 from .linalg import (
-    columns_matrix,
     mat_mul,
     mat_vec,
     solve_in_span,
@@ -224,31 +226,70 @@ def fan_symmetries(f: Fan):
     symmetries sending cone 0 onto T are then exactly the coset g_T H, built
     as products with no check. An integral map that permutes rays spanning
     R^n maps their lattice onto itself, so it is unimodular.
+
+    With (d, m) = `Fan.cone_facets(0)`, ray r has cone-0 coordinates c_r =
+    m r (times |d|), and a map that permutes cone 0's rays permutes every
+    c_r the same way. So an ordering of cone 0 is checked by permuting each
+    c_r and looking the result up, with no matrix; only an accepted one gets
+    its matrix, sum_k ray_{perm[k]} (x) m_k / |d|, which must be integral.
+    The search is refused with ValueError, before the fan is validated, when
+    |max cones| * n! exceeds POINT_BUDGET.
     """
+    n = f.rank
+    candidates = len(f.max_cones) * factorial(n)
+    if candidates > lattice.POINT_BUDGET:
+        raise ValueError(f"{candidates} candidate maps exceed the "
+                         f"enumeration budget of {lattice.POINT_BUDGET}")
     _require_valid(f)
     ray_of = {r: i for i, r in enumerate(f.rays)}
-    cone_set = set(f.max_cones)
-    d, base_m = f.cone_facets(0)
+    cone_sets = set(map(frozenset, f.max_cones))
+    d, m = f.cone_facets(0)
     d = abs(d)
+    coords = [mat_vec(m, r) for r in f.rays]
+    ray_at = {c: i for i, c in enumerate(coords)}
+    # outer[k][r]: ray r times row k of m, row-major; the map sending ray j
+    # of cone 0 to ray perm[j] is the sum of outer[k][perm[k]] over k, / |d|
+    outer = [[tuple(x * y for x in r for y in row) for r in f.rays]
+             for row in m]
+
+    def permutes_cones(images):
+        return all(frozenset(map(images.__getitem__, c)) in cone_sets
+                   for c in f.max_cones)
+
+    def matrix(perm):
+        # the map sending ray j of cone 0 to ray perm[j], or None when it is
+        # not integral
+        flat = tuple(map(sum, zip(*map(list.__getitem__, outer, perm))))
+        if d > 1:
+            if any(x % d for x in flat):
+                return None
+            flat = tuple(x // d for x in flat)
+        return tuple(flat[i:i + n] for i in range(0, n * n, n))
+
+    def stabilises(sigma):
+        # the map sending position j of cone 0 to position sigma[j] sends
+        # ray r to ray s iff (c_s[sigma[0]], ..., c_s[sigma[n - 1]]) = c_r,
+        # so the lookups give its inverse, which permutes the rays and the
+        # cones iff the map does (itemgetter of one index is no tuple)
+        take = itemgetter(*sigma) if n > 1 else tuple
+        images = list(map(ray_at.get, map(take, coords)))
+        if None in images or not permutes_cones(images):
+            return None
+        return matrix(tuple(f.max_cones[0][j] for j in sigma))
 
     def accepted(perm):
-        # the candidate t . base^-1 = t . m / |d| is integral iff |d|
-        # divides every entry of t . m
-        t_m = mat_mul(columns_matrix(tuple(f.rays[i] for i in perm)), base_m)
-        if any(x % d for row in t_m for x in row):
+        a = matrix(perm)
+        if a is None:
             return None
-        a = tuple(tuple(x // d for x in row) for row in t_m)
+        # an invertible map: distinct rays have distinct images
         images = [ray_of.get(mat_vec(a, r)) for r in f.rays]
-        if None in images or len(set(images)) != len(images):
+        if None in images or not permutes_cones(images):
             return None
-        if all(tuple(sorted(images[i] for i in c)) in cone_set
-               for c in f.max_cones):
-            return a
-        return None
+        return a
 
     # an accepted map is a nonempty tuple, so filter(None, ...) keeps them
     orderings = itertools.permutations
-    stabiliser = list(filter(None, map(accepted, orderings(f.max_cones[0]))))
+    stabiliser = list(filter(None, map(stabilises, orderings(range(n)))))
     firsts = (next(filter(None, map(accepted, orderings(t))), None)
               for t in f.max_cones[1:])
     cosets = [g for g in firsts if g is not None]

@@ -152,10 +152,12 @@ class Fan:
         return Cone(tuple(self.rays[i] for i in self.max_cones[ci]), self.rank)
 
     def cone_facets(self, ci: int):
-        """(d, m) of maximal cone ci, computed on first use: d the determinant
-        of its ray matrix and m its adjugate times sign(d), so the cone is
-        {x : m x >= 0} and m / |d| is the inverse of the ray matrix. m is
-        None when d == 0."""
+        """(d, m) of maximal cone ci: d the determinant of its ray matrix and
+        m its adjugate times sign(d), so the cone is {x : m x >= 0} and m /
+        |d| is the inverse of the ray matrix. m is None when d == 0.
+        `validate_fan` fills every cone it reaches from cone 0 by rank-one
+        updates (`_neighbour_facets`); any other cone gets its `adjugate` on
+        first use. Both routes give the same integers."""
         if ci not in self._cone_facets:
             d, adj = adjugate(columns_matrix(
                 tuple(self.rays[i] for i in self.max_cones[ci])))
@@ -179,15 +181,18 @@ class Fan:
 def validate_fan(f: Fan, samples: int = 128, seed: int = 0) -> ValidationReport:
     """Check the fan invariants; the report carries failures instead of raising.
 
-    Completeness is decided exactly by sign tests with the cone inverses m of
-    `Fan.cone_facets`: (1) the cones at a facet (n - 1 rays) lie on opposite
-    sides of it, as the row of m vanishing on it tells; (2) every facet lies
-    in exactly two maximal cones; (3) no later cone holds x, the sum of cone
-    0's rays. Let mu(y) count the cones whose interior holds y. Under (1)-(2)
-    crossing a facet leaves mu unchanged, so mu is constant off the faces of
-    dimension n - 2, a connected set for n >= 2; (3) makes mu = 1 near x,
-    so mu = 1 everywhere: the interiors are disjoint and cover R^n. Every
-    overlap reported is a true one. For n = 1, (1)-(2) suffice: the only
+    The cone inverses m of `Fan.cone_facets` come from one `adjugate`, of
+    cone 0, and a walk across shared facets that gives each cone it reaches
+    its inverse from a neighbour's by a rank-one update, with no further
+    elimination. Completeness is decided exactly by sign tests with them:
+    (1) the cones at a facet (n - 1 rays) lie on opposite sides of it, as
+    the row of m vanishing on it tells; (2) every facet lies in exactly two
+    maximal cones; (3) no later cone holds x, the sum of cone 0's rays. Let
+    mu(y) count the cones whose interior holds y. Under (1)-(2) crossing a
+    facet leaves mu unchanged, so mu is constant off the faces of dimension
+    n - 2, a connected set for n >= 2; (3) makes mu = 1 near x, so mu = 1
+    everywhere: the interiors are disjoint and cover R^n. Every overlap
+    reported is a true one. For n = 1, (1)-(2) suffice: the only
     facet is the empty one and its two rays are +1 and -1. `samples` and
     `seed` are accepted for compatibility and ignored.
     """
@@ -211,6 +216,13 @@ def validate_fan(f: Fan, samples: int = 128, seed: int = 0) -> ValidationReport:
     cone_smooth = []
     simplicial = True
     if not failures:
+        # facet -> [(cone, position k of its other ray)], in the order of
+        # combinations(c, n - 1); row k of m vanishes on the facet
+        facets = {}
+        for ci, c in enumerate(f.max_cones):
+            for k in reversed(range(n)):
+                facets.setdefault(c[:k] + c[k + 1:], []).append((ci, k))
+        _walk_cone_facets(f, facets)
         for ci in range(len(f.max_cones)):
             d = f.cone_facets(ci)[0]
             if d == 0:
@@ -220,12 +232,6 @@ def validate_fan(f: Fan, samples: int = 128, seed: int = 0) -> ValidationReport:
 
     complete = False
     if not failures:
-        # facet -> [(cone, position k of its other ray)], in the order of
-        # combinations(c, n - 1); row k of m vanishes on the facet
-        facets = {}
-        for ci, c in enumerate(f.max_cones):
-            for k in reversed(range(n)):
-                facets.setdefault(c[:k] + c[k + 1:], []).append((ci, k))
         overlaps = [(a, b) for at in facets.values()
                     for (a, ka), (b, kb) in itertools.combinations(at, 2)
                     if dot(f.cone_facets(a)[1][ka],
@@ -250,6 +256,51 @@ def validate_fan(f: Fan, samples: int = 128, seed: int = 0) -> ValidationReport:
         cone_smooth=tuple(cone_smooth),
         failures=tuple(failures),
     )
+
+
+def _neighbour_facets(d, m, k, ray, kj):
+    """`Fan.cone_facets` of the cone that puts `ray` in place of position k
+    of a cone with (d, m), d != 0, and holds it at position kj of its sorted
+    rays: a rank-one update of the inverse (Sherman and Morrison, Ann. Math.
+    Statist. 21, 1950). With y = m ray, d' = sign(d) y_k; row k of m' is
+    sign(y_k) m_k and row i is (|y_k| m_i - sign(y_k) y_i m_k) / |d|, an
+    exact division, as m' is an integer adjugate. Moving the new row from k
+    to kj multiplies d' by (-1)^(k - kj). y_k = 0 means a degenerate cone."""
+    y = [dot(row, ray) for row in m]
+    yk = y[k]
+    if not yk:
+        return 0, None
+    mk = m[k] if yk > 0 else vec_neg(m[k])
+    a, ad = abs(yk), abs(d)
+    # a row with y_i = 0 only scales by |y_k| / |d|, often 1
+    rows = [mi if not yi and a == ad else
+            tuple((a * x - yi * z) // ad for x, z in zip(mi, mk))
+            for i, (mi, yi) in enumerate(zip(m, y)) if i != k]
+    rows.insert(kj, mk)
+    # sign(d), times -1 for an odd move of the new row
+    s = (1 if d > 0 else -1) * (-1 if (k - kj) % 2 else 1)
+    return s * yk, tuple(rows)
+
+
+def _walk_cone_facets(f, facets):
+    """Fill `Fan.cone_facets` outwards from cone 0, which gets its
+    `adjugate`: each cone not yet known gets (d, m) from a known
+    non-degenerate neighbour across a shared facet of `facets` (as built by
+    `validate_fan`). A cone the walk does not reach is left to `adjugate`."""
+    known = f._cone_facets
+    f.cone_facets(0)
+    todo = [0]
+    for ci in todo:  # breadth first: todo grows as the loop runs
+        d, m = known[ci]
+        if m is None:
+            continue
+        c = f.max_cones[ci]
+        for k in range(len(c)):
+            for cj, kj in facets[c[:k] + c[k + 1:]]:
+                if cj not in known:
+                    known[cj] = _neighbour_facets(
+                        d, m, k, f.rays[f.max_cones[cj][kj]], kj)
+                    todo.append(cj)
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +593,10 @@ def _normal_fan(p: LatticePolytope):
 # integer slot takes no bool, float or string).
 
 
+_ROW_TYPES = {tuple, list}
+_INT_TYPE = {int}
+
+
 def jsonable(x):
     """Recursively convert reports to plain JSON values; Fractions become
     'p/q' strings, exact integers stay integers, dataclasses become objects
@@ -550,8 +605,14 @@ def jsonable(x):
     if isinstance(x, (int, float, str)) or x is None:
         return x
     if isinstance(x, (list, tuple)):
-        if all(type(v) is int for v in x):
-            return list(x)  # one copy, not one call per integer
+        # plain ints, or rows of them (a matrix, a fan's rays): copied with
+        # every type test at C level, not one call per entry
+        types = {*map(type, x)}
+        if types <= _INT_TYPE:
+            return list(x)
+        if types <= _ROW_TYPES and _INT_TYPE.issuperset(
+                map(type, itertools.chain.from_iterable(x))):
+            return list(map(list, x))
         return [jsonable(v) for v in x]
     if isinstance(x, Fraction):
         if x.denominator == 1:

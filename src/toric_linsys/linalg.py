@@ -4,6 +4,8 @@ Everything works over Python ints and fractions.Fraction; no floats ever.
 Vectors are tuples, matrices are sequences of row sequences. Determinants,
 ranks, adjugates and solves all come from one fraction-free (Bareiss)
 elimination, which clears row denominators and then stays in the integers.
+A fan's cone inverses use it once per fan: `lattice.validate_fan` derives
+the other cones' adjugates from cone 0's by rank-one updates.
 
 No other module calls the simplex; it stays as the tests' reference for the
 vertex-based polytope code and because the benchmark's tracer binds it.

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,10 +20,12 @@ from toric_linsys import (
     ray_index_partition,
     roots_outside_sigma_check,
     transitive_cones,
+    validate_fan,
     vertex_capsule,
 )
 from toric_linsys.catalog import (
     bl3p2_fan,
+    example_fan,
     hexagon_polytope,
     hirzebruch_fan,
     p1_power_fan,
@@ -32,9 +35,10 @@ from toric_linsys.catalog import (
     trapezoid_polytope,
     unit_square_polytope,
 )
+from toric_linsys import lattice
 from toric_linsys.fan_analysis import _require_valid
 from toric_linsys.linalg import (adjugate, affine_rank, columns_matrix, det,
-                                 dot, mat_mul, mat_vec)
+                                 dot, mat_mul, mat_vec, vec_neg)
 
 from lp_oracles import lp_in_hull, no_lp
 
@@ -435,6 +439,11 @@ def fan_symmetries_with_det(f: Fan):
 # not smooth
 DIAGONAL_FAN = Fan(2, ((1, 1), (-1, 1), (-1, -1), (1, -1)),
                    ((0, 1), (1, 2), (2, 3), (0, 3)))
+# cone 0 has d = 9; the rational map that swaps rays 0 and 1 and fixes ray 2
+# permutes the rays and the cones but is not integral
+SWAP_FAN = Fan(2, ((-3, -2), (3, -1), (0, 1)), ((0, 1), (1, 2), (0, 2)))
+# P(1, 2, 3): its cones have determinants 1, 2 and -3
+P123_FAN = Fan(2, ((1, 0), (0, 1), (-2, -3)), ((0, 1), (1, 2), (0, 2)))
 
 
 def p2_bundle_fan(a):
@@ -463,7 +472,7 @@ PARTIAL_ORBIT_FANS = (p2_bundle_fan(1), p2_bundle_fan(2),
 SYMMETRY_FANS = (projective_space_fan(2), projective_space_fan(3),
                  p1_power_fan(2), p1_power_fan(3), hirzebruch_fan(1),
                  hirzebruch_fan(2), hirzebruch_fan(3), bl3p2_fan(),
-                 DIAGONAL_FAN) + PARTIAL_ORBIT_FANS
+                 DIAGONAL_FAN, SWAP_FAN) + PARTIAL_ORBIT_FANS
 
 
 def unimodular_matrix(n, rng, steps=6):
@@ -517,9 +526,44 @@ def test_fan_symmetries_match_the_determinant_oracle(fan, seed, moved,
     assert fan_symmetries(fan) == fan_symmetries_with_det(fan)
 
 
-@pytest.mark.parametrize("fan", [projective_space_fan(4), p1_power_fan(4)])
+@pytest.mark.parametrize("fan", [projective_space_fan(4), p1_power_fan(4),
+                                 projective_space_fan(5), p1_power_fan(5)])
 def test_fan_symmetries_match_the_determinant_oracle_in_rank_4(fan):
+    # and in rank 5, where cone 0 has 120 orderings
     assert fan_symmetries(fan) == fan_symmetries_with_det(fan)
+
+
+def test_a_non_integral_candidate_is_refused():
+    d, m = SWAP_FAN.cone_facets(0)
+    assert d == 9
+    # the map rays 0, 1 -> rays 1, 0 as a rational matrix: it fixes ray 2
+    # and so permutes the rays and the cones, but is not integral
+    t = columns_matrix((SWAP_FAN.rays[1], SWAP_FAN.rays[0]))
+    swap = tuple(tuple(Fraction(x, d) for x in row) for row in mat_mul(t, m))
+    assert mat_vec(swap, SWAP_FAN.rays[2]) == SWAP_FAN.rays[2]
+    assert any(x.denominator != 1 for row in swap for x in row)
+    assert fan_symmetries(SWAP_FAN) == (((1, 0), (0, 1)),)
+    assert fan_symmetries_with_det(SWAP_FAN) == (((1, 0), (0, 1)),)
+
+
+@pytest.mark.parametrize("spec, cones", [("pn:12", 13), ("p1n:9", 512)])
+def test_symmetry_search_over_the_budget(spec, cones):
+    # refused before the fan is validated: 13 * 12! and 512 * 9! candidates
+    with mock.patch.object(lattice, "validate_fan",
+                           side_effect=AssertionError("validated")):
+        with pytest.raises(ValueError, match="exceed the enumeration budget"):
+            fan_symmetries(example_fan(spec))
+
+
+def test_symmetry_budget_counts_cones_times_orderings(monkeypatch):
+    # P^3: 4 cones of 3! orderings each, 24 candidates
+    fan = projective_space_fan(3)
+    monkeypatch.setattr(lattice, "POINT_BUDGET", 24)
+    assert len(fan_symmetries(fan)) == 24
+    monkeypatch.setattr(lattice, "POINT_BUDGET", 23)
+    with pytest.raises(ValueError, match="^24 candidate maps exceed the "
+                                         "enumeration budget of 23$"):
+        fan_symmetries(fan)
 
 
 def test_cone_zero_orbit_misses_cones():
@@ -567,3 +611,80 @@ def test_transitivity_matches_the_cone_oracle(fan, seed, moved):
         assert verdict.basis_change == gl_change_of_basis(fan.cone(found[0]))
     else:
         assert verdict.basis_change is None
+
+
+# --- cone inverses: `validate_fan` walks them across shared facets
+
+
+def cone_facets_by_adjugate(fan, ci):
+    """`Fan.cone_facets` as it was before the walk: the cone's own adjugate,
+    negated when d < 0."""
+    d, adj = adjugate(columns_matrix(tuple(fan.rays[i]
+                                           for i in fan.max_cones[ci])))
+    return d, adj if d >= 0 else tuple(map(vec_neg, adj))
+
+
+def validate_per_cone(fan):
+    """`validate_fan` with every cone inverse from its own adjugate."""
+    with mock.patch.object(lattice, "_walk_cone_facets"):
+        return validate_fan(Fan(fan.rank, fan.rays, fan.max_cones))
+
+
+# a duplicated cone; a degenerate cone (rays 0 and 1 are opposite) that the
+# walk reaches from cone 0; a cone (2, 3) that only a degenerate neighbour
+# touches
+DUPLICATED_CONE_FAN = Fan(2, P123_FAN.rays,
+                          P123_FAN.max_cones + P123_FAN.max_cones[1:2])
+DEGENERATE_CONE_FAN = Fan(2, ((1, 0), (-1, 0), (0, 1), (0, -1)),
+                          ((0, 2), (0, 1), (1, 2), (1, 3), (0, 3)))
+BEHIND_DEGENERATE_FAN = Fan(2, ((1, 0), (0, 1), (0, -1), (-1, 0)),
+                            ((0, 1), (1, 2), (2, 3)))
+# P(1, 1, 2) x P^1: from cone 0 to the cone with ray 2 in place of ray 0,
+# y = (-2, -1, 0), so row 2 is only rescaled, by |y_0| / |d| = 2
+WEIGHTED_PRODUCT_FAN = Fan(3, ((1, 0, 0), (0, 1, 0), (-2, -1, 0), (0, 0, 1),
+                               (0, 0, -1)),
+                           tuple((i, j, w) for i, j in ((0, 1), (1, 2), (0, 2))
+                                 for w in (3, 4)))
+CONE_INVERSE_FANS = SYMMETRY_FANS + (
+    P123_FAN, DUPLICATED_CONE_FAN, DEGENERATE_CONE_FAN,
+    BEHIND_DEGENERATE_FAN, WEIGHTED_PRODUCT_FAN) + tuple(map(example_fan, (
+        "pn:1", "pn:4", "p1n:1", "p1n:4", "box:1x2x3", "simplex:3:2",
+        "trapezoid:2:1")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CONE_INVERSE_FANS), st.integers(0, 2**32 - 1),
+       st.booleans(), st.booleans())
+def test_walked_cone_inverses_match_the_adjugates(fan, seed, moved, relabel):
+    rng = random.Random(seed)
+    if moved:
+        g = unimodular_matrix(fan.rank, rng)
+        fan = Fan(fan.rank, tuple(tuple(mat_vec(g, r)) for r in fan.rays),
+                  fan.max_cones)
+    if relabel:
+        fan = relabelled(fan, rng)
+    report = validate_fan(fan)
+    assert report == validate_per_cone(fan)
+    # every cone is known once validate_fan returns, as exact integers
+    known = dict(fan._cone_facets)
+    assert known == {ci: cone_facets_by_adjugate(fan, ci)
+                     for ci in range(len(fan.max_cones))}
+    assert all(type(x) is int for d, m in known.values()
+               for x in (d, *itertools.chain.from_iterable(m or ())))
+
+
+def test_the_walk_needs_one_adjugate_per_unreached_cone():
+    def adjugates(fan):
+        with mock.patch.object(lattice, "adjugate", wraps=adjugate) as spy:
+            validate_fan(Fan(fan.rank, fan.rays, fan.max_cones))
+        return spy.call_count
+
+    # cone 0 only, on a complete fan and past a duplicated cone
+    assert adjugates(p1_power_fan(5)) == 1
+    assert adjugates(DUPLICATED_CONE_FAN) == 1
+    # the walk stops at the degenerate cone (1, 2): cone (2, 3) falls back
+    assert adjugates(BEHIND_DEGENERATE_FAN) == 2
+    assert [BEHIND_DEGENERATE_FAN.cone_facets(ci)[0] for ci in range(3)] == [
+        1, 0, -1]
+    assert validate_fan(DEGENERATE_CONE_FAN).failures == (
+        "maximal cone 1 is degenerate",)

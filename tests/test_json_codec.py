@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toric_linsys import degeneration
+from toric_linsys import degeneration, lattice
 from toric_linsys.catalog import (bl3p2_fan, box_polytope, hexagon_polytope,
                                   hirzebruch_fan, p1_power_fan,
                                   projective_space_fan, trapezoid_polytope)
@@ -95,6 +95,41 @@ DOCUMENTS = st.recursive(LEAVES, lambda kids: st.one_of(
 @given(DOCUMENTS)
 def test_dumps_equals_the_encoder_before_the_reorder(doc):
     assert dumps(doc) == json.dumps(jsonable_before(doc), sort_keys=True)
+
+
+# int rows, with the entries and members that must leave the one-pass copy:
+# bools, Fractions, empty rows, int entries beside rows, deeper nesting
+ENTRIES = st.one_of(st.integers(), st.integers(-2, 2), st.booleans(),
+                    st.fractions(max_denominator=3))
+ROWS = st.one_of(st.lists(st.integers(), max_size=4).map(tuple),
+                 st.lists(ENTRIES, max_size=4),
+                 st.lists(ENTRIES, max_size=4).map(tuple))
+ARRAYS = st.recursive(ROWS, lambda kids: st.one_of(
+    st.lists(kids, max_size=4).map(tuple),
+    st.lists(st.one_of(kids, st.integers()), max_size=4)), max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(ARRAYS, st.dictionaries(st.text(max_size=2), ARRAYS,
+                                         max_size=3)))
+def test_int_arrays_encode_as_before(doc):
+    assert dumps(doc) == json.dumps(jsonable_before(doc), sort_keys=True)
+    assert jsonable(doc) == jsonable_before(doc)
+
+
+def test_int_rows_are_copied_without_a_call_per_row(monkeypatch):
+    # a symmetries document: one call for it, one per value, one per matrix
+    matrices = (((0, 1), (1, 0)), ((1, 0), (0, 1)), ((-1, 0), (0, -1)))
+    doc = {"count": 3, "matrices": matrices}
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return jsonable(x)
+
+    monkeypatch.setattr(lattice, "jsonable", counting)
+    assert lattice.dumps(doc) == json.dumps(doc, sort_keys=True)
+    assert len(calls) == 1 + 2 + len(matrices)
 
 
 @pytest.mark.parametrize("fan", [
