@@ -30,8 +30,9 @@ from .linalg import (
 )
 
 
-# the largest bounding box, in lattice cells, that `LatticePolytope.points`
-# scans; a larger one is an input error
+# the largest enumeration: the cells of a bounding box that
+# `LatticePolytope.points` scans, the derivative orders of one multiplicity
+# or the candidate maps of `fan_symmetries`; a larger one is an input error
 POINT_BUDGET = 10**7
 
 
