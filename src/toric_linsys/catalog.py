@@ -8,7 +8,6 @@ trapezoid:<n>:<m>.
 from __future__ import annotations
 
 import itertools
-import random
 
 from .lattice import Fan, LatticePolytope, normal_fan
 
@@ -92,67 +91,6 @@ def hexagon_polytope() -> LatticePolytope:
 
 def unit_square_polytope() -> LatticePolytope:
     return box_polytope((1, 1))
-
-
-# ---------------------------------------------------------------------------
-# random smooth polygons: start from a box or a dilated triangle and make
-# random smooth corner chops (each chop is a toric blow-up on the dual side).
-
-
-def polygon_is_smooth(p: LatticePolytope) -> bool:
-    """Every vertex is smooth and its edge vectors are integral."""
-    from .lattice import is_smooth_vertex, vertex_neighbors
-    from .linalg import vec_sub
-    return all(is_smooth_vertex(v, ws) and all(
-        x.denominator == 1 for w in ws for x in vec_sub(w, v))
-        for v, ws in vertex_neighbors(p).items())
-
-
-def _edge_length(v, w):
-    from math import gcd
-    dx = int(w[0] - v[0])
-    dy = int(w[1] - v[1])
-    return gcd(abs(dx), abs(dy))
-
-
-def random_smooth_polygon(rng: random.Random) -> LatticePolytope:
-    """Seeded random smooth lattice polygon (all vertices unimodular)."""
-    if rng.random() < 0.5:
-        poly = box_polytope((rng.randint(2, 5), rng.randint(2, 5)))
-    else:
-        poly = simplex_polytope(2, rng.randint(3, 6))
-    for _ in range(rng.randint(0, 4)):
-        chopped = _chop_random_corner(poly, rng)
-        if chopped is not None:
-            poly = chopped
-    assert polygon_is_smooth(poly)
-    return poly
-
-
-def _chop_random_corner(p: LatticePolytope, rng: random.Random):
-    from .lattice import primitivize, vertex_neighbors
-    verts = p.vertices
-    nbrs = vertex_neighbors(p)
-    candidates = []
-    for vi, v in enumerate(verts):
-        ws = nbrs[v]
-        if len(ws) != 2:
-            return None
-        maxk = min(_edge_length(v, w) for w in ws) - 1
-        if maxk >= 1:
-            candidates.append((vi, maxk))
-    if not candidates:
-        return None
-    vi, maxk = candidates[rng.randrange(len(candidates))]
-    v = verts[vi]
-    k = rng.randint(1, min(maxk, 2))
-    nus = [primitivize(p.normals[i]) for i in sorted(p.incidence[v])]
-    if len(nus) != 2:
-        return None
-    new_normal = tuple(a + b for a, b in zip(nus[0], nus[1]))
-    vint = tuple(int(x) for x in v)
-    offset = sum(a * b for a, b in zip(new_normal, vint)) - k
-    return p.with_inequality(new_normal, offset)
 
 
 # ---------------------------------------------------------------------------

@@ -122,20 +122,10 @@ class DemazureRoot:
     ray_index: int
 
 
-def root_region(f: Fan, ray_index: int) -> LatticePolytope:
-    """The polytope of candidate roots of one ray (equality as two bounds)."""
-    normals = [f.rays[ray_index], vec_neg(f.rays[ray_index])]
-    offsets = [-1, 1]
-    for j, r in enumerate(f.rays):
-        if j != ray_index:
-            normals.append(vec_neg(r))
-            offsets.append(0)
-    return LatticePolytope(tuple(normals), tuple(offsets))
-
-
 def demazure_roots(f: Fan):
     """All Demazure roots of a valid (hence complete) fan, grouped by ray,
-    each ray's roots in lex order: the lattice points of its `root_region`.
+    each ray's roots in lex order: the lattice points of its root region
+    {m : <m, rho> = -1, <m, r> >= 0 for every other ray r}.
 
     Each region lies on the hyperplane <m, rho> = -1 of its ray rho, so it
     is enumerated in n - 1 coordinates. Take k with the smallest nonzero
@@ -219,21 +209,24 @@ def fan_symmetries(f: Fan):
     """All unimodular maps permuting the rays and the maximal cones.
 
     A symmetry is fixed by where it sends the rays of cone 0 (the first
-    maximal cone), in order, so each candidate is one ordering of a maximal
-    cone. The n! orderings of cone 0 itself are all checked: the accepted
-    maps form its stabiliser H. For every other maximal cone T, T's orderings
-    are checked until one map g_T is accepted (T is skipped if none is); the
-    symmetries sending cone 0 onto T are then exactly the coset g_T H, built
-    as products with no check. An integral map that permutes rays spanning
-    R^n maps their lattice onto itself, so it is unimodular.
+    maximal cone), in order, so each candidate is an ordering sigma of a
+    maximal cone T: position j of cone 0 goes to position sigma[j] of T. It
+    is checked in T's own coordinates, with (d_T, m_T) = `Fan.cone_facets`:
+    its inverse sends ray s to the point whose cone-0 coordinates m_0 r are
+    m_T s permuted by sigma, times |d_0| / |d_T|. A unimodular map keeps
+    |d|, so T is skipped when |d_T| != |d_0|; otherwise the ray and cone
+    checks are lookups, and the inverse permutes the rays and the cones iff
+    the candidate does. Only an accepted candidate gets its matrix, which
+    must be integral; an integral map that permutes rays spanning R^n maps
+    their lattice onto itself, so it is unimodular.
 
-    With (d, m) = `Fan.cone_facets(0)`, ray r has cone-0 coordinates c_r =
-    m r (times |d|), and a map that permutes cone 0's rays permutes every
-    c_r the same way. So an ordering of cone 0 is checked by permuting each
-    c_r and looking the result up, with no matrix; only an accepted one gets
-    its matrix, sum_k ray_{perm[k]} (x) m_k / |d|, which must be integral.
-    The search is refused with ValueError, before the fan is validated, when
-    |max cones| * n! exceeds POINT_BUDGET.
+    All orderings of cone 0 are checked: the accepted maps form its
+    stabiliser H. Every other T is checked until one map g_T is accepted (T
+    is skipped if none is), and the symmetries sending cone 0 onto T are
+    the coset g_T H, built as products with no check. ValueError is raised
+    before the fan is validated when |max cones| * n! candidates exceed
+    POINT_BUDGET, and before any product is built when the |H| * (1 +
+    |cosets|) maps returned hold more than POINT_BUDGET entries.
     """
     n = f.rank
     candidates = len(f.max_cones) * factorial(n)
@@ -241,20 +234,14 @@ def fan_symmetries(f: Fan):
         raise ValueError(f"{candidates} candidate maps exceed the "
                          f"enumeration budget of {lattice.POINT_BUDGET}")
     _require_valid(f)
-    ray_of = {r: i for i, r in enumerate(f.rays)}
     cone_sets = set(map(frozenset, f.max_cones))
     d, m = f.cone_facets(0)
     d = abs(d)
-    coords = [mat_vec(m, r) for r in f.rays]
-    ray_at = {c: i for i, c in enumerate(coords)}
+    ray_at = {mat_vec(m, r): i for i, r in enumerate(f.rays)}
     # outer[k][r]: ray r times row k of m, row-major; the map sending ray j
     # of cone 0 to ray perm[j] is the sum of outer[k][perm[k]] over k, / |d|
     outer = [[tuple(x * y for x in r for y in row) for r in f.rays]
              for row in m]
-
-    def permutes_cones(images):
-        return all(frozenset(map(images.__getitem__, c)) in cone_sets
-                   for c in f.max_cones)
 
     def matrix(perm):
         # the map sending ray j of cone 0 to ray perm[j], or None when it is
@@ -266,33 +253,33 @@ def fan_symmetries(f: Fan):
             flat = tuple(x // d for x in flat)
         return tuple(flat[i:i + n] for i in range(0, n * n, n))
 
-    def stabilises(sigma):
-        # the map sending position j of cone 0 to position sigma[j] sends
-        # ray r to ray s iff (c_s[sigma[0]], ..., c_s[sigma[n - 1]]) = c_r,
-        # so the lookups give its inverse, which permutes the rays and the
-        # cones iff the map does (itemgetter of one index is no tuple)
-        take = itemgetter(*sigma) if n > 1 else tuple
-        images = list(map(ray_at.get, map(take, coords)))
-        if None in images or not permutes_cones(images):
-            return None
-        return matrix(tuple(f.max_cones[0][j] for j in sigma))
+    def accepted(ci):
+        # every symmetry sending cone 0 onto cone ci, in the order of the
+        # orderings of ci
+        d_t, m_t = f.cone_facets(ci)
+        if abs(d_t) != d:
+            return
+        cone = f.max_cones[ci]
+        coords = [mat_vec(m_t, s) for s in f.rays]
+        for sigma in itertools.permutations(range(n)):
+            # itemgetter of one index is no tuple
+            take = itemgetter(*sigma) if n > 1 else tuple
+            images = list(map(ray_at.get, map(take, coords)))
+            if None in images or not all(
+                    frozenset(map(images.__getitem__, c)) in cone_sets
+                    for c in f.max_cones):
+                continue
+            a = matrix([cone[j] for j in sigma])
+            if a is not None:
+                yield a
 
-    def accepted(perm):
-        a = matrix(perm)
-        if a is None:
-            return None
-        # an invertible map: distinct rays have distinct images
-        images = [ray_of.get(mat_vec(a, r)) for r in f.rays]
-        if None in images or not permutes_cones(images):
-            return None
-        return a
-
-    # an accepted map is a nonempty tuple, so filter(None, ...) keeps them
-    orderings = itertools.permutations
-    stabiliser = list(filter(None, map(stabilises, orderings(range(n)))))
-    firsts = (next(filter(None, map(accepted, orderings(t))), None)
-              for t in f.max_cones[1:])
+    stabiliser = list(accepted(0))
+    firsts = (next(accepted(ci), None) for ci in range(1, len(f.max_cones)))
     cosets = [g for g in firsts if g is not None]
+    entries = len(stabiliser) * (1 + len(cosets)) * n * n
+    if entries > lattice.POINT_BUDGET:
+        raise ValueError(f"{entries} symmetry matrix entries exceed the "
+                         f"enumeration budget of {lattice.POINT_BUDGET}")
     # g_T h row by row: the g_T share few distinct rows, so each row . h is
     # computed once per h
     rows = tuple({row for g in cosets for row in g})

@@ -9,8 +9,6 @@ the other cones' adjugates from cone 0's by rank-one updates.
 
 No other module calls the simplex; it stays as the tests' reference for the
 vertex-based polytope code and because the benchmark's tracer binds it.
-The affine rank of a point set is test-only too, the reference for
-`LatticePolytope.require_full_dimensional`.
 """
 
 from __future__ import annotations
@@ -192,15 +190,6 @@ def pivot_columns(rows):
 def rank(rows):
     """Exact rank over the rationals."""
     return len(pivot_columns(rows))
-
-
-def affine_rank(points):
-    """Dimension of the affine hull of the given rational points."""
-    if not points:
-        return -1
-    base = points[0]
-    diffs = [vec_sub(p, base) for p in points[1:]]
-    return rank(diffs) if diffs else 0
 
 
 # ---------------------------------------------------------------------------

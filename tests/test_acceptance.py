@@ -35,14 +35,14 @@ from toric_linsys.catalog import (
     hexagon_polytope,
     hirzebruch_fan,
     p1_power_fan,
-    polygon_is_smooth,
     projective_space_fan,
-    random_smooth_polygon,
     simplex_polytope,
     trapezoid_polytope,
     unit_square_polytope,
 )
 from toric_linsys.linalg import dot
+
+from references import polygon_is_smooth, random_smooth_polygon
 
 
 @contextmanager

