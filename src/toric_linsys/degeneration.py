@@ -14,7 +14,6 @@ from dataclasses import astuple, dataclass, fields, replace
 
 from .lattice import (
     LatticePolytope,
-    _normal_fan,
     json_ints,
     json_typed,
     jsonable,
@@ -42,24 +41,22 @@ class PolytopeSystem:
 
 
 def ensure_standard_form(p: LatticePolytope):
-    """Standard form: full-dimensional, in the first orthant, the origin a
-    smooth transitive vertex whose edges run along the coordinate axes."""
+    """Raise ValueError unless the polytope is a bounded, full-dimensional
+    orthant down-set, read off `LatticePolytope.facets`: the facet normals at
+    the origin are exactly the -e_i (its edges run along the axes) and every
+    other one is entrywise >= 0. A vertex may lie on more than n facets."""
     n = p.dim
     p.require_full_dimensional()
-    verts = p.vertices
-    origin = (0,) * n
-    if any(x < 0 for v in verts for x in v):
+    if any(x < 0 for v in p.vertices for x in v):
         raise ValueError("polytope leaves the first orthant")
-    if origin not in verts:
+    at_origin = p.incidence.get((0,) * n)
+    if at_origin is None:
         raise ValueError("origin is not a vertex")
-    fan, fan_verts = _normal_fan(p)  # raises when a vertex is not simple
-    ci = fan_verts.index(origin)
-    if not fan.is_transitive(ci):
-        raise ValueError("origin is not a transitive vertex")
-    # the cone at the origin must be spanned by the negative axes
-    axes = {tuple(-1 if j == i else 0 for j in range(n)) for i in range(n)}
-    if {fan.rays[i] for i in fan.max_cones[ci]} != axes:
+    axes = {tuple(-(j == i) for j in range(n)) for i in range(n)}
+    if {p.facets[i] for i in at_origin if i in p.facets} != axes:
         raise ValueError("edges at the origin are not along the axes")
+    if any(min(nv) < 0 for i, nv in p.facets.items() if i not in at_origin):
+        raise ValueError("origin is not a transitive vertex")
 
 
 def axis_widths(p: LatticePolytope):
@@ -307,10 +304,11 @@ def certify(system: PolytopeSystem, max_depth: int = 8,
             cfg: RankConfig = RankConfig()):
     """Depth-first search for a degeneration certificate.
 
-    Multiplicities are sorted descending; splits assign the first s of them
-    to the minus side. A split whose tvdim product is negative is skipped
-    before its children are searched; see `_certify`. Returns None when
-    inconclusive, which is never a proof of speciality.
+    The polytope must pass `ensure_standard_form`. Multiplicities are sorted
+    descending; splits assign the first s of them to the minus side. A split
+    whose tvdim product is negative is skipped before its children are
+    searched; see `_certify`. Returns None when inconclusive, which is never
+    a proof of speciality.
     """
     ensure_standard_form(system.polytope)
     mults = tuple(sorted(system.multiplicities, reverse=True))
@@ -318,11 +316,12 @@ def certify(system: PolytopeSystem, max_depth: int = 8,
 
 
 def verify_certificate(cert: CertificateNode, cfg: RankConfig = RankConfig()) -> bool:
-    """Independent re-check: recompute the combinatorics of every node, re-run
-    every hypothesis check, and re-run every leaf rank with the given config.
-    Each recomputed transcript must equal the stored one, and each fresh leaf
-    report the stored one apart from its samples, seed and mode."""
+    """Independent re-check: the root passes `ensure_standard_form`, every
+    node's combinatorics and hypothesis check are recomputed and every leaf
+    re-ranked with the given config; each transcript must equal the stored
+    one, each fresh leaf report the stored one but for samples, seed, mode."""
     try:
+        ensure_standard_form(cert.polytope)
         return _verify_node(cert, cfg, {})
     except (ValueError, KeyError):
         return False

@@ -401,6 +401,17 @@ class LatticePolytope:
         """All vertices, exact rational coordinates, lexicographically sorted."""
         return tuple(self.incidence)
 
+    @cached_property
+    def facets(self):
+        """Facet rows, in row order, mapped to their primitive outer normals:
+        on a bounded full-dimensional polytope, the nonzero rows whose tight
+        vertex set is nonempty and strictly inside no other row's."""
+        tight = self.incidence.values()
+        faces = {i: frozenset(vi for vi, t in enumerate(tight) if i in t)
+                 for i, nv in enumerate(self.normals) if any(nv)}
+        return {i: primitivize(self.normals[i]) for i, face in faces.items()
+                if face and not any(face < other for other in faces.values())}
+
     def bounding_box(self):
         """Exact integer bounding box (lo, hi), or None when empty.
 
@@ -552,40 +563,20 @@ def is_smooth_vertex(v, neighbors) -> bool:
 
 
 def normal_fan(p: LatticePolytope):
-    """Outer-normal fan of a full-dimensional simple polytope.
-
-    Returns (fan, vertices): maximal cone j is spanned by the primitive outer
-    facet normals at vertices[j]. _normal_fan omits the full-dimension check.
-    """
+    """(fan, vertices) of a full-dimensional simple polytope: the rays are
+    the distinct `LatticePolytope.facets` normals in row order, maximal cone
+    j is spanned by those at vertices[j], and a vertex on more than n facets
+    raises ValueError("vertex is not simple")."""
     p.require_full_dimensional()
-    return _normal_fan(p)
-
-
-def _normal_fan(p: LatticePolytope):
-    n = p.dim
-    tight = p.incidence.values()
-    # a facet iff its tight set is nonempty and strictly inside no other (a
-    # proper face lies in a facet); zero rows, tight everywhere at 0, stay out
-    faces = {i: frozenset(vi for vi, t in enumerate(tight) if i in t)
-             for i, nv in enumerate(p.normals) if any(nv)}
-    ray_index = {}
-    rays = []
-    facet_ray = {}
-    for i, face in faces.items():
-        if not face or any(face < other for other in faces.values()):
-            continue  # lower-dimensional or redundant contact
-        prim = primitivize(p.normals[i])
-        if prim not in ray_index:
-            ray_index[prim] = len(rays)
-            rays.append(prim)
-        facet_ray[i] = ray_index[prim]
+    facets = p.facets
+    ray_index = {r: i for i, r in enumerate(dict.fromkeys(facets.values()))}
     cones = []
-    for vi, t in enumerate(tight):
-        cone = sorted({facet_ray[i] for i in t if i in facet_ray})
-        if len(cone) != n:
+    for t in p.incidence.values():
+        cone = sorted({ray_index[facets[i]] for i in t if i in facets})
+        if len(cone) != p.dim:
             raise ValueError("vertex is not simple")
         cones.append(tuple(cone))
-    return Fan(n, tuple(rays), tuple(cones)), p.vertices
+    return Fan(p.dim, tuple(ray_index), tuple(cones)), p.vertices
 
 
 # ---------------------------------------------------------------------------

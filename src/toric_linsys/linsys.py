@@ -323,10 +323,16 @@ def analyze(system: LinearSystem, cfg: RankConfig = RankConfig()) -> SpecialityR
 def analyze_polytope_system(polytope: LatticePolytope, mults,
                             cfg: RankConfig = RankConfig()) -> SpecialityReport:
     """Speciality report for the ample system of a polytope in standard
-    position (monomial support = its lattice points)."""
+    position (monomial support = its lattice points). A down-set holding m
+    holds m_j + 1 points on axis j, so an exponent above h0 - 1 is refused
+    (ValueError) before any trial table, one entry per exponent, is built."""
     mults = normalize_mults(mults)
     # toric_counts enumerates via lattice_points; the trials read the cache
     h0, _, tvdim = toric_counts(polytope, mults)
+    top = max(map(max, polytope.points), default=-1)
+    if top > h0 - 1:
+        raise ValueError(f"exponent {top} exceeds h0 - 1 = {h0 - 1}: the "
+                         "polytope is not an orthant down-set")
     n = polytope.dim
     rk, evidence = generic_rank_for_support(polytope.points, n, mults, cfg)
     dim = h0 - rk - 1

@@ -376,6 +376,22 @@ def test_genericity_violation_exit_code(tmp_path, capsys):
     assert "sub-generic" in doc["error"]
 
 
+def test_exponent_above_h0_is_refused_before_any_trial(tmp_path, capsys):
+    # the 3-point segment {10^12 <= x <= 10^12 + 2}: a down-set holding m
+    # holds m_j + 1 points on axis j, so an exponent above h0 - 1 = 2 shows
+    # a support that is none, refused before a trial table of 10^12 entries
+    sysfile = tmp_path / "s.json"
+    sysfile.write_text(json.dumps({
+        "polytope": {"normals": [[-1], [1]],
+                     "offsets": [-10**12, 10**12 + 2]},
+        "multiplicities": [1]}))
+    code, doc, err = run_cli(["dim", "--system", str(sysfile)], capsys)
+    assert code == 1
+    assert doc["error"] == ("exponent 1000000000002 exceeds h0 - 1 = 2: the "
+                            "polytope is not an orthant down-set")
+    assert "Traceback" not in err
+
+
 def test_certify_inconclusive_exit_code(capsys):
     # the multidegree-(1,..,1) system with three triple points is toric
     # special, so no certificate can exist

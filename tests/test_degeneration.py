@@ -38,6 +38,7 @@ from toric_linsys.degeneration import (
     axis_widths,
 )
 from toric_linsys.cli import main as cli_main
+from toric_linsys.lattice import polytope_to_json
 from toric_linsys.linsys import GenericityError, toric_counts
 
 
@@ -219,22 +220,31 @@ def test_ensure_standard_form_rejects_slanted_origin_edges():
         ensure_standard_form(triangle)
 
 
-# one polytope {m : <m, normal_i> <= offset_i} per standard-form failure, in
-# the order the checks run except the third, whose check runs first; the
-# second also fails the later "origin is not a vertex" check, the last has a
-# transitive origin with slanted edges
+# one polytope {m : <m, normal_i> <= offset_i} per standard-form failure: the
+# third's check runs first; the second also fails the later "origin is not a
+# vertex" check; the fourth, conv{0, (2, 0), (2, 1), (1, 2)}, has an origin
+# that is neither smooth nor on axis edges, and the edge check runs before
+# the sign check of the other facets; the last has a transitive origin with
+# slanted edges
 STANDARD_FORM_FAILURES = [
     (((-1, 0), (0, -1), (1, 0), (0, 1)), (0, 0, 0, 1), "not full-dimensional"),
     (((-1, 0), (0, -1), (1, 1)), (1, 0, 2),
      "polytope leaves the first orthant"),
     (((-1, 0), (0, -1), (0, 1), (-1, 1)), (0, 0, 2, 1), "unbounded polyhedron"),
-    (((-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 0, 1), (0, 1, 1)),
-     (0, 0, 0, 1, 1), "vertex is not simple"),
+    (((0, -1), (-2, 1), (1, 0), (1, 1)), (0, 0, 2, 3),
+     "edges at the origin are not along the axes"),
     (((-1, 0), (0, -1), (-1, 1), (1, 1)), (0, 0, 1, 3),
      "origin is not a transitive vertex"),
     (((-1, 0), (1, -1), (0, 1)), (0, 0, 2),
      "edges at the origin are not along the axes"),
 ]
+STANDARD_FORM_MESSAGES = {"origin is not a vertex",
+                          *(message for *_, message in STANDARD_FORM_FAILURES)}
+
+# {x, y, z >= 0, x + z <= 1, y + z <= 1}: the apex (0, 0, 1) lies on four
+# facets, so the pyramid has no normal fan, yet it is an orthant down-set
+PYRAMID = (((-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 0, 1), (0, 1, 1)),
+           (0, 0, 0, 1, 1))
 
 
 @pytest.mark.parametrize("normals, offsets, message", STANDARD_FORM_FAILURES)
@@ -242,6 +252,100 @@ def test_ensure_standard_form_messages(normals, offsets, message):
     with pytest.raises(ValueError) as exc:
         ensure_standard_form(LatticePolytope(normals, offsets))
     assert str(exc.value) == message
+
+
+def test_non_simple_pyramid_certifies_and_verifies(tmp_path):
+    pyramid = LatticePolytope(*PYRAMID)
+    with pytest.raises(ValueError) as exc:
+        normal_fan(pyramid)
+    assert str(exc.value) == "vertex is not simple"
+    ensure_standard_form(pyramid)
+    system = tmp_path / "pyramid.json"
+    system.write_text(json.dumps({"polytope": polytope_to_json(pyramid),
+                                  "multiplicities": [1, 1]}))
+    cert = tmp_path / "cert.json"
+    assert cli_main(["certify", "--system", str(system), "--out",
+                     str(cert)]) == 0
+    assert json.loads(cert.read_text())["certificate"]["kind"] == "split"
+    assert cli_main(["verify", "--certificate", str(cert)]) == 0
+
+
+# {x, y >= 0, x + y <= 4, -x + 2y <= 2, 2x - y <= 2}: a smooth origin on axis
+# edges, but two facet normals have a negative entry
+KITE = (((-1, 0), (0, -1), (1, 1), (-1, 2), (2, -1)), (0, 0, 4, 2, 2))
+
+
+def test_verify_checks_that_the_root_is_in_standard_form(tmp_path):
+    kite = LatticePolytope(*KITE)
+    with pytest.raises(ValueError, match="origin is not a transitive vertex"):
+        ensure_standard_form(kite)
+    leaf = _leaf(kite, (2, 1), CFG)
+    # a leaf with dim == tedim whose every other check passes
+    assert leaf is not None and degeneration._verify_node(leaf, CFG, {})
+    assert verify_certificate(leaf, CFG) is False
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"status": "certified",
+                                "certificate": certificate_to_json(leaf)}))
+    assert cli_main(["verify", "--certificate", str(cert)]) == 4
+
+
+def _is_down_set_by_vertices(p):
+    """Standard form as the vertices see it, sharing no code with
+    `LatticePolytope.facets`: bounded, full-dimensional, every vertex v >= 0
+    and every projection v - v_i e_i in the polytope. The projections of
+    the vertices give those of every point, so the polytope is a down-set."""
+    try:
+        p.require_full_dimensional()
+    except ValueError:
+        return False
+    return all(min(v) >= 0 and all(p.contains(v[:i] + (0,) + v[i + 1:])
+                                   for i in range(p.dim))
+               for v in p.vertices)
+
+
+@st.composite
+def moved_standard_polytopes(draw):
+    """A catalog standard-form polytope (a box, a simplex, a trapezoid or
+    the pyramid) with its rows permuted, maybe translated, and extended by
+    up to two rows, each redundant (tight at a vertex or off the polytope)
+    or cutting (its offset at least the row's minimum and below its
+    maximum, often kept >= 0 so that the origin stays in)."""
+    base = draw(st.sampled_from([
+        box_polytope((2, 1)), box_polytope((1, 2, 1)), simplex_polytope(2, 3),
+        simplex_polytope(3, 2), trapezoid_polytope(3, 1),
+        trapezoid_polytope(2, 2), LatticePolytope(*PYRAMID)]))
+    n = base.dim
+    rows = list(zip(base.normals, base.offsets))
+    for _ in range(draw(st.integers(0, 2))):
+        normal = tuple(draw(st.lists(st.integers(-2, 2), min_size=n,
+                                     max_size=n)))
+        values = [sum(a * x for a, x in zip(normal, v)) for v in base.vertices]
+        lo, hi = int(min(values)), int(max(values))
+        if draw(st.booleans()):
+            offset = hi + draw(st.integers(0, 1))  # redundant
+        else:  # cutting, through the origin or not
+            offset = draw(st.integers(lo, max(lo, hi - 1)) | st.integers(
+                min(max(lo, 0), hi - 1), max(lo, hi - 1)))
+        rows.append((normal, offset))
+    rows = draw(st.permutations(rows))
+    p = LatticePolytope(*zip(*rows))
+    if draw(st.integers(0, 2)) == 0:
+        p = p.translate(draw(st.lists(st.integers(-1, 1), min_size=n,
+                                      max_size=n)))
+    return p
+
+
+@settings(max_examples=250, deadline=None)
+@given(moved_standard_polytopes())
+def test_standard_form_is_the_down_set_the_vertices_see(p):
+    try:
+        ensure_standard_form(p)
+        accepted = True
+    except ValueError as exc:
+        assert str(exc) in STANDARD_FORM_MESSAGES
+        accepted = False
+    assert accepted == _is_down_set_by_vertices(
+        LatticePolytope(p.normals, p.offsets))
 
 
 # conv{0, e1, e2} + cone{(1, 1, 1), (1, 1, -1)}: full-dimensional and
@@ -546,7 +650,7 @@ def test_prune_skips_rank_trials_of_rejected_splits(monkeypatch):
 
 
 def test_ensure_standard_form_bounds_the_polytope_once(monkeypatch):
-    # the full-dimension check runs once: normal_fan's own copy is skipped
+    # the full-dimension check runs once, and the facet test bounds nothing
     calls = []
     original = LatticePolytope.bounding_box
 

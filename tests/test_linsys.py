@@ -569,6 +569,20 @@ def test_genericity_error_on_non_downset_support():
         analyze_polytope_system(shifted, (2,), RankConfig(seed=1))
 
 
+def test_an_exponent_above_h0_is_refused_before_any_trial(monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(linsys_module, "generic_rank_for_support", no_trial)
+    # three points on the axis far from the origin: exponent 10^5 + 2 > 2
+    segment = LatticePolytope(((-1,), (1,)), (-10**5, 10**5 + 2))
+    with pytest.raises(ValueError, match="exceeds h0 - 1 = 2:"):
+        analyze_polytope_system(segment, (1,))
+    # every orthant down-set passes: its exponents are at most h0 - 1
+    with pytest.raises(AssertionError, match="a trial ran"):
+        analyze_polytope_system(box_polytope((4,)), (1,))
+
+
 # {-x + 2y <= 1, -x + 2y <= 4, y >= 0, x <= 3} holds the point (-1, 0); the
 # exponent -1 was read as a negative list index, giving rank 8 where its
 # translate by (1, 0) has rank 9
