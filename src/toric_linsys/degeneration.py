@@ -42,9 +42,12 @@ class PolytopeSystem:
 
 def ensure_standard_form(p: LatticePolytope):
     """Raise ValueError unless the polytope is a bounded, full-dimensional
-    orthant down-set, read off `LatticePolytope.facets`: the facet normals at
-    the origin are exactly the -e_i (its edges run along the axes) and every
-    other one is entrywise >= 0. A vertex may lie on more than n facets."""
+    orthant down-set: a `_staircase` at lo = 0 with offsets >= any(normal)
+    (> 0 on nonzero rows), or else, by `LatticePolytope.facets`, normals -e_i
+    at the origin and >= 0 elsewhere. A vertex may lie on more than n facets."""
+    stair = p._staircase()
+    if stair and not any(stair[0]) and all(off >= any(nv) for nv, off in stair[1]):
+        return
     n = p.dim
     p.require_full_dimensional()
     if any(x < 0 for v in p.vertices for x in v):

@@ -35,6 +35,9 @@ from .linalg import (
 # or the candidate maps of `fan_symmetries`; a larger one is an input error
 POINT_BUDGET = 10**7
 
+NEGATIVE_EXPONENT = ("negative exponent in the monomial support; "
+                     "the polytope is not in the first orthant")
+
 
 def primitivize(v):
     """Divide an integer vector by the gcd of its entries."""
@@ -412,47 +415,45 @@ class LatticePolytope:
         return {i: primitivize(self.normals[i]) for i, face in faces.items()
                 if face and not any(face < other for other in faces.values())}
 
+    def _staircase(self):
+        """(lo, rows >= 0) if each normal is -e_i or >= 0 and each axis has a
+        -e_i row (lo_i: largest -offset) and a positive entry in a row >= 0."""
+        n = self.dim
+        lo, upper = {}, []
+        for nv, off in zip(self.normals, self.offsets):
+            if min(nv, default=0) >= 0:
+                upper.append((nv, off))
+            elif sorted(nv) == [-1] + [0] * (n - 1):
+                i = nv.index(-1)
+                lo[i] = max(lo.get(i, -off), -off)
+            else:
+                return None
+        if len(lo) == n and all(any(nv[i] for nv, _ in upper) for i in range(n)):
+            return tuple(lo[i] for i in range(n)), upper
+
     def bounding_box(self):
         """Exact integer bounding box (lo, hi), or None when empty.
 
-        Orthant down-sets get a closed form: every normal is -e_i (any
-        offset) or entrywise nonnegative, and every axis has a -e_i row and
-        a row with a positive entry on it. Then lo_i is the largest -offset
-        over the -e_i rows, the polytope is empty iff lo violates a
-        nonnegative row, and hi_i = lo_i + min floor((offset - normal.lo) /
-        normal_i) over the rows with normal_i > 0. This is the optimum of
-        each coordinate: raising any other coordinate above lo only tightens
-        the nonnegative rows.
+        A staircase (`_staircase`) is empty iff lo violates a row >= 0, else
+        hi_i = lo_i + min floor((offset - normal.lo) / normal_i) over the rows
+        with normal_i > 0: other coordinates above lo only tighten them.
 
         Any other polytope gets the box of its vertices. With normals N of
         rank n it is empty iff it has no vertex, and unbounded iff N d <= 0
         for a d != 0 spanning the kernel of n - 1 rows (an extreme ray of the
         recession cone; Schrijver, Theory of Linear and Integer Programming,
         1986, ch. 8). Below rank n it is unbounded unless empty, and empty iff
-        its slice on a column basis of N has no vertex. An unbounded
-        polytope raises ValueError("unbounded polyhedron").
-        """
-        n = self.dim
-        lo = [None] * n
-        upper = []
-        for nv, off in zip(self.normals, self.offsets):
-            if min(nv, default=0) >= 0:
-                upper.append((nv, off))
-            elif sorted(nv) == [-1] + [0] * (n - 1):
-                i = nv.index(-1)
-                lo[i] = -off if lo[i] is None else max(lo[i], -off)
-            else:
-                return self._vertex_box()
-        if None in lo or not all(any(nv[i] for nv, _ in upper)
-                                 for i in range(n)):
+        its slice on a column basis of N has no vertex. Unbounded, it raises
+        ValueError("unbounded polyhedron")."""
+        if not (stair := self._staircase()):
             return self._vertex_box()
-        lo = tuple(lo)
+        lo, upper = stair
         slack = [off - dot(nv, lo) for nv, off in upper]
         if min(slack) < 0:
             return None
         hi = tuple(lo[i] + min(s // nv[i] for (nv, _), s in zip(upper, slack)
                                if nv[i] > 0)
-                   for i in range(n))
+                   for i in range(self.dim))
         return lo, hi
 
     def _vertex_box(self):
@@ -499,6 +500,21 @@ class LatticePolytope:
         if not tight or any(any(self.normals[i])
                             for i in frozenset.intersection(*tight)):
             raise ValueError("not full-dimensional")
+
+    def require_down_set(self):
+        """Raise ValueError unless the lattice points are an orthant down-set
+        (none negative, m - e_i one if m_i > 0), as a staircase at lo = 0 is."""
+        if (stair := self._staircase()) and not any(stair[0]):
+            return
+        points = set(self.points)
+        if any(x < 0 for m in points for x in m):
+            raise ValueError(NEGATIVE_EXPONENT)
+        for m in self.points:
+            for i, x in enumerate(m):
+                below = m[:i] + (x - 1,) + m[i + 1:]
+                if x and below not in points:
+                    raise ValueError("the support is not an orthant down-set: "
+                                     f"it holds {m} but not {below}")
 
     @cached_property
     def points(self):

@@ -25,8 +25,8 @@ elimination; both ways give rank_exact of build_point_matrix.
 
 dim = h0 - rank - 1. The virtual dimension subtracts the full count of
 derivative conditions; the toric virtual dimension only subtracts orders
-that lie inside the section polytope (rows outside it vanish identically
-because the polytope is a down-set in the first orthant).
+inside the section polytope (rows outside it vanish identically when the
+support is an orthant down-set, which `analyze_polytope_system` requires).
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ from math import comb
 from operator import le, mul
 
 from .cox import CoxPresentation, SectionPolytope, section_polytope
-from .lattice import POINT_BUDGET, LatticePolytope, _as_int_vector, lattice_points
+from .lattice import (NEGATIVE_EXPONENT, POINT_BUDGET, LatticePolytope, _as_int_vector,
+                      lattice_points)
 from .linalg import rank as matrix_rank
 from .rank import (_SCREEN_PRIME, RankConfig, TrialEvidence, _eliminate, _slot_bytes,
                    trial_prime)
@@ -143,8 +144,7 @@ def _exponents_and_orders(columns, n, mults):
     coords = list(zip(*columns)) if columns else [()] * n
     # the tables read each exponent as a list index
     if any(min(cj, default=0) < 0 for cj in coords):
-        raise ValueError("negative exponent in the monomial support; "
-                         "the polytope is not in the first orthant")
+        raise ValueError(NEGATIVE_EXPONENT)
     return coords, {mu: derivative_orders(n, mu) for mu in set(mults)}
 
 
@@ -323,16 +323,12 @@ def analyze(system: LinearSystem, cfg: RankConfig = RankConfig()) -> SpecialityR
 def analyze_polytope_system(polytope: LatticePolytope, mults,
                             cfg: RankConfig = RankConfig()) -> SpecialityReport:
     """Speciality report for the ample system of a polytope in standard
-    position (monomial support = its lattice points). A down-set holding m
-    holds m_j + 1 points on axis j, so an exponent above h0 - 1 is refused
-    (ValueError) before any trial table, one entry per exponent, is built."""
+    position (monomial support = its lattice points); `toric_counts` needs
+    an orthant down-set, so `require_down_set` refuses any other support."""
     mults = normalize_mults(mults)
+    polytope.require_down_set()
     # toric_counts enumerates via lattice_points; the trials read the cache
     h0, _, tvdim = toric_counts(polytope, mults)
-    top = max(map(max, polytope.points), default=-1)
-    if top > h0 - 1:
-        raise ValueError(f"exponent {top} exceeds h0 - 1 = {h0 - 1}: the "
-                         "polytope is not an orthant down-set")
     n = polytope.dim
     rk, evidence = generic_rank_for_support(polytope.points, n, mults, cfg)
     dim = h0 - rk - 1

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from toric_linsys import linsys
 from toric_linsys.cli import build_parser, main
 from toric_linsys.catalog import (box_polytope, hirzebruch_fan,
                                   simplex_polytope)
@@ -363,12 +364,24 @@ def test_sweep_zero_trials_fails_every_task(tmp_path, capsys):
     assert "trials must be at least 1" in err
 
 
-def test_genericity_violation_exit_code(tmp_path, capsys):
-    # a monomial support that is not a down-set breaks the dimension chain
+def test_genericity_violation_exit_code(tmp_path, capsys, monkeypatch):
+    # a translated box is not a down-set: refused with exit 1, naming a point
     sysfile = tmp_path / "s.json"
     shifted = box_polytope((1, 1)).translate((2, 0))
     sysfile.write_text(json.dumps({
         "polytope": polytope_to_json(shifted),
+        "multiplicities": [2],
+    }))
+    code, doc, _ = run_cli(["dim", "--system", str(sysfile)], capsys)
+    assert code == 1
+    assert doc["error"] == ("the support is not an orthant down-set: it "
+                            "holds (2, 0) but not (1, 0)")
+    # exit 2 is left to a failed trial: a rank of h0 on the box [0, 1]^2
+    # with a double point gives dim -1 below tedim 0
+    monkeypatch.setattr(linsys, "_trial_rank",
+                        lambda coords, *rest: len(coords[0]))
+    sysfile.write_text(json.dumps({
+        "polytope": polytope_to_json(box_polytope((1, 1))),
         "multiplicities": [2],
     }))
     code, doc, _ = run_cli(["dim", "--system", str(sysfile)], capsys)
@@ -377,9 +390,8 @@ def test_genericity_violation_exit_code(tmp_path, capsys):
 
 
 def test_exponent_above_h0_is_refused_before_any_trial(tmp_path, capsys):
-    # the 3-point segment {10^12 <= x <= 10^12 + 2}: a down-set holding m
-    # holds m_j + 1 points on axis j, so an exponent above h0 - 1 = 2 shows
-    # a support that is none, refused before a trial table of 10^12 entries
+    # the 3-point segment {10^12 <= x <= 10^12 + 2} is not a down-set, so it
+    # is refused before a trial table of 10^12 entries is built
     sysfile = tmp_path / "s.json"
     sysfile.write_text(json.dumps({
         "polytope": {"normals": [[-1], [1]],
@@ -387,9 +399,38 @@ def test_exponent_above_h0_is_refused_before_any_trial(tmp_path, capsys):
         "multiplicities": [1]}))
     code, doc, err = run_cli(["dim", "--system", str(sysfile)], capsys)
     assert code == 1
-    assert doc["error"] == ("exponent 1000000000002 exceeds h0 - 1 = 2: the "
-                            "polytope is not an orthant down-set")
+    assert doc["error"] == ("the support is not an orthant down-set: it "
+                            "holds (1000000000000,) but not (999999999999,)")
     assert "Traceback" not in err
+
+
+def test_dim_refuses_the_slanted_triangle(tmp_path, capsys):
+    # {x >= 0, x <= y, y <= 2} is a unimodular image of 2 Delta_2, whose
+    # conics double at two points are the double line (dim 0), yet
+    # toric_counts would give tvdim 1 and the chain check exit 2
+    sysfile = tmp_path / "s.json"
+    sysfile.write_text(json.dumps({
+        "polytope": {"normals": [[-1, 0], [1, -1], [0, 1]],
+                     "offsets": [0, 0, 2]},
+        "multiplicities": [2, 2]}))
+    code, doc, err = run_cli(["dim", "--system", str(sysfile)], capsys)
+    assert code == 1
+    assert doc["error"] == ("the support is not an orthant down-set: it "
+                            "holds (1, 1) but not (1, 0)")
+    assert "Traceback" not in err
+
+
+def test_sweep_counts_special_systems(tmp_path, capsys):
+    # the P^2 quartic through five double points: dim 0 against edim and
+    # tedim -1, special and toric special
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"tasks": [
+        {"polytope": polytope_to_json(simplex_polytope(2, 4)),
+         "multiplicities": [2] * 5}]}))
+    code, doc, _ = run_cli(["sweep", "--job", str(job)], capsys)
+    assert code == 0
+    assert doc == {"total": 1, "ok": 1, "failed": 0, "special": 1,
+                   "toric_special": 1}
 
 
 def test_certify_inconclusive_exit_code(capsys):

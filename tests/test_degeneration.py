@@ -1,9 +1,12 @@
+import itertools
 import json
 import random
+from dataclasses import replace
 from math import floor
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from toric_linsys import (
     LatticePolytope,
@@ -275,18 +278,146 @@ def test_non_simple_pyramid_certifies_and_verifies(tmp_path):
 KITE = (((-1, 0), (0, -1), (1, 1), (-1, 2), (2, -1)), (0, 0, 4, 2, 2))
 
 
-def test_verify_checks_that_the_root_is_in_standard_form(tmp_path):
+def test_verify_checks_that_the_root_is_in_standard_form(tmp_path,
+                                                          monkeypatch):
     kite = LatticePolytope(*KITE)
     with pytest.raises(ValueError, match="origin is not a transitive vertex"):
         ensure_standard_form(kite)
-    leaf = _leaf(kite, (2, 1), CFG)
-    # a leaf with dim == tedim whose every other check passes
-    assert leaf is not None and degeneration._verify_node(leaf, CFG, {})
-    assert verify_certificate(leaf, CFG) is False
+    # the kite's points are no down-set, so its leaf is built with the
+    # analysis gate switched off: a leaf with dim == tedim whose every other
+    # check passes
+    with monkeypatch.context() as patch:
+        patch.setattr(LatticePolytope, "require_down_set", lambda self: None)
+        leaf = _leaf(kite, (2, 1), CFG)
+        assert leaf is not None and degeneration._verify_node(leaf, CFG, {})
+        assert verify_certificate(leaf, CFG) is False
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps({"status": "certified",
                                 "certificate": certificate_to_json(leaf)}))
     assert cli_main(["verify", "--certificate", str(cert)]) == 4
+
+
+# two standard-form roots that are no staircase: {x, y >= 0, x + y <= 4,
+# -x + y <= 6} has a redundant row, {-2x <= 0, -y <= 0, x + y <= 4} a
+# non-primitive one; with mults 2,2,1 their level-1 leaves are segments
+REDUNDANT_ROW_ROOT = (((-1, 0), (0, -1), (1, 1), (-1, 1)), (0, 0, 4, 6))
+DOUBLED_AXIS_ROOT = (((-2, 0), (0, -1), (1, 1)), (0, 0, 4))
+
+
+@pytest.mark.parametrize("rows", [REDUNDANT_ROW_ROOT, DOUBLED_AXIS_ROOT])
+def test_non_staircase_roots_certify_as_without_the_staircase_reader(
+        rows, tmp_path, monkeypatch):
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps({
+        "polytope": polytope_to_json(LatticePolytope(*rows)),
+        "multiplicities": [2, 2, 1]}))
+    cert, by_facets = tmp_path / "cert.json", tmp_path / "by-facets.json"
+    assert cli_main(["certify", "--system", str(system), "--out",
+                     str(cert)]) == 0
+    assert cli_main(["verify", "--certificate", str(cert)]) == 0
+    # every staircase decision taken by the facet and lattice-point paths
+    with monkeypatch.context() as patch:
+        patch.setattr(LatticePolytope, "_staircase", lambda self: None)
+        assert cli_main(["certify", "--system", str(system), "--out",
+                         str(by_facets)]) == 0
+    assert cert.read_bytes() == by_facets.read_bytes()
+
+
+# the pyramid's split certificate with mults 1,1, tampered below the root:
+# each edit fails one check of `_verify_node` before the children are walked
+# (the right child's row y + z <= 1 becomes y + z <= 2)
+@pytest.mark.parametrize("tamper", [
+    lambda d: d["split"].update(point_split=3),
+    lambda d: d["children"][0].update(mults=[2]),
+    lambda d: d["children"][1].update(mults=[2]),
+    lambda d: d["children"][1]["polytope"].update(offsets=[1, 0, 0, 0, 2, 0]),
+], ids=["point-split", "left-mults", "right-mults", "right-points"])
+def test_verify_rejects_a_tampered_split(tamper, tmp_path, capsys):
+    cert = certify(PolytopeSystem(LatticePolytope(*PYRAMID), (1, 1)), cfg=CFG)
+    doc = certificate_to_json(cert)
+    assert doc["kind"] == "split"
+    assert doc["children"][1]["polytope"]["offsets"] == [1, 0, 0, 0, 1, 0]
+    tamper(doc)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"status": "certified", "certificate": doc}))
+    assert cli_main(["verify", "--certificate", str(path)]) == 4
+    assert json.loads(capsys.readouterr().out) == {"verified": False}
+
+
+def test_verify_rejects_a_node_that_is_neither_leaf_nor_split():
+    cert = certify(PolytopeSystem(LatticePolytope(*PYRAMID), (1, 1)), cfg=CFG)
+    assert verify_certificate(cert, CFG)
+    for bad in (replace(cert, kind="fork"), replace(cert, split=None),
+                replace(cert, children=None)):
+        assert verify_certificate(bad, CFG) is False
+
+
+@st.composite
+def staircase_rows(draw):
+    """A polytope in dimension 1-3 from staircase rows with offsets in -1..3
+    (often 0 on the -e_i rows and > 0 on the others, the fast paths): one or
+    two -e_i rows per axis, the all-ones row and up to two rows >= 0 (zero
+    rows too), and up to two rows with entries in -2..2 that are often no
+    staircase, in any order. Some are empty, some lower-dimensional; all lie
+    in the box [-3, 3n]^n."""
+    n = draw(st.integers(1, 3))
+    offset = st.integers(-1, 3)
+    rows = [(tuple(-(j == i) for j in range(n)), draw(st.just(0) | offset))
+            for i in range(n) for _ in range(draw(st.integers(1, 2)))]
+    rows.append(((1,) * n, draw(st.integers(1, 3) | offset)))
+    for entries in [st.integers(0, 2)] * draw(st.integers(0, 2)) + \
+            [st.integers(-2, 2)] * draw(st.integers(0, 2)):
+        normal = tuple(draw(st.lists(entries, min_size=n, max_size=n)))
+        rows.append((normal, draw(st.integers(1, 3) | offset)))
+    return LatticePolytope(*zip(*draw(st.permutations(rows))))
+
+
+def _down_set_failure(p):
+    """The message `require_down_set` must raise on p, or None, by brute
+    force: the points of the box [-3, 3n]^n that p contains, in
+    lexicographic order, must be >= 0 and hold m - e_i whenever m_i > 0."""
+    n = p.dim
+    points = [m for m in itertools.product(range(-3, 3 * n + 1), repeat=n)
+              if p.contains(m)]
+    if any(x < 0 for m in points for x in m):
+        return ("negative exponent in the monomial support; the polytope is "
+                "not in the first orthant")
+    for m in points:
+        for i in range(n):
+            below = tuple(x - (j == i) for j, x in enumerate(m))
+            if m[i] > 0 and below not in points:
+                return ("the support is not an orthant down-set: it holds "
+                        f"{m} but not {below}")
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(staircase_rows())
+def test_require_down_set_is_the_closure_of_the_points(p):
+    try:
+        p.require_down_set()
+        failure = None
+    except ValueError as exc:
+        failure = str(exc)
+    assert failure == _down_set_failure(p)
+
+
+def _standard_form_failure(p):
+    try:
+        ensure_standard_form(LatticePolytope(p.normals, p.offsets))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(staircase_rows())
+# a zero row 0 <= -1 empties the segment [0, 2]: no fast path
+@example(LatticePolytope(((-1,), (1,), (0,)), (0, 2, -1)))
+def test_standard_form_of_a_staircase_is_that_of_its_facets(p):
+    failure = _standard_form_failure(p)
+    with mock.patch.object(LatticePolytope, "_staircase", lambda self: None):
+        assert _standard_form_failure(p) == failure
 
 
 def _is_down_set_by_vertices(p):
@@ -650,6 +781,7 @@ def test_prune_skips_rank_trials_of_rejected_splits(monkeypatch):
 
 
 def test_ensure_standard_form_bounds_the_polytope_once(monkeypatch):
+    # a staircase box is read off its rows and bounds nothing; on other rows
     # the full-dimension check runs once, and the facet test bounds nothing
     calls = []
     original = LatticePolytope.bounding_box
@@ -660,6 +792,8 @@ def test_ensure_standard_form_bounds_the_polytope_once(monkeypatch):
 
     monkeypatch.setattr(LatticePolytope, "bounding_box", counted)
     ensure_standard_form(box_polytope((1, 1, 1)))
+    assert len(calls) == 0
+    ensure_standard_form(LatticePolytope(*REDUNDANT_ROW_ROOT))
     assert len(calls) == 1
 
 

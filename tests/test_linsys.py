@@ -561,12 +561,18 @@ def test_deterministic_reports():
     assert [e.prime for e in rep1.samples] != [e.prime for e in rep3.samples]
 
 
-def test_genericity_error_on_non_downset_support():
-    # a support that is not a down-set breaks the truncation bound and must
-    # fail loudly instead of returning an inconsistent report
+def test_genericity_error_on_non_downset_support(monkeypatch):
+    # a support that is not a down-set breaks the truncation bound, so it is
+    # refused before any trial instead of returning an inconsistent report
     shifted = box_polytope((1, 1)).translate((2, 0))
-    with pytest.raises(GenericityError):
+    with pytest.raises(ValueError, match=r"holds \(2, 0\) but not \(1, 0\)"):
         analyze_polytope_system(shifted, (2,), RankConfig(seed=1))
+    # a trial rank above the generic one (h0 here) breaks the chain
+    # dim >= tedim and fails loudly
+    monkeypatch.setattr(linsys_module, "_trial_rank",
+                        lambda coords, *rest: len(coords[0]))
+    with pytest.raises(GenericityError):
+        analyze_polytope_system(box_polytope((1, 1)), (2,), RankConfig(seed=1))
 
 
 def test_an_exponent_above_h0_is_refused_before_any_trial(monkeypatch):
@@ -574,11 +580,13 @@ def test_an_exponent_above_h0_is_refused_before_any_trial(monkeypatch):
         raise AssertionError("a trial ran")
 
     monkeypatch.setattr(linsys_module, "generic_rank_for_support", no_trial)
-    # three points on the axis far from the origin: exponent 10^5 + 2 > 2
+    # three points on the axis far from the origin: not a down-set
     segment = LatticePolytope(((-1,), (1,)), (-10**5, 10**5 + 2))
-    with pytest.raises(ValueError, match="exceeds h0 - 1 = 2:"):
+    with pytest.raises(ValueError) as exc:
         analyze_polytope_system(segment, (1,))
-    # every orthant down-set passes: its exponents are at most h0 - 1
+    assert str(exc.value) == ("the support is not an orthant down-set: it "
+                              "holds (100000,) but not (99999,)")
+    # every orthant down-set passes
     with pytest.raises(AssertionError, match="a trial ran"):
         analyze_polytope_system(box_polytope((4,)), (1,))
 
