@@ -96,11 +96,12 @@ def emit(doc, args, summary=None):
 
 def _load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read input: {exc}", path)
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:
+        # ValueError: bad syntax, invalid UTF-8 or an over-long integer
         raise InputError(f"malformed JSON: {exc}", path)
 
 
@@ -128,9 +129,7 @@ def load_input(args, kind):
 
 def presentation_for(fan, path=None) -> tuple:
     verdict = transitive_cones(fan)
-    if not verdict:
-        raise InputError("fan is not quasi-transitive", path)
-    return verdict, build_presentation(verdict)
+    return verdict, _decode(build_presentation, verdict, path)
 
 
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
@@ -251,7 +250,7 @@ def system_from_obj(obj, path=None):
 
 def cmd_validate(args):
     fan = load_input(args, "fan")
-    report = validate_fan(fan, samples=args.samples, seed=args.seed)
+    report = validate_fan(fan)
     emit(report, args,
          f"valid={report.valid} complete={report.complete} smooth={report.smooth}")
     return EXIT_OK
@@ -460,9 +459,7 @@ def build_parser():
             p.add_argument("--exact", action="store_true")
         return p
 
-    p = command("validate", cmd_validate, "fan invariant report", fan=True)
-    p.add_argument("--samples", type=int, default=128,
-                   help="ignored: completeness is decided exactly")
+    command("validate", cmd_validate, "fan invariant report", fan=True)
     command("transitive", cmd_transitive, "transitive cones and normalization",
             fan=True)
     command("roots", cmd_roots, "Demazure roots per ray", fan=True)

@@ -242,8 +242,8 @@ def _analyze(polytope, mults, cfg, memo):
     return memo[key]
 
 
-def _leaf(polytope, mults, cfg, memo=None):
-    report = _analyze(polytope, mults, cfg, {} if memo is None else memo)
+def _leaf(polytope, mults, cfg, memo):
+    report = _analyze(polytope, mults, cfg, memo)
     if report.dim != report.tedim:
         return None
     h0, truncs, tvdim = toric_counts(polytope, mults)

@@ -184,25 +184,15 @@ def ray_index_partition(cp):
     k = r - n
     i_sets = [set() for _ in range(k)]
     leftover = set()
+    units = {tuple(int(t == j) for t in range(k)): j for j in range(k)}
     for i in range(r):
-        col = tuple(q[j][i] for j in range(k))
-        j = _basis_index(col)
+        j = units.get(tuple(row[i] for row in q))
         if j is not None:
             i_sets[j].add(i)
         else:
             assert i < n, "identity block columns always match a basis vector"
             leftover.add(i)
     return tuple(frozenset(s) for s in i_sets), frozenset(leftover)
-
-
-def _basis_index(col):
-    j = None
-    for idx, x in enumerate(col):
-        if x == 1 and j is None:
-            j = idx
-        elif x != 0:
-            return None
-    return j
 
 
 def fan_symmetries(f: Fan):

@@ -182,7 +182,7 @@ class Fan:
         return validate_fan(self)
 
 
-def validate_fan(f: Fan, samples: int = 128, seed: int = 0) -> ValidationReport:
+def validate_fan(f: Fan) -> ValidationReport:
     """Check the fan invariants; the report carries failures instead of raising.
 
     The cone inverses m of `Fan.cone_facets` come from one `adjugate`, of
@@ -197,8 +197,7 @@ def validate_fan(f: Fan, samples: int = 128, seed: int = 0) -> ValidationReport:
     n - 2, a connected set for n >= 2; (3) makes mu = 1 near x, so mu = 1
     everywhere: the interiors are disjoint and cover R^n. Every overlap
     reported is a true one. For n = 1, (1)-(2) suffice: the only
-    facet is the empty one and its two rays are +1 and -1. `samples` and
-    `seed` are accepted for compatibility and ignored.
+    facet is the empty one and its two rays are +1 and -1.
     """
     failures = []
     n = f.rank
@@ -312,14 +311,20 @@ def _walk_cone_facets(f, facets):
 
 
 def _echelon_walk(rows, n, size, leaf):
-    """Call leaf(echelon) on each subset of `size` rows whose first n columns
-    are independent, by one depth-first walk in index order: each step
-    reduces a row against its prefix's integer echelon of (pivot column, row)
-    and divides out its gcd. A row whose first n entries reduce to zero ends
+    """Call leaf(line) on each subset of `size` rows, of size + 1 columns,
+    whose first n columns are independent: line spans the subset's kernel,
+    with 1 in the column no pivot takes and the rest by integer back
+    substitution. One depth-first walk in index order: each step reduces a
+    row against its prefix's integer echelon of (pivot column, row) and
+    divides out its gcd. A row whose first n entries reduce to zero ends
     its branch, as every superset is dependent."""
     def walk(start, echelon):
         if len(echelon) == size:
-            return leaf(echelon)
+            line = [0] * (size + 1)
+            line[size * (size + 1) // 2 - sum(col for col, _ in echelon)] = 1
+            for col, row in reversed(echelon):
+                line, line[col] = [x * row[col] for x in line], -dot(row, line)
+            return leaf(line)
         # room for the size - len(echelon) rows still to come
         for i in range(start, len(rows) - size + len(echelon) + 1):
             row = rows[i]
@@ -368,31 +373,26 @@ class LatticePolytope:
         and lexicographic order, mapped to the frozenset of the indices of
         the inequalities tight at it.
 
-        `_echelon_walk` reaches each independent n-subset of the rows (offset
-        last); back substitution gives a gcd-reduced integer key, so a vertex
-        found twice is scanned once, and rows are tested as N.num <= offset *
-        den: only accepted vertices become Fractions."""
+        Rows are stored as (normal, -offset), so the kernel line that
+        `_echelon_walk` gives an independent n-subset is (num, den), the
+        vertex num / den. Reduced by its gcd with den > 0 it is a key, so a
+        vertex found twice is scanned once, and rows are tested as N.num <=
+        offset * den: only accepted vertices become Fractions."""
         n = self.dim
-        # each row with its offset last; dot(row, num) reads the normal part
-        rows = [(*nv, off) for nv, off in zip(self.normals, self.offsets)]
+        rows = [(*nv, -off) for nv, off in zip(self.normals, self.offsets)]
         seen = set()
         found = []
 
-        def scan(echelon):
-            num, den = [0] * n, 1
-            for col, row in reversed(echelon):
-                s = row[n] * den - dot(row, num)
-                num = [x * row[col] for x in num]
-                num[col], den = s, den * row[col]
-            g = gcd(den, *num) * (1 if den > 0 else -1)
-            key = (*(x // g for x in num), den // g)
+        def scan(line):
+            g = gcd(*line) * (1 if line[n] > 0 else -1)
+            key = tuple(x // g for x in line)
             if key in seen:
                 return
             seen.add(key)
-            *num, den = key
-            slack = [row[n] * den - dot(row, num) for row in rows]
+            slack = [-dot(row, key) for row in rows]
             if min(slack) >= 0:
                 tight = frozenset(i for i, gap in enumerate(slack) if not gap)
+                *num, den = key
                 found.append((tuple(Fraction(x, den) for x in num), tight))
 
         _echelon_walk(rows, n, n, scan)
@@ -466,13 +466,8 @@ class LatticePolytope:
                 return None
             raise ValueError("unbounded polyhedron")
 
-        def recession(echelon):
-            # the kernel line of n - 1 independent normals, by integer back
-            # substitution from 1 in the free column, the one no pivot takes
-            d = [0] * n
-            d[n * (n - 1) // 2 - sum(col for col, _ in echelon)] = 1
-            for col, row in reversed(echelon):
-                d, d[col] = [x * row[col] for x in d], -dot(row, d)
+        def recession(d):
+            # d spans the kernel of n - 1 independent normals
             pos = neg = False
             for nv in self.normals:
                 v = dot(nv, d)

@@ -159,11 +159,10 @@ def adjugate(m):
 
 def solve_unique(m, b):
     """Solve the square system m x = b exactly; None if m is singular."""
-    n = len(m)
-    a, pivots, last, _ = _echelon([(*row, bv) for row, bv in zip(m, b)])
-    if pivots[:n] != list(range(n)):
+    try:
+        return solve_in_span(columns_matrix(m), b)
+    except ValueError:
         return None
-    return tuple(Fraction(x, last) for x in _back_substitute(a, n, last, n))
 
 
 def solve_in_span(vectors, target):

@@ -16,12 +16,14 @@ rows by units keeps the rank, and the scaled row is zero exactly when the
 row is, so every trial rank, and every TrialEvidence, is that of
 rank_mod_p on build_point_matrix at the same prime and points.
 
-An exact trial draws its coordinates from [1, 2^16], units mod
-2^61 - 1, and screens with the same kernel mod that prime: its rank is a
-lower bound on the rank over Q, which is at most min(nonzero rows,
-columns), so a screen that reaches that count is the rank over Q. Only a
-screen that falls short builds the integer matrix and ranks it by Bareiss
-elimination; both ways give rank_exact of build_point_matrix.
+An exact trial draws its coordinates from [1, 2^16], units mod 2^61 - 1,
+and screens with the same kernel mod that prime: its rank is a lower bound
+on the rank over Q, which is at most min(nonzero rows, columns). The kernel
+returns that count too: every exponent indexes a factor table, so it is far
+below 2^61 - 1, and F_u[m] is nonzero mod that prime exactly when m >= u,
+when the integer entry is. A screen that reaches the count is the rank over
+Q; only one that falls short builds the integer matrix and ranks it by
+Bareiss elimination. Both ways give rank_exact of build_point_matrix.
 
 dim = h0 - rank - 1. The virtual dimension subtracts the full count of
 derivative conditions; the toric virtual dimension only subtracts orders
@@ -36,9 +38,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import combinations, repeat
 from math import comb
-from operator import le, mul
+from operator import mul
 
 from .cox import CoxPresentation, SectionPolytope, section_polytope
 from .lattice import (NEGATIVE_EXPONENT, POINT_BUDGET, LatticePolytope, _as_int_vector,
@@ -83,24 +85,15 @@ class LinearSystem:
 @lru_cache(maxsize=256)
 def derivative_orders(n: int, mu: int):
     """All u >= 0 with |u| <= mu - 1, lexicographic; count C(n+mu-1, n). A
-    count above POINT_BUDGET raises ValueError before any is built."""
+    count above POINT_BUDGET raises ValueError before any is built. Stars
+    and bars: u_j is the gap before bar j of n bars in n + mu - 1 slots, and
+    lexicographic bars give lexicographic u."""
     count = comb(n + mu - 1, n)
     if count > POINT_BUDGET:
         raise ValueError(f"{count} derivative orders exceed the enumeration "
                          f"budget of {POINT_BUDGET}")
-    out = []
-
-    def rec(prefix, remaining, budget):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for v in range(budget + 1):
-            rec(prefix + [v], remaining - 1, budget - v)
-
-    rec([], n, mu - 1)
-    out.sort()
-    assert len(out) == count
-    return tuple(out)
+    return tuple(tuple(b - a - 1 for a, b in zip((-1, *bars), bars))
+                 for bars in combinations(range(n + mu - 1), n))
 
 
 def falling(m: int, u: int) -> int:
@@ -179,10 +172,11 @@ def _column_products(tables, coords, ncols, p):
 
 
 def _trial_rank(coords, orders, mults, points, p):
-    """The rank mod p of the trial's matrix, packed column by column from
-    two factor tables. Row (i, u) times the unit x_i^u has the entries
-    F_u[m] X_i[m], with F_u[m] = prod_j falling(m_j, u_j) and X_i[m] = x_i^m
-    mod p; the orders u with F_u = 0 mod p give the zero rows, left out."""
+    """(rank mod p, s) of the trial's matrix, packed column by column from
+    two factor tables; s = min(nonzero rows, columns) bounds the rank. Row
+    (i, u) times the unit x_i^u has the entries F_u[m] X_i[m], with F_u[m] =
+    prod_j falling(m_j, u_j) and X_i[m] = x_i^m mod p; the orders u with
+    F_u = 0 mod p give the zero rows, left out."""
     ncols = len(coords[0]) if coords else 1
     falls = [[1] * (max(map(max, coords), default=0) + 1)]
     for v in range(1, max(mults)):  # falls[v][d] = falling(d, v) mod p
@@ -210,16 +204,7 @@ def _trial_rank(coords, orders, mults, points, p):
             blocks.append(map(int.to_bytes, map(mul, xs, phis[mu]),
                               repeat(len(kept[mu]) * nbytes), repeat("little")))
     vectors = map(int.from_bytes, map(b"".join, zip(*blocks)), repeat("little"))
-    return _eliminate(vectors, nrows, s, p, nbytes)
-
-
-def _nonzero_rows(columns, orders, mults):
-    """How many rows of the integer matrix are nonzero. Row (i, u) is one
-    exactly when some column m >= u: there every falling(m_j, u_j) > 0 and
-    x_i^(m_j - u_j) != 0, elsewhere some falling(m_j, u_j) is 0."""
-    reached = {u for u in orders[max(mults)]
-               if any(all(map(le, u, m)) for m in columns)}
-    return sum(len(reached.intersection(orders[mu])) for mu in mults)
+    return _eliminate(vectors, nrows, s, p, nbytes), s
 
 
 def build_matrix(system: LinearSystem, points, prime=None) -> InterpolationMatrix:
@@ -241,18 +226,18 @@ def generic_rank_for_support(columns, n, mults, cfg: RankConfig):
     The support and multiplicities are checked once, before any trial. A
     modular trial's rank is `_trial_rank` at its prime and points, equal to
     rank_mod_p of build_point_matrix there. An exact trial's is
-    `_trial_rank` mod 2^61 - 1 when that reaches min(nonzero rows, columns),
+    `_trial_rank` mod 2^61 - 1 when that reaches the bound s it returns,
     else Bareiss on build_point_matrix: either way rank_exact of
-    build_point_matrix. Every leaf of a certify search has the same
-    seed, so `trial_prime` runs each trial's prime search once and replays
-    its draws on the trial rng: the points, ranks and evidence are those of
-    a fresh search."""
+    build_point_matrix. s is min(nonzero rows, columns) over Q too: every
+    exponent is far below 2^61 - 1, so F_u[m] != 0 mod 2^61 - 1 exactly
+    when m >= u. Every leaf of a certify search has the same seed, so
+    `trial_prime` runs each trial's prime search once and replays its draws
+    on the trial rng: the points, ranks and evidence are those of a fresh
+    search."""
     k = len(mults)
     if k == 0 or not columns:
         return 0, ()
     coords, orders = _exponents_and_orders(columns, n, mults)
-    if cfg.exact:
-        full = min(_nonzero_rows(columns, orders, mults), len(columns))
     master = random.Random(cfg.seed)
     best = 0
     evidence = []
@@ -263,8 +248,8 @@ def generic_rank_for_support(columns, n, mults, cfg: RankConfig):
         top = 1 << 16 if p is None else p - 1
         pts = [tuple(trng.randint(1, top) for _ in range(n))
                for _ in range(k)]
-        rk = _trial_rank(coords, orders, mults, pts,
-                         _SCREEN_PRIME if p is None else p)
+        rk, full = _trial_rank(coords, orders, mults, pts,
+                               _SCREEN_PRIME if p is None else p)
         if p is None and rk < full:
             rk = matrix_rank(build_point_matrix(columns, mults, pts).rows)
         evidence.append(TrialEvidence(p, tseed, rk))

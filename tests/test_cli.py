@@ -250,6 +250,21 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     assert "error" in doc and doc["path"] == str(bad)
 
 
+@pytest.mark.parametrize("content", [
+    b"[" * 100_000,  # deeper than the decoder's recursion limit
+    b'{"rank": ' + b"1" * 5000 + b"}",  # over the integer digit limit
+    b'{"rank": "\xff"}',  # invalid UTF-8
+], ids=["deeply-nested", "5000-digit-integer", "invalid-utf-8"])
+def test_undecodable_json_is_an_input_error_at_its_path(content, tmp_path,
+                                                        capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, doc, _ = run_cli(["validate", "--fan", str(bad)], capsys)
+    assert code == 1
+    assert doc["error"].startswith("malformed JSON: ")
+    assert doc["path"] == str(bad)
+
+
 def test_unknown_example_exit_code(capsys):
     code, doc, _ = run_cli(["validate", "--example", "nope:1"], capsys)
     assert code == 1
@@ -312,6 +327,8 @@ def test_parser_is_built_once(capsys):
     (DIM_PN2 + ["--trials", "x"], "argument --trials: invalid int value: 'x'"),
     (DIM_PN2 + ["--bogus"], "unrecognized arguments: --bogus"),
     ([], "the following arguments are required: command"),
+    (["validate", "--example", "pn:2", "--samples", "5"],
+     "unrecognized arguments: --samples 5"),
 ])
 def test_usage_errors_are_input_errors(argv, message, capsys):
     code = main(argv)
@@ -379,7 +396,7 @@ def test_genericity_violation_exit_code(tmp_path, capsys, monkeypatch):
     # exit 2 is left to a failed trial: a rank of h0 on the box [0, 1]^2
     # with a double point gives dim -1 below tedim 0
     monkeypatch.setattr(linsys, "_trial_rank",
-                        lambda coords, *rest: len(coords[0]))
+                        lambda coords, *rest: (len(coords[0]),) * 2)
     sysfile.write_text(json.dumps({
         "polytope": polytope_to_json(box_polytope((1, 1))),
         "multiplicities": [2],

@@ -288,7 +288,7 @@ def test_verify_checks_that_the_root_is_in_standard_form(tmp_path,
     # check passes
     with monkeypatch.context() as patch:
         patch.setattr(LatticePolytope, "require_down_set", lambda self: None)
-        leaf = _leaf(kite, (2, 1), CFG)
+        leaf = _leaf(kite, (2, 1), CFG, {})
         assert leaf is not None and degeneration._verify_node(leaf, CFG, {})
         assert verify_certificate(leaf, CFG) is False
     cert = tmp_path / "cert.json"
@@ -731,7 +731,7 @@ def _certify_unpruned(polytope, mults, depth, cfg):
                         "split", polytope, tuple(mults), h0, truncs, tvdim,
                         split=spec, transcript=transcript,
                         children=(left, right))
-    return _leaf(polytope, mults, cfg)
+    return _leaf(polytope, mults, cfg, {})
 
 
 def _certificate_bytes(cert):

@@ -355,13 +355,6 @@ def test_point_location_catches_a_dropped_cone(spec):
     assert not validate_fan(broken).complete
 
 
-@pytest.mark.parametrize("spec", CATALOG_FAN_SPECS)
-def test_validate_ignores_samples(spec):
-    fan = example_fan(spec)
-    assert validate_fan(fan, samples=0) == validate_fan(fan, samples=1000,
-                                                        seed=7)
-
-
 def test_polytope_vertices_and_box():
     p = trapezoid_polytope(2, 1)
     assert p.vertices == ((0, 0), (0, 1), (1, 1), (2, 0))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb, prod
 
 import pytest
@@ -34,7 +35,6 @@ from toric_linsys import linsys as linsys_module
 from toric_linsys.degeneration import axis_widths, split_polytope
 from toric_linsys.linsys import (
     _exponents_and_orders,
-    _nonzero_rows,
     _trial_rank,
     build_point_matrix,
     falling,
@@ -43,7 +43,8 @@ from toric_linsys.linsys import (
     truncated_condition_counts,
 )
 from toric_linsys.linalg import rank as matrix_rank
-from toric_linsys.rank import TrialEvidence, random_prime, rank_exact, rank_mod_p
+from toric_linsys.rank import (_SCREEN_PRIME, TrialEvidence, random_prime,
+                               rank_exact, rank_mod_p)
 
 
 def presentation(fan):
@@ -61,6 +62,13 @@ def test_derivative_orders_counts_and_membership():
             assert len(orders) == comb(n + mu - 1, n)
             assert all(sum(u) <= mu - 1 and min(u) >= 0 for u in orders)
     assert derivative_orders(2, 2) == ((0, 0), (0, 1), (1, 0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5), st.integers(1, 7))
+def test_derivative_orders_is_the_filtered_product(n, mu):
+    assert derivative_orders(n, mu) == tuple(
+        u for u in product(range(mu), repeat=n) if sum(u) < mu)
 
 
 def test_derivative_orders_cache_is_bounded_and_never_keeps_the_error():
@@ -226,7 +234,7 @@ def test_packed_trial_rank_is_the_rank_of_the_point_matrix(case):
     # scaling row (i, u) by the unit x_i^u keeps the rank of every trial
     columns, n, mults, points, p = case
     coords, orders = _exponents_and_orders(columns, n, mults)
-    assert _trial_rank(coords, orders, mults, points, p) == rank_mod_p(
+    assert _trial_rank(coords, orders, mults, points, p)[0] == rank_mod_p(
         build_point_matrix(columns, mults, points, prime=p).rows, p)
 
 
@@ -264,11 +272,12 @@ def exact_trials(draw):
 def test_exact_trial_ranks_are_rank_exact_of_the_point_matrix(case):
     # the screen mod 2^61 - 1 and its Bareiss fallback give, trial by
     # trial, rank_exact of the integer matrix at the trial's points; the
-    # screen is taken as the rank only at the matrix's nonzero-row count
+    # screen is taken as the rank only at the bound it returns, which is
+    # min(nonzero rows, columns) of the integer matrix
     columns, n, mults, seed = case
     best, evidence = generic_rank_for_support(
         columns, n, mults, RankConfig(exact=True, trials=2, seed=seed))
-    _, orders = _exponents_and_orders(columns, n, mults)
+    coords, orders = _exponents_and_orders(columns, n, mults)
     for ev in evidence:
         assert ev.prime is None
         rng = random.Random(ev.seed)
@@ -276,7 +285,8 @@ def test_exact_trial_ranks_are_rank_exact_of_the_point_matrix(case):
                for _ in mults]
         rows = build_point_matrix(columns, mults, pts).rows
         assert ev.rank == rank_exact(rows)
-        assert _nonzero_rows(columns, orders, mults) == sum(map(any, rows))
+        assert _trial_rank(coords, orders, mults, pts, _SCREEN_PRIME)[1] == \
+            min(sum(map(any, rows)), len(columns))
     assert best == max(ev.rank for ev in evidence)
 
 
@@ -310,8 +320,11 @@ def test_exact_trials_fall_back_when_the_screen_falls_short(monkeypatch):
     cfg = RankConfig(exact=True, trials=3, seed=4)
     rk, evidence = generic_rank(L, cfg)
     assert rk == 12 and not built
-    monkeypatch.setattr(linsys_module, "_trial_rank",
-                        lambda *args: _trial_rank(*args) - 1)
+    def one_short(*args):
+        rk, full = _trial_rank(*args)
+        return rk - 1, full
+
+    monkeypatch.setattr(linsys_module, "_trial_rank", one_short)
     assert generic_rank(L, cfg) == (rk, evidence)
     assert len(built) == 3
 
@@ -570,7 +583,7 @@ def test_genericity_error_on_non_downset_support(monkeypatch):
     # a trial rank above the generic one (h0 here) breaks the chain
     # dim >= tedim and fails loudly
     monkeypatch.setattr(linsys_module, "_trial_rank",
-                        lambda coords, *rest: len(coords[0]))
+                        lambda coords, *rest: (len(coords[0]),) * 2)
     with pytest.raises(GenericityError):
         analyze_polytope_system(box_polytope((1, 1)), (2,), RankConfig(seed=1))
 
