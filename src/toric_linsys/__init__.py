@@ -4,15 +4,11 @@ dimensions of point-multiplicity linear systems, and degeneration
 certificates of toric non-speciality."""
 
 from .lattice import (
-    Cone,
     Fan,
     LatticePolytope,
     ValidationReport,
-    cone_contains,
-    cone_is_smooth,
     fan_from_json,
     fan_to_json,
-    gl_change_of_basis,
     lattice_points,
     normal_fan,
     polytope_from_json,
@@ -52,12 +48,10 @@ from .linsys import (
     SpecialityReport,
     analyze,
     analyze_polytope_system,
-    build_matrix,
     derivative_orders,
     generic_rank,
-    toric_truncation,
 )
-from .rank import RankConfig, TrialEvidence, is_prime, random_prime
+from .rank import RankConfig, TrialEvidence, is_prime
 from .degeneration import (
     CertificateNode,
     HypothesisTranscript,

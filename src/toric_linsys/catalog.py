@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from .lattice import Fan, LatticePolytope, normal_fan
+from .lattice import POINT_BUDGET, Fan, LatticePolytope, normal_fan
 
 
 def projective_space_fan(n: int) -> Fan:
@@ -112,11 +112,20 @@ _POLYTOPE_SPECS = {
     "bl3p2": (0, hexagon_polytope),
     "square": (0, unit_square_polytope),
 }
+# spec name -> entries built, for the specs whose size grows with an
+# argument: rank x (rays + cones) of a fan, rows x rank of a polytope; an
+# argument below 1 counts none and is left to the builder to refuse
+_ENTRIES = {
+    "pn": lambda n: 2 * max(int(n), 0) * (int(n) + 1),
+    "p1n": lambda n: (k := max(int(n), 0)) * (2 * k + (1 << min(k, 64))),
+    "box": lambda sides: 2 * (sides.count("x") + 1) ** 2,
+    "simplex": lambda n, d: max(int(n), 0) * (int(n) + 1),
+}
 
 
 def _from_spec(spec: str, specs, kind):
-    """Build 'name:arg:...'; an unknown name or a wrong number of arguments
-    is a ValueError naming the spec."""
+    """Build 'name:arg:...'; an unknown name, a wrong number of arguments
+    or more than POINT_BUDGET entries is a ValueError naming the spec."""
     name, *args = spec.split(":")
     if name not in specs:
         raise ValueError(f"unknown {kind} example '{spec}'")
@@ -124,6 +133,9 @@ def _from_spec(spec: str, specs, kind):
     if len(args) != arity:
         raise ValueError(f"example '{spec}' takes {arity} argument(s), "
                          f"got {len(args)}")
+    if name in _ENTRIES and _ENTRIES[name](*args) > POINT_BUDGET:
+        raise ValueError(f"example '{spec}' exceeds the enumeration budget "
+                         f"of {POINT_BUDGET} entries")
     return build(*args)
 
 

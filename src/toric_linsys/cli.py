@@ -84,12 +84,20 @@ def _env_seed() -> int:
             f"TORIC_LINSYS_SEED must be an integer, got {text!r}") from None
 
 
+def write_out(args, text):
+    """Write text to the --out file, if any, before anything is printed."""
+    if getattr(args, "out", None):
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write output: {exc}", args.out)
+
+
 def emit(doc, args, summary=None):
     text = dumps(doc)
+    write_out(args, text + "\n")
     print(text)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
     if summary:
         print(summary, file=sys.stderr)
 
@@ -412,9 +420,7 @@ def cmd_sweep(args):
             counts["failed"] += 1
         lines.append(record)
     records = "".join(dumps(record) + "\n" for record in lines)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(records)
+    write_out(args, records)
     print(dumps(counts))
     if not args.out:
         sys.stderr.write(records)
@@ -505,7 +511,9 @@ def main(argv=None) -> int:
         print(dumps({"error": str(exc), "path": None}))
         print(f"genericity violation: {exc}", file=sys.stderr)
         return EXIT_GENERICITY
-    except ValueError as exc:  # InputError included
+    except (RecursionError, ValueError) as exc:  # InputError included
+        # RecursionError: a walk that recurses once per dimension
+        # (`lattice._echelon_walk`) on a very high-dimensional input
         print(dumps({"error": str(exc), "path": getattr(exc, "path", None)}))
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

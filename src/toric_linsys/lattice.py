@@ -1,4 +1,4 @@
-"""Exact lattice geometry: cones, fans and lattice polytopes.
+"""Exact lattice geometry: fans and lattice polytopes.
 
 Conventions: vectors are tuples of ints (Fractions only where a result is
 genuinely rational, e.g. polytope vertices). A polytope is stored by its
@@ -22,8 +22,6 @@ from .linalg import (
     det,
     dot,
     pivot_columns,
-    rank as matrix_rank,
-    solve_in_span,
     vec_gcd,
     vec_neg,
     vec_sub,
@@ -57,56 +55,6 @@ def _as_int_vector(v):
             x = f.numerator
         out.append(x)
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class Cone:
-    """Pointed simplicial cone spanned by primitive, independent rays."""
-
-    rays: tuple
-    ambient_rank: int
-
-    def __post_init__(self):
-        rays = tuple(tuple(r) for r in self.rays)
-        object.__setattr__(self, "rays", rays)
-        if not rays:
-            raise ValueError("cone needs at least one ray")
-        for r in rays:
-            if len(r) != self.ambient_rank:
-                raise ValueError("ray length does not match ambient rank")
-            if vec_gcd(r) == 0:
-                raise ValueError("zero ray")
-            if primitivize(r) != r:
-                raise ValueError("non-primitive ray")
-        if matrix_rank(rays) != len(rays):
-            raise ValueError("rays are linearly dependent")
-
-    def negated(self):
-        return Cone(tuple(vec_neg(r) for r in self.rays), self.ambient_rank)
-
-
-def cone_is_smooth(c: Cone) -> bool:
-    """True iff the ray matrix is unimodular (determinant +-1)."""
-    if len(c.rays) != c.ambient_rank:
-        raise ValueError("not full-dimensional")
-    return abs(det(columns_matrix(c.rays))) == 1
-
-
-def cone_contains(c: Cone, v) -> bool:
-    """Exact membership: v is a nonnegative rational combination of rays."""
-    coeffs = solve_in_span(c.rays, v)
-    return coeffs is not None and all(x >= 0 for x in coeffs)
-
-
-def gl_change_of_basis(src: Cone):
-    """Unimodular A with A . ray_i = -e_i for the cone's ray order."""
-    if len(src.rays) != src.ambient_rank:
-        raise ValueError("not full-dimensional")
-    d, adj = adjugate(columns_matrix(src.rays))
-    if abs(d) != 1:
-        raise ValueError("no unimodular normalization")
-    # the inverse is adj / d = d * adj
-    return tuple(tuple(-d * x for x in row) for row in adj)
 
 
 @dataclass(frozen=True)
@@ -151,9 +99,6 @@ class Fan:
                 raise ValueError("ray index out of range")
         if not cones:
             raise ValueError("fan needs at least one maximal cone")
-
-    def cone(self, ci: int) -> Cone:
-        return Cone(tuple(self.rays[i] for i in self.max_cones[ci]), self.rank)
 
     def cone_facets(self, ci: int):
         """(d, m) of maximal cone ci: d the determinant of its ray matrix and

@@ -36,7 +36,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, repeat
 from math import comb
@@ -207,19 +206,6 @@ def _trial_rank(coords, orders, mults, points, p):
     return _eliminate(vectors, nrows, s, p, nbytes), s
 
 
-def build_matrix(system: LinearSystem, points, prime=None) -> InterpolationMatrix:
-    """Interpolation matrix of the system at explicit torus points."""
-    if len(points) != len(system.multiplicities):
-        raise ValueError("one point per multiplicity required")
-    # ints stay ints, so integer points give an integer matrix
-    points = [tuple(x if isinstance(x, int) else Fraction(x) for x in pt)
-              for pt in points]
-    if any(0 in pt for pt in points):
-        raise ValueError("points must have nonzero coordinates")
-    return build_point_matrix(system.section().points,
-                              system.multiplicities, points, prime)
-
-
 def generic_rank_for_support(columns, n, mults, cfg: RankConfig):
     """Max rank over seeded random trials plus the per-trial evidence.
 
@@ -277,10 +263,6 @@ def toric_counts(polytope: LatticePolytope, mults):
     h0 = len(lattice_points(polytope))
     truncs = truncated_condition_counts(polytope, mults)
     return h0, truncs, h0 - sum(truncs) - 1
-
-
-def toric_truncation(system: LinearSystem):
-    return toric_counts(system.section().polytope, system.multiplicities)[1]
 
 
 @dataclass(frozen=True)

@@ -109,19 +109,15 @@ def _prime_search(bits: int, rng: random.Random) -> tuple:
             return cand, draws
 
 
-def random_prime(bits: int, rng: random.Random) -> int:
-    """Uniform-ish prime in [2^(bits-1), 2^bits)."""
-    return _prime_search(bits, rng)[0]
-
-
 @lru_cache(maxsize=_TRIAL_PRIMES)
 def _trial_prime_draws(tseed: int, bits: int) -> tuple:
     return _prime_search(bits, random.Random(tseed))
 
 
 def trial_prime(tseed: int, bits: int) -> tuple:
-    """(random_prime(bits, rng), rng) for rng = Random(tseed), searching
-    once per (tseed, bits): a repeat replays the search's draws on rng."""
+    """(prime, rng): the prime of _prime_search(bits, rng) for rng =
+    Random(tseed), and rng advanced past its draws. The search runs once per
+    (tseed, bits); a repeat replays its draws on a fresh rng."""
     prime, draws = _trial_prime_draws(tseed, bits)
     rng = random.Random(tseed)
     for _ in range(draws):

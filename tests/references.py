@@ -4,7 +4,7 @@
 the reference for `demazure_roots`' enumeration on the root hyperplane;
 `affine_rank` is the reference for `LatticePolytope.require_full_dimensional`;
 `random_smooth_polygon` draws seeded smooth polygons for the capsule and
-acceptance tests.
+acceptance tests; `cone_rays` lists a maximal cone's rays.
 """
 
 import random
@@ -19,6 +19,11 @@ from toric_linsys.lattice import (
     vertex_neighbors,
 )
 from toric_linsys.linalg import rank, vec_neg, vec_sub
+
+
+def cone_rays(f: Fan, ci: int) -> tuple:
+    """The rays of maximal cone ci, in the cone's order."""
+    return tuple(f.rays[i] for i in f.max_cones[ci])
 
 
 def root_region(f: Fan, ray_index: int) -> LatticePolytope:

@@ -1,8 +1,11 @@
+import hashlib
 import json
+import time
+from unittest import mock
 
 import pytest
 
-from toric_linsys import linsys
+from toric_linsys import catalog, linsys
 from toric_linsys.cli import build_parser, main
 from toric_linsys.catalog import (box_polytope, hirzebruch_fan,
                                   simplex_polytope)
@@ -136,6 +139,73 @@ def test_h0_over_the_point_budget_is_an_input_error(capsys):
                  "enumeration budget of 10000000",
         "path": None}
     assert out.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec, builder", [
+    ("p1n:30", "p1_power_fan"),          # 2^30 cones
+    ("pn:5000", "projective_space_fan"),  # 5000 x (5001 + 5001) entries
+    ("simplex:5000:1", "simplex_polytope"),  # 5001 rows x 5000
+])
+def test_catalog_example_over_the_budget_is_refused_unbuilt(spec, builder,
+                                                            capsys):
+    start = time.perf_counter()
+    with mock.patch.object(catalog, builder,
+                           side_effect=AssertionError("built")):
+        code, doc, err = run_cli(["validate", "--example", spec], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert doc == {"error": f"example '{spec}' exceeds the enumeration "
+                            "budget of 10000000 entries", "path": None}
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["validate", "--example", "p1n:9"],
+     "cc24d49fd849df16e36b257863cf371840f9ebbe9804d84d63efebb614322dba"),
+    (["transitive", "--example", "p1n:9"],
+     "6d5138b174a0f8a0077d751004d5591f0e501c3f0d65b868bc7fedf3c9ce2db0"),
+    (["validate", "--example", "pn:12"],
+     "3c8cb1ef00d8d9a0bbb5837355df876ad1c87c515ddd26633082129d2b3c73de"),
+    (["symmetries", "--example", "pn:12"],
+     "20e661c641f1d2f681d7704abdb353be090cd221793a2324eb3ccc37f3dc455b"),
+])
+def test_largest_documented_examples_keep_their_bytes(argv, digest, capsys):
+    # the hashes were recorded before catalog examples had a size bound
+    main(argv)
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--example", "simplex:1000:1"],
+    ["h0", "--example", "simplex:2000:1", "--class", "1"],
+])
+def test_recursion_depth_is_an_input_error(argv, capsys):
+    # the vertex walk recurses once per dimension
+    code, doc, err = run_cli(argv, capsys)
+    assert code == 1
+    assert "maximum recursion depth exceeded" in doc["error"]
+    assert doc["path"] is None
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+@pytest.mark.parametrize("target", ["missing directory", "directory"])
+def test_unwritable_out_is_an_input_error_before_any_output(
+        command, target, tmp_path, capsys):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"tasks": [{
+        "polytope": polytope_to_json(box_polytope((1, 1))),
+        "multiplicities": [1]}]}))
+    argv = {"validate": ["validate", "--example", "pn:2"],
+            "sweep": ["sweep", "--job", str(job)]}[command]
+    out = tmp_path / "no" / "x.json" if target != "directory" else tmp_path
+    # run_cli parses stdout as one JSON document
+    code, doc, err = run_cli(argv + ["--out", str(out)], capsys)
+    assert code == 1
+    assert doc["error"].startswith("cannot write output: ")
+    assert doc["path"] == str(out)
     assert "Traceback" not in err
 
 

@@ -10,12 +10,9 @@ from toric_linsys import (
     Fan,
     LatticePolytope,
     build_presentation,
-    cone_contains,
-    cone_is_smooth,
     demazure_roots,
     detect_p1_power,
     fan_symmetries,
-    gl_change_of_basis,
     normal_fan,
     ray_index_partition,
     roots_outside_sigma_check,
@@ -36,10 +33,11 @@ from toric_linsys.catalog import (
 from toric_linsys import lattice
 from toric_linsys.fan_analysis import _require_valid
 from toric_linsys.linalg import (adjugate, columns_matrix, det, dot, mat_mul,
-                                 mat_vec, vec_neg)
+                                 mat_vec, solve_in_span, vec_neg)
 
 from lp_oracles import lp_in_hull, no_lp
-from references import affine_rank, polygon_is_smooth, random_smooth_polygon
+from references import (affine_rank, cone_rays, polygon_is_smooth,
+                        random_smooth_polygon)
 
 
 # the spec example polytope conv{(0,0),(1,0),(2,1),(0,1)}
@@ -591,11 +589,12 @@ def test_diagonal_fan_symmetries():
 
 
 def cone_oracle_is_transitive(f, ci):
-    """The transitivity test through Cone objects: smooth, and every ray
-    outside the cone is a nonnegative combination of its negated rays."""
-    c = f.cone(ci)
-    return cone_is_smooth(c) and all(
-        cone_contains(c.negated(), r)
+    """The transitivity test from the definition: the cone's ray matrix has
+    determinant +-1, and every ray outside the cone is a nonnegative
+    combination of its negated rays."""
+    negated = tuple(map(vec_neg, cone_rays(f, ci)))
+    return abs(det(negated)) == 1 and all(
+        min(solve_in_span(negated, r)) >= 0
         for i, r in enumerate(f.rays) if i not in f.max_cones[ci])
 
 
@@ -614,7 +613,10 @@ def test_transitivity_matches_the_cone_oracle(fan, seed, moved):
     verdict = transitive_cones(fan)
     assert list(verdict.transitive_cone_indices) == found
     if found:
-        assert verdict.basis_change == gl_change_of_basis(fan.cone(found[0]))
+        n = fan.rank
+        assert [mat_vec(verdict.basis_change, r)
+                for r in cone_rays(fan, found[0])] == [
+            tuple(-int(j == i) for j in range(n)) for i in range(n)]
     else:
         assert verdict.basis_change is None
 

@@ -9,14 +9,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from toric_linsys import (
-    Cone,
     Fan,
     LatticePolytope,
-    cone_contains,
-    cone_is_smooth,
     fan_from_json,
     fan_to_json,
-    gl_change_of_basis,
     lattice_points,
     normal_fan,
     polytope_from_json,
@@ -37,19 +33,18 @@ from toric_linsys.catalog import (
 from toric_linsys import lattice as lattice_module
 from toric_linsys.fan_analysis import demazure_roots
 from toric_linsys.linalg import (
-    OPTIMAL,
     _echelon,
     det,
     dot,
-    lp_solve,
     mat_vec,
     pivot_columns,
     solve_in_span,
     solve_unique,
+    vec_neg,
 )
 
 from lp_oracles import lp_box, lp_interiors_meet, no_lp
-from references import affine_rank, root_region
+from references import affine_rank, cone_rays, root_region
 
 
 def brute_force_points(poly, box):
@@ -77,62 +72,6 @@ def test_primitivize_idempotent():
             continue
         p = primitivize(v)
         assert primitivize(p) == p
-
-
-def test_cone_is_smooth():
-    e1, e2 = (1, 0), (0, 1)
-    assert cone_is_smooth(Cone((e1, e2), 2)) is True
-    assert cone_is_smooth(Cone((e1, (1, 2)), 2)) is False
-    # 2x2 determinant oracle
-    rays = ((0, -1), (1, 1))
-    assert det([[0, 1], [-1, 1]]) == 1
-    assert cone_is_smooth(Cone(rays, 2)) is True
-    with pytest.raises(ValueError, match="not full-dimensional"):
-        cone_is_smooth(Cone(((1, 0),), 2))
-
-
-def lp_cone_contains(cone, v):
-    """Exact LP feasibility oracle: v = sum lambda_i ray_i with lambda >= 0."""
-    k = len(cone.rays)
-    eqs = [(tuple(r[i] for r in cone.rays), v[i])
-           for i in range(cone.ambient_rank)]
-    return lp_solve(k, None, eqs=eqs, nonneg=True).status == OPTIMAL
-
-
-def test_cone_contains():
-    sigma = Cone(((-1, 0), (0, -1)), 2)
-    assert cone_contains(sigma.negated(), (1, 1))
-    # -sigma for sigma = cone((0,-1),(1,1)) contains (-1,0) = (0,1) + (-1,-1)
-    sigma = Cone(((0, -1), (1, 1)), 2)
-    assert cone_contains(sigma.negated(), (-1, 0))
-    assert not cone_contains(sigma, (-1, 0))
-    # -sigma for sigma = cone((0,1),(-1,0)) does not contain (1,1)
-    sigma = Cone(((0, 1), (-1, 0)), 2)
-    assert not cone_contains(sigma.negated(), (1, 1))
-    # membership on a lower-dimensional cone
-    ray = Cone(((1, 2),), 2)
-    assert cone_contains(ray, (2, 4))
-    assert not cone_contains(ray, (-1, -2))
-    assert not cone_contains(ray, (1, 1))
-
-
-def test_cone_contains_matches_lp_oracle():
-    rng = random.Random(42)
-    cones = [Cone(((-1, 0), (0, -1)), 2), Cone(((0, -1), (1, 1)), 2),
-             Cone(((0, 1), (-1, 0)), 2), Cone(((1, 2),), 2)]
-    for cone in cones:
-        for _ in range(25):
-            v = tuple(rng.randint(-4, 4) for _ in range(2))
-            assert cone_contains(cone, v) == lp_cone_contains(cone, v)
-
-
-def test_cone_constructor_invariants():
-    with pytest.raises(ValueError):
-        Cone(((2, 4),), 2)  # not primitive
-    with pytest.raises(ValueError):
-        Cone(((1, 0), (-1, 0)), 2)  # dependent
-    with pytest.raises(ValueError):
-        Cone(((0, 0),), 2)
 
 
 def test_validate_p2():
@@ -175,7 +114,7 @@ def test_validate_double_cover():
     rep = validate_fan(DOUBLE_COVER)
     assert rep.failures == ("maximal cones 0 and 3 overlap",)
     assert not rep.valid and not rep.complete and rep.smooth
-    assert lp_interiors_meet(*(DOUBLE_COVER.cone(c).rays for c in (0, 3)))
+    assert lp_interiors_meet(*(cone_rays(DOUBLE_COVER, c) for c in (0, 3)))
 
 
 def test_validate_three_cones_at_one_facet():
@@ -283,25 +222,14 @@ def test_point_budget_bounds_the_scanned_box(monkeypatch):
         lattice_points(LatticePolytope(((-1, 0), (0, -1), (1, 1)), (0, 0, 3)))
 
 
-def test_gl_change_of_basis():
-    c = Cone(((-1, 0), (0, -1)), 2)
-    assert gl_change_of_basis(c) == ((1, 0), (0, 1))
-    c = Cone(((1, 0), (0, 1)), 2)
-    assert gl_change_of_basis(c) == ((-1, 0), (0, -1))
-    c = Cone(((0, -1), (1, 1)), 2)
-    a = gl_change_of_basis(c)
-    assert mat_vec(a, (0, -1)) == (-1, 0)
-    assert mat_vec(a, (1, 1)) == (0, -1)
-    assert abs(det(a)) == 1
-    with pytest.raises(ValueError, match="no unimodular"):
-        gl_change_of_basis(Cone(((1, 0), (1, 2)), 2))
-
-
 def test_unimodular_invariance_of_validation():
     for fan in (projective_space_fan(2), hirzebruch_fan(1), bl3p2_fan()):
-        maps = [((2, 1), (1, 1)),
-                gl_change_of_basis(Cone(tuple(fan.rays[i]
-                                              for i in fan.max_cones[0]), 2))]
+        # the map sending cone 0's rays to -e_i, read off its facets as
+        # transitive_cones reads basis_change; cone 0 of bl3p2 is smooth
+        # but not transitive, so transitive_cones gives it no basis_change
+        d, m = fan.cone_facets(0)
+        assert abs(d) == 1
+        maps = [((2, 1), (1, 1)), tuple(map(vec_neg, m))]
         rep0 = validate_fan(fan)
         for a in maps:
             moved = Fan(2, tuple(tuple(mat_vec(a, r)) for r in fan.rays),
@@ -765,8 +693,8 @@ def test_cone_overlap_matches_lp():
         with no_lp():
             rep = validate_fan(fan)
         overlap = reported_overlaps(rep) == [(0, 1)]
-        assert overlap == lp_interiors_meet(fan.cone(0).rays,
-                                            fan.cone(1).rays)
+        assert overlap == lp_interiors_meet(cone_rays(fan, 0),
+                                            cone_rays(fan, 1))
         outcomes.add(overlap)
 
     check()
@@ -823,7 +751,7 @@ def test_validate_matches_pairwise_lp():
     def check(fan):
         with no_lp():
             rep = validate_fan(fan)
-        gens = [fan.cone(c).rays for c in range(len(fan.max_cones))]
+        gens = [cone_rays(fan, c) for c in range(len(fan.max_cones))]
         for a, b in reported_overlaps(rep):
             assert lp_interiors_meet(gens[a], gens[b])
         facets = collections.Counter(

@@ -13,13 +13,11 @@ from toric_linsys import (
     RankConfig,
     analyze,
     analyze_polytope_system,
-    build_matrix,
     build_presentation,
     derivative_orders,
     generic_rank,
     lattice_points,
     section_polytope,
-    toric_truncation,
     transitive_cones,
 )
 from toric_linsys.catalog import (
@@ -40,10 +38,11 @@ from toric_linsys.linsys import (
     falling,
     generic_rank_for_support,
     normalize_mults,
+    toric_counts,
     truncated_condition_counts,
 )
 from toric_linsys.linalg import rank as matrix_rank
-from toric_linsys.rank import (_SCREEN_PRIME, TrialEvidence, random_prime,
+from toric_linsys.rank import (_SCREEN_PRIME, TrialEvidence, _prime_search,
                                rank_exact, rank_mod_p)
 
 
@@ -88,7 +87,8 @@ def test_falling_factorial():
 
 def test_build_matrix_line_through_point():
     L = LinearSystem(CP2, (1,), (1,))
-    mat = build_matrix(L, [(2, 3)])
+    mat = build_point_matrix(L.section().points, L.multiplicities,
+                             [(2, 3)])
     assert mat.columns == ((0, 0), (0, 1), (1, 0))
     assert mat.rows == ((1, 3, 2),)
     assert rank_exact(mat.rows) == 1
@@ -98,7 +98,8 @@ def test_build_matrix_line_through_point():
 
 def test_build_matrix_conics_double_point():
     L = LinearSystem(CP2, (2,), (2,))
-    mat = build_matrix(L, [(5, 7)])
+    mat = build_point_matrix(L.section().points, L.multiplicities,
+                             [(5, 7)])
     assert len(mat.columns) == 6
     assert len(mat.rows) == 3
     assert rank_exact(mat.rows) == 3
@@ -108,7 +109,8 @@ def test_build_matrix_conics_double_point():
 
 def test_build_matrix_f1_double_point():
     L = LinearSystem(CPF1, (2, 1), (2,))
-    mat = build_matrix(L, [(3, 4)])
+    mat = build_point_matrix(L.section().points, L.multiplicities,
+                             [(3, 4)])
     assert set(mat.columns) == {(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)}
     assert len(mat.rows) == 3
     assert rank_exact(mat.rows) == 3
@@ -214,7 +216,7 @@ def modular_trials(draw):
     falling(m, u) = 0 mod p with u <= m occurs."""
     bits = draw(st.one_of(st.integers(3, 4), st.integers(3, 20),
                           st.sampled_from((61, 78))))
-    p = random_prime(bits, random.Random(draw(st.integers(0, 2 ** 32))))
+    p = _prime_search(bits, random.Random(draw(st.integers(0, 2 ** 32))))[0]
     n = draw(st.integers(1, 4))
     top = (13, 9, 3, 3)[n - 1]
     exponent = st.integers(0, top)
@@ -350,12 +352,6 @@ def test_non_integral_multiplicities_are_rejected():
     assert normalize_mults([2.0, 0, 1]) == (2, 1)
 
 
-def test_build_matrix_rejects_zero_coordinate_points():
-    L = LinearSystem(CP2, (1,), (1,))
-    with pytest.raises(ValueError, match="nonzero"):
-        build_matrix(L, [(0, 1)])
-
-
 def test_rows_outside_support_polytope_vanish():
     # the support is a down-set of the first orthant, so a derivative order
     # outside it kills every monomial: those rows are identically zero
@@ -395,7 +391,7 @@ def uncached_generic_rank(columns, n, mults, cfg):
     for _ in range(cfg.trials):
         tseed = master.getrandbits(63)
         trng = random.Random(tseed)
-        p = random_prime(cfg.prime_bits, trng)
+        p = _prime_search(cfg.prime_bits, trng)[0]
         pts = [tuple(trng.randint(1, p - 1) for _ in range(n)) for _ in mults]
         rows = build_point_matrix(columns, mults, pts, prime=p).rows
         out.append(TrialEvidence(p, tseed, rank_mod_p(rows, p)))
@@ -420,13 +416,16 @@ def test_zero_multiplicities_dropped():
 
 
 def test_toric_truncation():
+    def truncations(L):
+        return toric_counts(L.section().polytope, L.multiplicities)[1]
+
     L = LinearSystem(CP2, (2,), (2,))
-    assert toric_truncation(L) == (3,)
+    assert truncations(L) == (3,)
     L = LinearSystem(presentation(p1_power_fan(7)), (1,) * 7, (3, 3, 3))
-    assert toric_truncation(L) == (29, 29, 29)  # 1 + 7 + 21
+    assert truncations(L) == (29, 29, 29)  # 1 + 7 + 21
     for n in (2, 3, 4):
         L = LinearSystem(CPF1, (n, 1), (2,))
-        assert toric_truncation(L) == (3,)
+        assert truncations(L) == (3,)
 
 
 def walked_condition_counts(polytope, n, mults):

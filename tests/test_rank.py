@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from toric_linsys import rank as rank_module
 from toric_linsys.rank import (
     RankConfig,
+    _prime_search,
     is_prime,
-    random_prime,
     rank_exact,
     rank_mod_p,
     trial_prime,
@@ -84,9 +84,9 @@ def test_is_prime_matches_twelve_base_test():
             407521, 299210837, 307 * 311, 4294967291 * 4294967279,
             2 ** 64 - 59, 2 ** 64 + 13, 2 ** 61 - 1]
     ns = hard + [rng.randrange(2 ** 64) for _ in range(3000)] \
-        + [random_prime(bits, rng) * random_prime(bits, rng)
+        + [_prime_search(bits, rng)[0] * _prime_search(bits, rng)[0]
            for bits in (10, 20, 32) for _ in range(100)] \
-        + [random_prime(bits, rng) for bits in (33, 61, 64, 65, 78)
+        + [_prime_search(bits, rng)[0] for bits in (33, 61, 64, 65, 78)
            for _ in range(100)]
     assert [is_prime(n) for n in ns] == [twelve_base_is_prime(n) for n in ns]
     assert is_prime(407521) and is_prime(299210837)
@@ -97,16 +97,16 @@ def test_rank_config_prime_bits_range():
     assert 2 ** 78 < 318665857834031151167461
     with pytest.raises(ValueError, match="prime_bits must be at most 78"):
         RankConfig(prime_bits=79)
-    p = random_prime(78, random.Random(0))
+    p = _prime_search(78, random.Random(0))[0]
     assert 2 ** 77 <= p < 2 ** 78 and is_prime(p)
 
 
 def test_random_prime_range_and_determinism():
     rng = random.Random(9)
-    ps = [random_prime(61, rng) for _ in range(5)]
+    ps = [_prime_search(61, rng)[0] for _ in range(5)]
     assert all(2 ** 60 <= p < 2 ** 61 and is_prime(p) for p in ps)
     rng2 = random.Random(9)
-    assert ps == [random_prime(61, rng2) for _ in range(5)]
+    assert ps == [_prime_search(61, rng2)[0] for _ in range(5)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -117,7 +117,7 @@ def test_trial_prime_replays_the_search(tseed, bits):
     # the replay of more than one draw is exercised; at 33 and 65 bits a
     # draw of `bits` instead of `bits - 1` random bits takes one more word
     ref = random.Random(tseed)
-    prime = random_prime(bits, ref)
+    prime = _prime_search(bits, ref)[0]
     for _ in range(2):  # cold or warm, then warm
         got, rng = trial_prime(tseed, bits)
         assert got == prime
@@ -131,7 +131,7 @@ def test_trial_prime_replays_several_draws():
 
 def test_rank_mod_p_vs_exact_vs_minors():
     rng = random.Random(31)
-    p = random_prime(61, rng)
+    p = _prime_search(61, rng)[0]
     for _ in range(60):
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
