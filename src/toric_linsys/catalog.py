@@ -113,12 +113,13 @@ _POLYTOPE_SPECS = {
     "square": (0, unit_square_polytope),
 }
 # spec name -> entries built, for the specs whose size grows with an
-# argument: rank x (rays + cones) of a fan, rows x rank of a polytope; an
-# argument below 1 counts none and is left to the builder to refuse
+# argument: rank x (rays + cones) of a fan, rows x rank of a polytope, plus a
+# k x k `cone_facets` matrix per cone of p1n:k or of a k-box's fan (2^k of
+# them); an argument below 1 counts none and is left to the builder to refuse
 _ENTRIES = {
     "pn": lambda n: 2 * max(int(n), 0) * (int(n) + 1),
-    "p1n": lambda n: (k := max(int(n), 0)) * (2 * k + (1 << min(k, 64))),
-    "box": lambda sides: 2 * (sides.count("x") + 1) ** 2,
+    "p1n": lambda n: (k := max(int(n), 0)) * (2 * k + ((k + 1) << min(k, 64))),
+    "box": lambda sides: (k := sides.count("x") + 1) ** 2 * (2 + (1 << min(k, 64))),
     "simplex": lambda n, d: max(int(n), 0) * (int(n) + 1),
 }
 

@@ -94,12 +94,14 @@ def write_out(args, text):
             raise InputError(f"cannot write output: {exc}", args.out)
 
 
-def emit(doc, args, summary=None):
+def emit(doc, args, summary=None, code=EXIT_OK):
+    """Print the document (and write it to --out); return the exit code."""
     text = dumps(doc)
     write_out(args, text + "\n")
     print(text)
     if summary:
         print(summary, file=sys.stderr)
+    return code
 
 
 def _load_json(path):
@@ -259,17 +261,16 @@ def system_from_obj(obj, path=None):
 def cmd_validate(args):
     fan = load_input(args, "fan")
     report = validate_fan(fan)
-    emit(report, args,
-         f"valid={report.valid} complete={report.complete} smooth={report.smooth}")
-    return EXIT_OK
+    return emit(report, args, f"valid={report.valid} "
+                f"complete={report.complete} smooth={report.smooth}")
 
 
 def cmd_transitive(args):
     fan = load_input(args, "fan")
     verdict = transitive_cones(fan)
     doc = {**jsonable(verdict), "quasi_transitive": bool(verdict)}
-    emit(doc, args, f"{len(verdict.transitive_cone_indices)} transitive cone(s)")
-    return EXIT_OK
+    return emit(doc, args,
+                f"{len(verdict.transitive_cone_indices)} transitive cone(s)")
 
 
 def cmd_roots(args):
@@ -280,16 +281,14 @@ def cmd_roots(args):
         per_ray[str(root.ray_index)].append(root.m)
     doc = {"count": len(roots), "per_ray": per_ray,
            "aut_dimension": fan.rank + len(roots)}
-    emit(doc, args, f"{len(roots)} Demazure roots")
-    return EXIT_OK
+    return emit(doc, args, f"{len(roots)} Demazure roots")
 
 
 def cmd_symmetries(args):
     fan = load_input(args, "fan")
     syms = fan_symmetries(fan)
-    emit({"count": len(syms), "matrices": syms}, args,
-         f"{len(syms)} fan symmetries")
-    return EXIT_OK
+    return emit({"count": len(syms), "matrices": syms}, args,
+                f"{len(syms)} fan symmetries")
 
 
 def cmd_capsule(args):
@@ -298,9 +297,8 @@ def cmd_capsule(args):
         raise InputError("need --vertex LIST")
     vertex = parse_vertex(args.vertex)
     result = vertex_capsule(poly, vertex)
-    emit(result, args,
-         f"contains_polytope={result.contains_polytope} certified={result.certified}")
-    return EXIT_OK
+    return emit(result, args, f"contains_polytope={result.contains_polytope} "
+                f"certified={result.certified}")
 
 
 def cmd_cox(args):
@@ -309,8 +307,7 @@ def cmd_cox(args):
     doc = {"ray_matrix": cp.ray_matrix, "grading_matrix": cp.grading_matrix,
            "class_rank": cp.class_rank, "ray_order": verdict.ray_order,
            "irrelevant_generators": irrelevant_generators(cp.fan)}
-    emit(doc, args, f"class rank {cp.class_rank}")
-    return EXIT_OK
+    return emit(doc, args, f"class rank {cp.class_rank}")
 
 
 def cmd_h0(args):
@@ -323,18 +320,17 @@ def cmd_h0(args):
            "class": divisor_class(cp, (0,) * cp.rank + coeffs)}
     if args.points:
         doc["lattice_points"] = sec.points
-    emit(doc, args, f"h0 = {sec.h0}")
-    return EXIT_OK
+    return emit(doc, args, f"h0 = {sec.h0}")
 
 
 def cmd_dim(args):
     poly, mults, desc = load_system(args)
     cfg = rank_config(args)
     report = analyze_polytope_system(poly, mults, cfg)
-    emit({**jsonable(report), **desc}, args,
-         f"dim={report.dim} edim={report.edim} tedim={report.tedim} "
-         f"special={report.special} toric_special={report.toric_special}")
-    return EXIT_OK
+    return emit({**jsonable(report), **desc}, args,
+                f"dim={report.dim} edim={report.edim} tedim={report.tedim} "
+                f"special={report.special} "
+                f"toric_special={report.toric_special}")
 
 
 def cmd_split(args):
@@ -346,8 +342,7 @@ def cmd_split(args):
         piece = getattr(pieces, side)
         doc[side] = {"polytope": piece,
                      "lattice_point_count": len(lattice_points(piece))}
-    emit(doc, args, f"split axis {pieces.axis} at level {pieces.level}")
-    return EXIT_OK
+    return emit(doc, args, f"split axis {pieces.axis} at level {pieces.level}")
 
 
 def cmd_certify(args):
@@ -356,12 +351,11 @@ def cmd_certify(args):
     cert = certify(PolytopeSystem(poly, mults), max_depth=args.max_depth,
                    cfg=cfg)
     if cert is None:
-        emit({"status": "inconclusive", "certificate": None}, args,
-             "no certificate found (not a proof of speciality)")
-        return EXIT_INCONCLUSIVE
+        return emit({"status": "inconclusive", "certificate": None}, args,
+                    "no certificate found (not a proof of speciality)",
+                    EXIT_INCONCLUSIVE)
     doc = {"status": "certified", "certificate": certificate_to_json(cert)}
-    emit(doc, args, "toric non-speciality certified")
-    return EXIT_OK
+    return emit(doc, args, "toric non-speciality certified")
 
 
 def cmd_verify(args):
@@ -376,8 +370,8 @@ def cmd_verify(args):
         raise InputError(f"malformed certificate: {exc}", args.certificate)
     cfg = rank_config(args)
     ok = verify_certificate(cert, cfg)
-    emit({"verified": ok}, args, f"verified={ok}")
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    return emit({"verified": ok}, args, f"verified={ok}",
+                EXIT_OK if ok else EXIT_VERIFICATION)
 
 
 def cmd_sweep(args):

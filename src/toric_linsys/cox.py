@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fan_analysis import DemazureRoot, TransitivityVerdict
-from .lattice import Fan, LatticePolytope, lattice_points
+from .lattice import POINT_BUDGET, Fan, LatticePolytope, lattice_points
 from .linalg import dot
 
 
@@ -105,8 +105,12 @@ def section_polytope(cp: CoxPresentation, standard) -> SectionPolytope:
 
 def irrelevant_generators(f: Fan):
     """Minimal index sets whose rays span no cone of the fan (primitive
-    collections); each set corresponds to a squarefree monomial generator."""
+    collections); each set corresponds to a squarefree monomial generator.
+    More than POINT_BUDGET nonempty ray subsets raise ValueError first."""
     r = len(f.rays)
+    if (1 << r) - 1 > POINT_BUDGET:
+        raise ValueError(f"{(1 << r) - 1} ray subsets exceed the enumeration "
+                         f"budget of {POINT_BUDGET}")
     cone_sets = [frozenset(c) for c in f.max_cones]
     gens = []
     for size in range(1, r + 1):

@@ -11,6 +11,7 @@ dim = tedim. Failure to find a certificate proves nothing.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, fields, replace
+from functools import cached_property
 
 from .lattice import (
     LatticePolytope,
@@ -73,7 +74,7 @@ def axis_widths(p: LatticePolytope):
 class SplitSpec:
     axis: int      # 0-based coordinate axis
     level: int     # slice at m_axis = level, 1 <= level <= width
-    point_split: int  # first point_split points go to the minus side
+    point_split: int  # mults[:point_split] go to minus_prev: `_child_systems`
 
 
 @dataclass(frozen=True)
@@ -90,9 +91,10 @@ class SplitPieces:
         return tuple(self.level if j == self.axis else 0
                      for j in range(self.plus.dim))
 
-    @property
+    @cached_property
     def plus_child(self):
-        """The plus piece translated back so its anchor is the origin."""
+        """The plus piece translated to put its anchor at the origin, built
+        once per split so its points are enumerated once."""
         return self.plus.translate(tuple(-x for x in self.plus_anchor))
 
 
@@ -114,6 +116,13 @@ def split_polytope(p: LatticePolytope, axis: int, level: int) -> SplitPieces:
         axis=axis,
         level=level,
     )
+
+
+def _child_systems(pieces: SplitPieces, split: SplitSpec, mults):
+    """(polytope, mults) of the minus and plus children. `_containment_witness`
+    differs: it tests the first point_split points' shifted simplices in plus."""
+    s = split.point_split
+    return (pieces.minus_prev, mults[:s]), (pieces.plus_child, mults[s:])
 
 
 def delta_c_mu(n: int, axis: int, c: int, mu: int):
@@ -170,9 +179,8 @@ def check_hypotheses(p: LatticePolytope, split: SplitSpec, mults,
     """Literal hypothesis check for one split.
 
     report_minus / report_plus only need tvdim and toric_special attributes
-    (a SpecialityReport or a certificate node both qualify); the minus report
-    covers the first point_split multiplicities on the minus-(level-1) piece,
-    the plus report the rest on the plus-level piece.
+    (a SpecialityReport or a certificate node both qualify); they describe
+    the two systems of `_child_systems`, in that order.
     """
     return _check_split(split_polytope(p, split.axis, split.level), split,
                         mults, report_minus, report_plus)
@@ -246,9 +254,18 @@ def _leaf(polytope, mults, cfg, memo):
     report = _analyze(polytope, mults, cfg, memo)
     if report.dim != report.tedim:
         return None
-    h0, truncs, tvdim = toric_counts(polytope, mults)
-    return CertificateNode("leaf", polytope, tuple(mults), h0, truncs, tvdim,
-                           report=report)
+    return CertificateNode("leaf", polytope, tuple(mults),
+                           *toric_counts(polytope, mults), report=report)
+
+
+def _split_node(polytope, mults, pieces, spec, children):
+    """The split node over two children, or None if its hypotheses fail."""
+    transcript = _check_split(pieces, spec, mults, *children)
+    if not transcript.passed:
+        return None
+    return CertificateNode("split", polytope, tuple(mults),
+                           *toric_counts(polytope, mults), split=spec,
+                           transcript=transcript, children=children)
 
 
 def _level_order(width):
@@ -270,36 +287,25 @@ def _certify(polytope, mults, depth, cfg, memo):
         widths = axis_widths(polytope)
         n = polytope.dim
         axes = sorted(range(n), key=lambda i: (-widths[i], i))
-        for axis in axes:
-            if widths[axis] < 1:
-                continue
+        for axis in axes:  # no level of a width-0 axis
             for level in _level_order(widths[axis]):
                 pieces = split_polytope(polytope, axis, level)
-                plus = pieces.plus_child
                 first_out = {}  # per (side, mu): the same for every s here
                 for s in _split_order(k):
                     spec = SplitSpec(axis, level, s)
                     if _containment_witness(n, pieces, spec, mults, first_out):
                         continue
-                    tv_minus = toric_counts(pieces.minus_prev, mults[:s])[2]
-                    tv_plus = toric_counts(plus, mults[s:])[2]
-                    if (tv_minus + 1) * (tv_plus + 1) < 0:
+                    minus, plus = _child_systems(pieces, spec, mults)
+                    if (toric_counts(*minus)[2] + 1) * \
+                            (toric_counts(*plus)[2] + 1) < 0:
                         continue
-                    left = _certify(pieces.minus_prev, mults[:s], depth - 1,
-                                    cfg, memo)
+                    left = _certify(*minus, depth - 1, cfg, memo)
                     if left is None:
                         continue
-                    right = _certify(plus, mults[s:], depth - 1, cfg, memo)
-                    if right is None:
-                        continue
-                    transcript = _check_split(pieces, spec, mults, left, right)
-                    if not transcript.passed:
-                        continue
-                    h0, truncs, tvdim = toric_counts(polytope, mults)
-                    return CertificateNode(
-                        "split", polytope, tuple(mults), h0, truncs, tvdim,
-                        split=spec, transcript=transcript,
-                        children=(left, right))
+                    right = _certify(*plus, depth - 1, cfg, memo)
+                    if right is not None:  # passes: both prunes held
+                        return _split_node(polytope, mults, pieces, spec,
+                                           (left, right))
     return _leaf(polytope, mults, cfg, memo)
 
 
@@ -319,10 +325,9 @@ def certify(system: PolytopeSystem, max_depth: int = 8,
 
 
 def verify_certificate(cert: CertificateNode, cfg: RankConfig = RankConfig()) -> bool:
-    """Independent re-check: the root passes `ensure_standard_form`, every
-    node's combinatorics and hypothesis check are recomputed and every leaf
-    re-ranked with the given config; each transcript must equal the stored
-    one, each fresh leaf report the stored one but for samples, seed, mode."""
+    """Independent re-check: the root passes `ensure_standard_form` and every
+    node equals its rebuild (`_verify_node`), each leaf re-ranked with the
+    given config."""
     try:
         ensure_standard_form(cert.polytope)
         return _verify_node(cert, cfg, {})
@@ -331,37 +336,29 @@ def verify_certificate(cert: CertificateNode, cfg: RankConfig = RankConfig()) ->
 
 
 def _verify_node(node: CertificateNode, cfg, memo) -> bool:
-    if toric_counts(node.polytope, node.mults) != \
-            (node.h0, tuple(node.truncations), node.tvdim):
-        return False
+    """The node equals its rebuild by `_leaf` (samples, seed and mode aside)
+    or `_split_node`, and its children hold `_child_systems` and pass."""
     if node.kind == "leaf":
-        stored = node.report
-        if stored is None or stored.dim != stored.tedim:
-            return False
-        fresh = _analyze(node.polytope, node.mults, cfg, memo)
-        return stored == replace(fresh, samples=stored.samples,
-                                 seed=stored.seed, mode=stored.mode)
-    if node.kind != "split" or node.split is None or node.children is None:
-        return False
+        fresh, stored = _leaf(node.polytope, node.mults, cfg, memo), node.report
+        return fresh is not None and stored is not None and node == replace(
+            fresh, report=replace(fresh.report, samples=stored.samples,
+                                  seed=stored.seed, mode=stored.mode))
     spec = node.split
+    if node.kind != "split" or spec is None or node.children is None:
+        return False
+    left, right = node.children  # not two children: ValueError
     if not 0 <= spec.point_split <= len(node.mults):
         return False
     # an axis or level out of range raises ValueError: not verified
     pieces = split_polytope(node.polytope, spec.axis, spec.level)
-    left, right = node.children
-    if left.mults != node.mults[:spec.point_split]:
-        return False
-    if right.mults != node.mults[spec.point_split:]:
-        return False
+    systems = _child_systems(pieces, spec, node.mults)
     # point lists are sorted, so equal sets give equal lists
-    if lattice_points(left.polytope) != lattice_points(pieces.minus_prev):
+    if [(c.mults, lattice_points(c.polytope)) for c in (left, right)] != \
+            [(m, lattice_points(q)) for q, m in systems]:
         return False
-    if lattice_points(right.polytope) != lattice_points(pieces.plus_child):
-        return False
-    transcript = _check_split(pieces, spec, node.mults, left, right)
-    if not transcript.passed or transcript != node.transcript:
-        return False
-    return _verify_node(left, cfg, memo) and _verify_node(right, cfg, memo)
+    return node == _split_node(node.polytope, node.mults, pieces, spec,
+                               node.children) and \
+        _verify_node(left, cfg, memo) and _verify_node(right, cfg, memo)
 
 
 # ---------------------------------------------------------------------------

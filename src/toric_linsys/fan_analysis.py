@@ -102,7 +102,7 @@ def vertex_capsule(p: LatticePolytope, vertex) -> CapsuleResult:
     if v not in p.incidence:
         raise ValueError("not a vertex of the polytope")
     p.require_full_dimensional()
-    neighbors = vertex_neighbors(p)[v]
+    neighbors = vertex_neighbors(p, v)
     if not is_smooth_vertex(v, neighbors):
         raise ValueError("capsule undefined at non-smooth vertex")
     edges = [vec_sub(w, v) for w in neighbors]

@@ -22,6 +22,7 @@ from .linalg import (
     det,
     dot,
     pivot_columns,
+    rank,
     vec_gcd,
     vec_neg,
     vec_sub,
@@ -492,19 +493,13 @@ def lattice_points(p: LatticePolytope):
     return list(p.points)
 
 
-def vertex_neighbors(p: LatticePolytope):
-    """Adjacency among vertices: w is a neighbor of v when the smallest face
-    containing both is one-dimensional."""
-    verts = p.vertices
-    tight = list(p.incidence.values())
-    nbrs = {v: [] for v in verts}
-    for a, b in itertools.combinations(range(len(verts)), 2):
-        common = tight[a] & tight[b]
-        members = [i for i, t in enumerate(tight) if common <= t]
-        if members == sorted([a, b]):
-            nbrs[verts[a]].append(verts[b])
-            nbrs[verts[b]].append(verts[a])
-    return nbrs
+def vertex_neighbors(p: LatticePolytope, v):
+    """The vertices w != v, in order, on an edge with the vertex v: the
+    smallest face holding both is where exactly the rows tight at both are
+    tight, and its dimension is n minus their rank (Schrijver, 1986, ch. 8)."""
+    tight = p.incidence[v]
+    return [w for w, t in p.incidence.items()
+            if w != v and rank([p.normals[i] for i in tight & t]) == p.dim - 1]
 
 
 def is_smooth_vertex(v, neighbors) -> bool:

@@ -3,10 +3,12 @@
 `root_region` is the Demazure root region of one ray in all n coordinates,
 the reference for `demazure_roots`' enumeration on the root hyperplane;
 `affine_rank` is the reference for `LatticePolytope.require_full_dimensional`;
+`all_vertex_neighbors` is the all-pairs reference for `vertex_neighbors`;
 `random_smooth_polygon` draws seeded smooth polygons for the capsule and
 acceptance tests; `cone_rays` lists a maximal cone's rays.
 """
 
+import itertools
 import random
 from math import gcd
 
@@ -46,6 +48,22 @@ def affine_rank(points):
     return rank(diffs) if diffs else 0
 
 
+def all_vertex_neighbors(p: LatticePolytope):
+    """Adjacency among all vertices at once: w is a neighbor of v when the
+    smallest face containing both holds no other vertex, which on a bounded
+    polytope makes it one-dimensional."""
+    verts = p.vertices
+    tight = list(p.incidence.values())
+    nbrs = {v: [] for v in verts}
+    for a, b in itertools.combinations(range(len(verts)), 2):
+        common = tight[a] & tight[b]
+        members = [i for i, t in enumerate(tight) if common <= t]
+        if members == sorted([a, b]):
+            nbrs[verts[a]].append(verts[b])
+            nbrs[verts[b]].append(verts[a])
+    return nbrs
+
+
 # ---------------------------------------------------------------------------
 # random smooth polygons: start from a box or a dilated triangle and make
 # random smooth corner chops (each chop is a toric blow-up on the dual side).
@@ -53,9 +71,11 @@ def affine_rank(points):
 
 def polygon_is_smooth(p: LatticePolytope) -> bool:
     """Every vertex is smooth and its edge vectors are integral."""
-    return all(is_smooth_vertex(v, ws) and all(
-        x.denominator == 1 for w in ws for x in vec_sub(w, v))
-        for v, ws in vertex_neighbors(p).items())
+    def smooth_at(v, ws):
+        return is_smooth_vertex(v, ws) and all(
+            x.denominator == 1 for w in ws for x in vec_sub(w, v))
+
+    return all(smooth_at(v, vertex_neighbors(p, v)) for v in p.vertices)
 
 
 def _edge_length(v, w):
@@ -80,10 +100,9 @@ def random_smooth_polygon(rng: random.Random) -> LatticePolytope:
 
 def _chop_random_corner(p: LatticePolytope, rng: random.Random):
     verts = p.vertices
-    nbrs = vertex_neighbors(p)
     candidates = []
     for vi, v in enumerate(verts):
-        ws = nbrs[v]
+        ws = vertex_neighbors(p, v)
         if len(ws) != 2:
             return None
         maxk = min(_edge_length(v, w) for w in ws) - 1

@@ -146,6 +146,9 @@ def test_h0_over_the_point_budget_is_an_input_error(capsys):
     ("p1n:30", "p1_power_fan"),          # 2^30 cones
     ("pn:5000", "projective_space_fan"),  # 5000 x (5001 + 5001) entries
     ("simplex:5000:1", "simplex_polytope"),  # 5001 rows x 5000
+    # 2^16 cones, each with a 16 x 16 cone_facets matrix
+    ("p1n:16", "p1_power_fan"),
+    ("box:" + "x".join(["1"] * 16), "box_polytope"),  # and its normal fan
 ])
 def test_catalog_example_over_the_budget_is_refused_unbuilt(spec, builder,
                                                             capsys):
@@ -158,6 +161,18 @@ def test_catalog_example_over_the_budget_is_refused_unbuilt(spec, builder,
     assert doc == {"error": f"example '{spec}' exceeds the enumeration "
                             "budget of 10000000 entries", "path": None}
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec, builder", [
+    ("p1n:15", "p1_power_fan"),
+    ("box:" + "x".join(["1"] * 15), "box_polytope"),
+])
+def test_catalog_example_under_the_budget_is_built(spec, builder):
+    # 2^15 cones with 15 x 15 cone_facets matrices: about 7.4e6 entries
+    with mock.patch.object(catalog, builder,
+                           side_effect=AssertionError("built")):
+        with pytest.raises(AssertionError, match="built"):
+            catalog.example_fan(spec)
 
 
 @pytest.mark.parametrize("argv, digest", [

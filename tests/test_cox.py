@@ -20,6 +20,7 @@ from toric_linsys.catalog import (
     p1_power_fan,
     projective_space_fan,
 )
+from toric_linsys import cox
 from toric_linsys.linalg import dot
 
 CATALOG = lambda: (projective_space_fan(2), projective_space_fan(3),
@@ -144,6 +145,22 @@ def test_irrelevant_generators():
     assert [sorted(g) for g in irrelevant_generators(cpf.fan)] == [[0, 2], [1, 3]]
     cpp = presentation(p1_power_fan(2))
     assert [sorted(g) for g in irrelevant_generators(cpp.fan)] == [[0, 2], [1, 3]]
+
+
+def test_irrelevant_generators_over_the_budget_are_refused(monkeypatch):
+    # P^23 has 24 rays, so 2^24 - 1 nonempty subsets: refused before the
+    # loop over them
+    with pytest.raises(ValueError, match="^16777215 ray subsets exceed the "
+                                         "enumeration budget of 10000000$"):
+        irrelevant_generators(projective_space_fan(23))
+    # the bound counts the 2^3 - 1 = 7 nonempty subsets of P^2's rays
+    monkeypatch.setattr(cox, "POINT_BUDGET", 7)
+    assert irrelevant_generators(projective_space_fan(2)) == (
+        frozenset({0, 1, 2}),)
+    monkeypatch.setattr(cox, "POINT_BUDGET", 6)
+    with pytest.raises(ValueError, match="^7 ray subsets exceed the "
+                                         "enumeration budget of 6$"):
+        irrelevant_generators(projective_space_fan(2))
 
 
 def test_irrelevant_generators_are_minimal_nonfaces():

@@ -331,7 +331,10 @@ def test_non_staircase_roots_certify_as_without_the_staircase_reader(
     lambda d: d["children"][0].update(mults=[2]),
     lambda d: d["children"][1].update(mults=[2]),
     lambda d: d["children"][1]["polytope"].update(offsets=[1, 0, 0, 0, 2, 0]),
-], ids=["point-split", "left-mults", "right-mults", "right-points"])
+    lambda d: d.update(children=d["children"][:1]),
+    lambda d: d.update(children=d["children"] + d["children"][:1]),
+], ids=["point-split", "left-mults", "right-mults", "right-points",
+        "one-child", "three-children"])
 def test_verify_rejects_a_tampered_split(tamper, tmp_path, capsys):
     cert = certify(PolytopeSystem(LatticePolytope(*PYRAMID), (1, 1)), cfg=CFG)
     doc = certificate_to_json(cert)
@@ -694,6 +697,71 @@ def test_certificate_json_round_trip(poly, mults, seed):
     back = certificate_from_json(json.loads(json.dumps(certificate_to_json(cert))))
     assert back == cert
     assert verify_certificate(back, RankConfig(seed=seed + 1, trials=2))
+
+
+def _node_docs(doc):
+    """Every node of a certificate document, root first."""
+    yield doc
+    for child in doc.get("children", ()):
+        yield from _node_docs(child)
+
+
+def _edit(obj, key):
+    """Flip a boolean, add one to an integer or give a null witness a value."""
+    value = obj[key]
+    obj[key] = (not value if isinstance(value, bool) else
+                value + 1 if isinstance(value, int) else
+                ["base_delta_in_minus", 0, [0]])
+
+
+TRANSCRIPT_FIELDS = ("passed", "children_toric_nonspecial", "tvdim_minus",
+                     "tvdim_plus", "product_ok", "shifted_delta_in_plus_ok",
+                     "base_delta_in_minus_ok", "witness")
+# every report field but samples, seed and mode, which verify puts in
+REPORT_FIELDS = ("h0", "rank", "dim", "vdim", "edim", "tvdim", "tedim",
+                 "special", "toric_special")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.builds(box_polytope, st.lists(st.integers(1, 3), min_size=1,
+                                     max_size=3)),
+    st.builds(simplex_polytope, st.integers(1, 3), st.integers(1, 4))),
+    st.lists(st.integers(0, 2), min_size=3, max_size=3), st.integers(1, 6),
+    # two points or more: about a quarter of the roots split
+    st.lists(st.integers(1, 3), min_size=2, max_size=4),
+    st.integers(0, 10**6), st.integers(0, 71))
+# box 3x3 with four double points: three splits over four leaves
+@example(box_polytope((3, 3)), [0, 0, 0], 1, [2, 2, 2, 2], 1, 0)
+def test_every_single_field_edit_fails_verify(poly, cut, offset, mults, seed,
+                                             pick):
+    """Random down-sets (a box or simplex cut by a row >= 0): each
+    certificate verifies, and one edit of h0, a truncation, tvdim, a
+    transcript field or a leaf report field of any node makes it fail."""
+    poly = poly.with_inequality(tuple(cut[:poly.dim]), offset)
+    cert = certify(PolytopeSystem(poly, mults), max_depth=2,
+                   cfg=RankConfig(seed=seed, trials=1))
+    if cert is None:
+        return
+    doc = certificate_to_json(cert)
+    cfg = RankConfig(seed=seed + 1, trials=1)
+    assert verify_certificate(certificate_from_json(doc), cfg)
+    for i, node in enumerate(_node_docs(doc)):
+        k = pick + i  # which truncation, transcript or report field
+        paths = [("h0",), ("tvdim",), ("truncations", k % len(node["mults"]))]
+        if node["kind"] == "split":
+            paths.append(("transcript",
+                          TRANSCRIPT_FIELDS[k % len(TRANSCRIPT_FIELDS)]))
+        else:
+            paths.append(("report", REPORT_FIELDS[k % len(REPORT_FIELDS)]))
+        for *keys, key in paths:
+            bad = json.loads(json.dumps(doc))
+            target = list(_node_docs(bad))[i]
+            for step in keys:
+                target = target[step]
+            _edit(target, key)
+            assert not verify_certificate(certificate_from_json(bad), cfg), \
+                (i, keys, key)
 
 
 def _certify_unpruned(polytope, mults, depth, cfg):

@@ -6,7 +6,7 @@ from math import ceil, floor
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from toric_linsys import (
     Fan,
@@ -31,6 +31,7 @@ from toric_linsys.catalog import (
     trapezoid_polytope,
 )
 from toric_linsys import lattice as lattice_module
+from toric_linsys.lattice import vertex_neighbors
 from toric_linsys.fan_analysis import demazure_roots
 from toric_linsys.linalg import (
     _echelon,
@@ -44,7 +45,7 @@ from toric_linsys.linalg import (
 )
 
 from lp_oracles import lp_box, lp_interiors_meet, no_lp
-from references import affine_rank, cone_rays, root_region
+from references import affine_rank, all_vertex_neighbors, cone_rays, root_region
 
 
 def brute_force_points(poly, box):
@@ -487,6 +488,21 @@ def test_incidence_matches_a_rescan_in_dimensions_5_and_6(p):
     items = list(p.incidence.items())
     assert items == rescanned_incidence(p)
     assert all(type(x) is Fraction for v, _ in items for x in v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(downsets(), moved_catalog_polytopes(dims=(2, 4))))
+# the apex (0, 0, 1) of this pyramid lies on four facets
+@example(LatticePolytope(((-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 0, 1),
+                          (0, 1, 1)), (0, 0, 0, 1, 1)))
+# the unit cube with its corner (1, 1, 1) cut off at x + y + z <= 2
+@example(box_polytope((1, 1, 1)).with_inequality((1, 1, 1), 2))
+def test_vertex_neighbors_match_the_all_pairs_rule(p):
+    # on a bounded polytope the smallest face holding v and w is an edge
+    # iff it holds no third vertex; unbounded, it may be a two-vertex wedge
+    assume(box_or_error(p.bounding_box) != "unbounded polyhedron")
+    assert {v: vertex_neighbors(p, v) for v in p.vertices} == \
+        all_vertex_neighbors(p)
 
 
 @st.composite
