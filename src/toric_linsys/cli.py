@@ -389,10 +389,7 @@ def cmd_sweep(args):
     if not isinstance(base_cfg, dict):
         raise InputError("'cfg' must be an object", args.job)
     lines = []
-    counts = {"total": 0, "ok": 0, "failed": 0, "special": 0,
-              "toric_special": 0}
     for idx, task in enumerate(tasks):
-        counts["total"] += 1
         label = f"task-{idx}"
         if isinstance(task, dict):
             label = task.get("label", label)
@@ -402,17 +399,15 @@ def cmd_sweep(args):
                 raise InputError("task must be a JSON object")
             poly, mults, desc = system_from_obj(task.get("system", task))
             cfg = rank_config(args, idx, base_cfg)
-            report = analyze_polytope_system(poly, mults, cfg)
-            record["report"] = report
-            counts["ok"] += 1
-            if report.special:
-                counts["special"] += 1
-            if report.toric_special:
-                counts["toric_special"] += 1
+            record["report"] = analyze_polytope_system(poly, mults, cfg)
         except (InputError, GenericityError, ValueError) as exc:
             record["error"] = str(exc)
-            counts["failed"] += 1
         lines.append(record)
+    reports = [record["report"] for record in lines if "report" in record]
+    counts = {"total": len(lines), "ok": len(reports),
+              "failed": len(lines) - len(reports),
+              "special": sum(r.special for r in reports),
+              "toric_special": sum(r.toric_special for r in reports)}
     records = "".join(dumps(record) + "\n" for record in lines)
     write_out(args, records)
     print(dumps(counts))
@@ -433,7 +428,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, summary, fan=False, polytope=False,
-                system=False, rank=False):
+                divisor=False, system=False, rank=False):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
         p.add_argument("--example", help="catalog spec, e.g. pn:2, p1n:7, "
@@ -445,13 +440,13 @@ def build_parser():
             p.add_argument("--fan", help="fan JSON file")
         if polytope:
             p.add_argument("--polytope", help="polytope JSON file")
-        if system:
-            p.add_argument("--system", help="system JSON file")
+        if divisor:
             p.add_argument("--class", dest="cls",
                            help="standard divisor coefficients, e.g. '2,1'")
             p.add_argument("--divisor", help="divisor JSON file")
+        if system:
+            p.add_argument("--system", help="system JSON file")
             p.add_argument("--mults", help="multiplicities, e.g. '2,2,1'")
-            p.add_argument("--fan", help="fan JSON file")
         if rank:
             p.add_argument("--trials", type=int, default=5)
             p.add_argument("--prime-bits", type=int, default=61,
@@ -469,21 +464,19 @@ def build_parser():
                 polytope=True)
     p.add_argument("--vertex", help="vertex coordinates, e.g. '0,1/2'")
     command("cox", cmd_cox, "Cox presentation matrices", fan=True)
-    p = command("h0", cmd_h0, "section count of a divisor class", fan=True)
-    p.add_argument("--divisor", help="divisor JSON file")
-    p.add_argument("--class", dest="cls",
-                   help="standard divisor coefficients, e.g. '2,1'")
+    p = command("h0", cmd_h0, "section count of a divisor class", fan=True,
+                divisor=True)
     p.add_argument("--points", action="store_true",
                    help="include the lattice points")
     command("dim", cmd_dim, "speciality report of a linear system",
-            system=True, rank=True)
+            fan=True, divisor=True, system=True, rank=True)
     p = command("split", cmd_split, "slab polytopes of a degeneration split",
                 polytope=True)
     p.add_argument("--axis", type=int, required=True)
     p.add_argument("--level", type=int, required=True)
     p = command("certify", cmd_certify,
                 "search a toric non-speciality certificate",
-                system=True, rank=True)
+                fan=True, divisor=True, system=True, rank=True)
     p.add_argument("--max-depth", type=int, default=8, dest="max_depth")
     p = command("verify", cmd_verify, "re-check a certificate", rank=True)
     p.add_argument("--certificate", help="certificate JSON file")
@@ -506,10 +499,12 @@ def main(argv=None) -> int:
         print(f"genericity violation: {exc}", file=sys.stderr)
         return EXIT_GENERICITY
     except (RecursionError, ValueError) as exc:  # InputError included
-        # RecursionError: a walk that recurses once per dimension
-        # (`lattice._echelon_walk`) on a very high-dimensional input
-        print(dumps({"error": str(exc), "path": getattr(exc, "path", None)}))
-        print(f"input error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, RecursionError):  # `lattice._echelon_walk`
+            message = ("input too deep to analyse (about a thousand "
+                       f"dimensions or more): {message}")
+        print(dumps({"error": message, "path": getattr(exc, "path", None)}))
+        print(f"input error: {message}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -18,12 +18,11 @@ from math import ceil, floor, gcd, lcm, prod
 
 from .linalg import (
     adjugate,
-    columns_matrix,
     det,
     dot,
     pivot_columns,
     rank,
-    vec_gcd,
+    transpose,
     vec_neg,
     vec_sub,
 )
@@ -40,7 +39,7 @@ NEGATIVE_EXPONENT = ("negative exponent in the monomial support; "
 
 def primitivize(v):
     """Divide an integer vector by the gcd of its entries."""
-    g = vec_gcd(v)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero ray")
     return tuple(x // g for x in v)
@@ -109,7 +108,7 @@ class Fan:
         updates (`_neighbour_facets`); any other cone gets its `adjugate` on
         first use. Both routes give the same integers."""
         if ci not in self._cone_facets:
-            d, adj = adjugate(columns_matrix(
+            d, adj = adjugate(transpose(
                 tuple(self.rays[i] for i in self.max_cones[ci])))
             self._cone_facets[ci] = d, adj if d >= 0 else tuple(map(vec_neg, adj))
         return self._cone_facets[ci]
@@ -130,6 +129,8 @@ class Fan:
 
 def validate_fan(f: Fan) -> ValidationReport:
     """Check the fan invariants; the report carries failures instead of raising.
+    `simplicial`: the rays pass their checks and no maximal cone is
+    degenerate. `valid` and `complete`: the cones also cover R^n once.
 
     The cone inverses m of `Fan.cone_facets` come from one `adjugate`, of
     cone 0, and a walk across shared facets that gives each cone it reaches
@@ -149,7 +150,7 @@ def validate_fan(f: Fan) -> ValidationReport:
     n = f.rank
     seen = {}
     for i, r in enumerate(f.rays):
-        if vec_gcd(r) == 0:
+        if not any(r):
             failures.append(f"ray {i} is zero")
         elif primitivize(r) != r:
             failures.append(f"ray {i} is not primitive")
@@ -163,7 +164,7 @@ def validate_fan(f: Fan) -> ValidationReport:
             failures.append(f"ray {i} not used by any maximal cone")
 
     cone_smooth = []
-    simplicial = True
+    simplicial = False
     if not failures:
         # facet -> [(cone, position k of its other ray)], in the order of
         # combinations(c, n - 1); row k of m vanishes on the facet
@@ -176,11 +177,10 @@ def validate_fan(f: Fan) -> ValidationReport:
             d = f.cone_facets(ci)[0]
             if d == 0:
                 failures.append(f"maximal cone {ci} is degenerate")
-                simplicial = False
             cone_smooth.append(abs(d) == 1)
+        simplicial = not failures
 
-    complete = False
-    if not failures:
+    if simplicial:
         overlaps = [(a, b) for at in facets.values()
                     for (a, ka), (b, kb) in itertools.combinations(at, 2)
                     if dot(f.cone_facets(a)[1][ka],
@@ -194,14 +194,13 @@ def validate_fan(f: Fan) -> ValidationReport:
             failures.append("maximal cones %d and %d overlap" % min(overlaps))
         elif bad:
             failures.append(f"facet {bad[0]} shared by {len(facets[bad[0]])} cones")
-        complete = not failures
 
-    smooth = bool(cone_smooth) and all(cone_smooth)
+    valid = not failures
     return ValidationReport(
-        valid=not failures,
-        simplicial=simplicial and not failures,
-        complete=complete,
-        smooth=smooth,
+        valid=valid,
+        simplicial=simplicial,
+        complete=valid,
+        smooth=bool(cone_smooth) and all(cone_smooth),
         cone_smooth=tuple(cone_smooth),
         failures=tuple(failures),
     )

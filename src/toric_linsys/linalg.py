@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import mul
 
 
@@ -32,13 +32,6 @@ def vec_neg(a):
     return tuple(-x for x in a)
 
 
-def vec_gcd(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
-
-
 def transpose(m):
     return tuple(zip(*m))
 
@@ -50,11 +43,6 @@ def mat_vec(m, v):
 def mat_mul(a, b):
     cols = transpose(b)
     return tuple(tuple(dot(row, col) for col in cols) for row in a)
-
-
-def columns_matrix(vectors):
-    """Matrix whose columns are the given vectors."""
-    return transpose(tuple(vectors))
 
 
 def _integer_rows(rows):
@@ -160,7 +148,7 @@ def adjugate(m):
 def solve_unique(m, b):
     """Solve the square system m x = b exactly; None if m is singular."""
     try:
-        return solve_in_span(columns_matrix(m), b)
+        return solve_in_span(transpose(m), b)
     except ValueError:
         return None
 
@@ -220,7 +208,6 @@ def lp_solve(n_vars, objective=None, ineqs=(), eqs=(), maximize=True,
         return [Fraction(c) for c in coeffs]
 
     rows = []
-    slack_of_row = []
     for coeffs, rhs in ineqs:
         rows.append((expand(coeffs), Fraction(rhs), True))
     for coeffs, rhs in eqs:

@@ -3,15 +3,15 @@
 The matrix of a system has one column per lattice point m of the section
 polytope (the monomial x^m) and, per point with multiplicity mu, one row per
 derivative order u with |u| <= mu - 1. The entry at (u, m) is the u-th
-partial derivative of x^m evaluated at the point:
-prod_j falling(m_j, u_j) * prod_j p_j^(m_j - u_j), zero when some u_j > m_j.
+partial derivative of x^m evaluated at the point: prod_j perm(m_j, u_j) *
+prod_j p_j^(m_j - u_j), with the falling factorial perm(m, u) = 0 when u > m.
 
 `build_point_matrix` builds this matrix entry by entry; it is the public
 matrix and the reference for the trials. A modular trial packs the rank
 kernel's vectors straight from two factor tables instead (`_trial_rank`):
 it multiplies row (i, u) by x_i^u, a unit mod p because every coordinate is
 drawn from [1, p - 1], which turns the entry into F_u[m] X_i[m] with
-F_u[m] = prod_j falling(m_j, u_j) mod p and X_i[m] = x_i^m mod p. Scaling
+F_u[m] = prod_j perm(m_j, u_j) mod p and X_i[m] = x_i^m mod p. Scaling
 rows by units keeps the rank, and the scaled row is zero exactly when the
 row is, so every trial rank, and every TrialEvidence, is that of
 rank_mod_p on build_point_matrix at the same prime and points.
@@ -38,7 +38,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, repeat
-from math import comb
+from math import comb, perm
 from operator import mul
 
 from .cox import CoxPresentation, SectionPolytope, section_polytope
@@ -95,16 +95,6 @@ def derivative_orders(n: int, mu: int):
                  for bars in combinations(range(n + mu - 1), n))
 
 
-def falling(m: int, u: int) -> int:
-    """Falling factorial m (m-1) ... (m-u+1); zero when u > m."""
-    if u > m:
-        return 0
-    out = 1
-    for t in range(u):
-        out *= m - t
-    return out
-
-
 @dataclass(frozen=True)
 class InterpolationMatrix:
     rows: tuple
@@ -115,7 +105,7 @@ class InterpolationMatrix:
 
 def _order_vectors(coords, x, mu, prime):
     """Per order v < mu, the column vector of d^v/dx^v x^m at x for the
-    exponents m in coords: falling(m, v) * x^(m - v), zero when v > m."""
+    exponents m in coords: perm(m, v) * x^(m - v), zero when v > m."""
     powers = [x ** 0]
     for _ in range(max(coords, default=0)):
         powers.append(powers[-1] * x if prime is None
@@ -123,7 +113,7 @@ def _order_vectors(coords, x, mu, prime):
     out = []
     for v in range(mu):
         # entry per exponent value d, then looked up per column
-        by_value = [falling(d, v) * powers[d - v] if d >= v else 0
+        by_value = [perm(d, v) * powers[d - v] if d >= v else 0
                     for d in range(len(powers))]
         out.append(list(map(by_value.__getitem__, coords)))
     return out
@@ -174,11 +164,11 @@ def _trial_rank(coords, orders, mults, points, p):
     """(rank mod p, s) of the trial's matrix, packed column by column from
     two factor tables; s = min(nonzero rows, columns) bounds the rank. Row
     (i, u) times the unit x_i^u has the entries F_u[m] X_i[m], with F_u[m] =
-    prod_j falling(m_j, u_j) and X_i[m] = x_i^m mod p; the orders u with
+    prod_j perm(m_j, u_j) and X_i[m] = x_i^m mod p; the orders u with
     F_u = 0 mod p give the zero rows, left out."""
     ncols = len(coords[0]) if coords else 1
     falls = [[1] * (max(map(max, coords), default=0) + 1)]
-    for v in range(1, max(mults)):  # falls[v][d] = falling(d, v) mod p
+    for v in range(1, max(mults)):  # falls[v][d] = perm(d, v) mod p
         falls.append([f * (d - v + 1) % p for d, f in enumerate(falls[-1])])
     by_order = {u: _column_products([falls[uj] for uj in u], coords, ncols, p)
                 for u in orders[max(mults)]}

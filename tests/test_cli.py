@@ -200,6 +200,7 @@ def test_recursion_depth_is_an_input_error(argv, capsys):
     # the vertex walk recurses once per dimension
     code, doc, err = run_cli(argv, capsys)
     assert code == 1
+    assert doc["error"].startswith("input too deep to analyse")
     assert "maximum recursion depth exceeded" in doc["error"]
     assert doc["path"] is None
     assert "Traceback" not in err

@@ -32,8 +32,8 @@ from toric_linsys.catalog import (
 )
 from toric_linsys import lattice
 from toric_linsys.fan_analysis import _require_valid
-from toric_linsys.linalg import (adjugate, columns_matrix, det, dot, mat_mul,
-                                 mat_vec, solve_in_span, vec_neg)
+from toric_linsys.linalg import (adjugate, det, dot, mat_mul, mat_vec,
+                                 solve_in_span, transpose, vec_neg)
 
 from lp_oracles import lp_in_hull, no_lp
 from references import (affine_rank, cone_rays, polygon_is_smooth,
@@ -403,13 +403,13 @@ def fan_symmetries_with_det(f: Fan):
     ray_of = {r: i for i, r in enumerate(f.rays)}
     cone_set = {c for c in f.max_cones}
     base = f.max_cones[0]
-    d, base_adj = adjugate(columns_matrix(tuple(f.rays[i] for i in base)))
+    d, base_adj = adjugate(transpose(tuple(f.rays[i] for i in base)))
     out = {}
     for target in f.max_cones:
         for perm in itertools.permutations(target):
             # the candidate t . base^-1 = t . adj / d is integral iff d
             # divides every entry of t . adj
-            t_adj = mat_mul(columns_matrix(tuple(f.rays[i] for i in perm)),
+            t_adj = mat_mul(transpose(tuple(f.rays[i] for i in perm)),
                             base_adj)
             if any(x % d for row in t_adj for x in row):
                 continue
@@ -535,7 +535,7 @@ def test_a_non_integral_candidate_is_refused():
     assert d == 9
     # the map rays 0, 1 -> rays 1, 0 as a rational matrix: it fixes ray 2
     # and so permutes the rays and the cones, but is not integral
-    t = columns_matrix((SWAP_FAN.rays[1], SWAP_FAN.rays[0]))
+    t = transpose((SWAP_FAN.rays[1], SWAP_FAN.rays[0]))
     swap = tuple(tuple(Fraction(x, d) for x in row) for row in mat_mul(t, m))
     assert mat_vec(swap, SWAP_FAN.rays[2]) == SWAP_FAN.rays[2]
     assert any(x.denominator != 1 for row in swap for x in row)
@@ -627,7 +627,7 @@ def test_transitivity_matches_the_cone_oracle(fan, seed, moved):
 def cone_facets_by_adjugate(fan, ci):
     """`Fan.cone_facets` as it was before the walk: the cone's own adjugate,
     negated when d < 0."""
-    d, adj = adjugate(columns_matrix(tuple(fan.rays[i]
+    d, adj = adjugate(transpose(tuple(fan.rays[i]
                                            for i in fan.max_cones[ci])))
     return d, adj if d >= 0 else tuple(map(vec_neg, adj))
 

@@ -2,7 +2,7 @@ import collections
 import itertools
 import random
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, gcd
 from unittest import mock
 
 import pytest
@@ -282,6 +282,50 @@ def test_point_location_catches_a_dropped_cone(spec):
     broken = Fan(fan.rank, fan.rays, fan.max_cones[1:])
     assert 0 in located_counts(broken, 200, 2024)
     assert not validate_fan(broken).complete
+
+
+def assert_consistent_verdicts(fan):
+    """smooth implies simplicial, valid is complete, and simplicial fails
+    exactly when a ray check fails or some maximal cone is degenerate."""
+    rep = validate_fan(fan)
+    used = set(itertools.chain.from_iterable(fan.max_cones))
+    ray_fails = (any(gcd(*r) != 1 for r in fan.rays)  # zero or not primitive
+                 or len(set(fan.rays)) < len(fan.rays)
+                 or len(used) < len(fan.rays))
+    degenerate = any(det(cone_rays(fan, ci)) == 0
+                     for ci in range(len(fan.max_cones)))
+    assert rep.simplicial == (not ray_fails and not degenerate)
+    assert rep.simplicial or not rep.smooth
+    assert rep.valid == rep.complete == (not rep.failures)
+
+
+@pytest.mark.parametrize("spec", CATALOG_FAN_SPECS)
+@pytest.mark.parametrize("edit", ["dropped", "duplicated"])
+def test_validate_verdicts_on_catalog_fans_with_a_cone_edited(spec, edit):
+    fan = example_fan(spec)
+    cones = {"dropped": fan.max_cones[1:],
+             "duplicated": fan.max_cones + fan.max_cones[:1]}[edit]
+    assert_consistent_verdicts(fan)
+    assert_consistent_verdicts(Fan(fan.rank, fan.rays, cones))
+
+
+@st.composite
+def small_fans(draw):
+    """A rank 1-3 fan of 1-6 cones on small rays; most are invalid."""
+    n = draw(st.integers(1, 3))
+    rays = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n),
+                         min_size=n, max_size=n + 3))
+    subsets = list(itertools.combinations(range(len(rays)), n))
+    cones = draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=6))
+    return Fan(n, tuple(rays), tuple(cones))
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_fans())
+@example(Fan(2, ((1, 0), (0, 1), (1, 1)), ((0, 1), (0, 2))))  # overlap
+@example(DOUBLE_COVER)
+def test_validate_verdicts_on_random_fans(fan):
+    assert_consistent_verdicts(fan)
 
 
 def test_polytope_vertices_and_box():

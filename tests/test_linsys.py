@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb, prod
+from math import comb, perm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,7 +35,6 @@ from toric_linsys.linsys import (
     _exponents_and_orders,
     _trial_rank,
     build_point_matrix,
-    falling,
     generic_rank_for_support,
     normalize_mults,
     toric_counts,
@@ -78,13 +77,6 @@ def test_derivative_orders_cache_is_bounded_and_never_keeps_the_error():
             derivative_orders(2, 10**30)
 
 
-def test_falling_factorial():
-    assert falling(5, 0) == 1
-    assert falling(5, 2) == 20
-    assert falling(2, 3) == 0
-    assert falling(0, 0) == 1
-
-
 def test_build_matrix_line_through_point():
     L = LinearSystem(CP2, (1,), (1,))
     mat = build_point_matrix(L.section().points, L.multiplicities,
@@ -119,7 +111,7 @@ def test_build_matrix_f1_double_point():
 
 
 def test_build_matrix_entry_formula():
-    # d/dx^u of x^m at p is falling(m,u) * p^(m-u), componentwise
+    # d/dx^u of x^m at p is perm(m,u) * p^(m-u), componentwise
     pts = [(2, 3)]
     mat = build_point_matrix([(2, 1)], [3], pts)
     orders = derivative_orders(2, 3)
@@ -128,7 +120,7 @@ def test_build_matrix_entry_formula():
         if u[0] > 2 or u[1] > 1:
             expected.append(0)
         else:
-            expected.append(falling(2, u[0]) * falling(1, u[1])
+            expected.append(perm(2, u[0]) * perm(1, u[1])
                             * 2 ** (2 - u[0]) * 3 ** (1 - u[1]))
     assert [row[0] for row in mat.rows] == expected
 
@@ -168,7 +160,7 @@ def test_build_matrix_modular_is_exact_reduced(case):
     # the exact entries follow the formula, one entry at a time
     for (pi, u), row in zip(exact.row_labels, exact.rows):
         assert list(row) == [
-            prod(falling(mj, uj) * x ** max(mj - uj, 0)
+            prod(perm(mj, uj) * x ** max(mj - uj, 0)
                  for mj, uj, x in zip(m, u, points[pi]))
             for m in columns]
 
@@ -213,14 +205,14 @@ def modular_trials(draw):
     some rows vanish identically), mixed multiplicities, a prime of 3-20,
     61 or 78 bits, and points in [1, p - 1]. Exponents reach 13 in
     dimension 1 and 9 in dimension 2, past the primes of 3 and 4 bits, so
-    falling(m, u) = 0 mod p with u <= m occurs."""
+    perm(m, u) = 0 mod p with u <= m occurs."""
     bits = draw(st.one_of(st.integers(3, 4), st.integers(3, 20),
                           st.sampled_from((61, 78))))
     p = _prime_search(bits, random.Random(draw(st.integers(0, 2 ** 32))))[0]
     n = draw(st.integers(1, 4))
     top = (13, 9, 3, 3)[n - 1]
     exponent = st.integers(0, top)
-    if p <= top:  # m_j = p, ..., p + 3 give falling(m_j, u_j) = 0 mod p
+    if p <= top:  # m_j = p, ..., p + 3 give perm(m_j, u_j) = 0 mod p
         exponent = st.one_of(exponent, st.integers(p, min(p + 3, top)))
     columns = draw(st.lists(st.tuples(*[exponent] * n),
                             min_size=1, max_size=30, unique=True))
