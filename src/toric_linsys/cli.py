@@ -162,7 +162,7 @@ def parse_int_list(text):
 def parse_vertex(text):
     """Comma-separated integer or p/q coordinates, as Fractions."""
     try:
-        return tuple(Fraction(*map(int, x.split("/", 1)))
+        return tuple(Fraction(*map(_int_token, x.split("/", 1)))
                      for x in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed vertex '{text}': {exc}")
@@ -400,7 +400,7 @@ def cmd_sweep(args):
             poly, mults, desc = system_from_obj(task.get("system", task))
             cfg = rank_config(args, idx, base_cfg)
             record["report"] = analyze_polytope_system(poly, mults, cfg)
-        except (InputError, GenericityError, ValueError) as exc:
+        except (GenericityError, ValueError) as exc:
             record["error"] = str(exc)
         lines.append(record)
     reports = [record["report"] for record in lines if "report" in record]

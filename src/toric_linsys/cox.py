@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .fan_analysis import DemazureRoot, TransitivityVerdict
 from .lattice import POINT_BUDGET, Fan, LatticePolytope, lattice_points
-from .linalg import dot
+from .linalg import dot, transpose
 
 
 @dataclass(frozen=True)
@@ -48,14 +48,11 @@ def build_presentation(verdict: TransitivityVerdict) -> CoxPresentation:
         expected = tuple(-1 if j == i else 0 for j in range(n))
         if fan.rays[i] != expected:
             raise ValueError("fan is not normalized")
-    ray_matrix = tuple(tuple(fan.rays[j][i] for j in range(r)) for i in range(n))
-    if any(ray_matrix[i][j] < 0 for i in range(n) for j in range(n, r)):
+    if any(x < 0 for ray in fan.rays[n:] for x in ray):
         raise ValueError("normalized fan has a negative ray entry")
-    grading = tuple(
-        tuple(fan.rays[n + j][i] for i in range(n))
-        + tuple(1 if l == j else 0 for l in range(r - n))
-        for j in range(r - n))
-    return CoxPresentation(fan, ray_matrix, grading, r - n)
+    grading = tuple(ray + tuple(1 if l == j else 0 for l in range(r - n))
+                    for j, ray in enumerate(fan.rays[n:]))
+    return CoxPresentation(fan, transpose(fan.rays), grading, r - n)
 
 
 def divisor_class(cp: CoxPresentation, coeffs):
@@ -72,11 +69,10 @@ def to_standard_form(cp: CoxPresentation, coeffs):
     zeroes the first n coefficients and leaves the class unchanged.
     """
     n = cp.rank
-    r = cp.num_rays
-    if len(coeffs) != r:
+    if len(coeffs) != cp.num_rays:
         raise ValueError("divisor length must equal the number of rays")
-    e = tuple(coeffs[:n])
-    return tuple(coeffs[n + j] + dot(e, cp.fan.rays[n + j]) for j in range(r - n))
+    e = coeffs[:n]
+    return tuple(d + dot(e, ray) for d, ray in zip(coeffs[n:], cp.fan.rays[n:]))
 
 
 @dataclass(frozen=True)
@@ -95,10 +91,8 @@ def section_polytope(cp: CoxPresentation, standard) -> SectionPolytope:
     r = cp.num_rays
     if len(standard) != r - n:
         raise ValueError("standard form needs r - n coefficients")
-    normals = tuple(tuple(-1 if j == i else 0 for j in range(n)) for i in range(n))
-    normals += tuple(cp.fan.rays[n + j] for j in range(r - n))
-    offsets = (0,) * n + tuple(standard)
-    poly = LatticePolytope(normals, offsets)
+    # the first n rays are -e_1..-e_n, as build_presentation checks
+    poly = LatticePolytope(cp.fan.rays, (0,) * n + tuple(standard))
     pts = tuple(lattice_points(poly))
     return SectionPolytope(poly, pts, len(pts))
 

@@ -153,7 +153,7 @@ def _simplex_fits(piece: LatticePolytope, axis: int, c: int, mu: int) -> bool:
                for j in range(-1, piece.dim if mu > 1 else 0))
 
 
-def _containment_witness(n, pieces: SplitPieces, split: SplitSpec, mults,
+def _containment_witness(pieces: SplitPieces, split: SplitSpec, mults,
                          first_out=None):
     """First (hypothesis name, point index, order) whose simplex leaves its
     piece, or None: shifted simplices of the first point_split points in plus,
@@ -167,7 +167,7 @@ def _containment_witness(n, pieces: SplitPieces, split: SplitSpec, mults,
         if (name, mu) not in first_out:
             first_out[name, mu] = None if _simplex_fits(
                 piece, split.axis, level, mu) else next(
-                u for u in delta_c_mu(n, split.axis, level, mu)
+                u for u in delta_c_mu(piece.dim, split.axis, level, mu)
                 if not piece.contains(u))
         if first_out[name, mu] is not None:
             return name, i, first_out[name, mu]
@@ -189,7 +189,7 @@ def check_hypotheses(p: LatticePolytope, split: SplitSpec, mults,
 def _check_split(pieces: SplitPieces, split: SplitSpec, mults, report_minus,
                  report_plus) -> HypothesisTranscript:
     """check_hypotheses on pieces that split_polytope has already built."""
-    witness = _containment_witness(pieces.plus.dim, pieces, split, mults)
+    witness = _containment_witness(pieces, split, mults)
     name = witness[0] if witness else None
     shifted_ok = name != "shifted_delta_in_plus"
     base_ok = name != "base_delta_in_minus"
@@ -268,11 +268,8 @@ def _split_node(polytope, mults, pieces, spec, children):
                            transcript=transcript, children=children)
 
 
-def _level_order(width):
-    return sorted(range(1, width + 1), key=lambda c: (abs(2 * c - width - 1), c))
-
-
-def _split_order(k):
+def _middle_out(k):
+    """1 .. k - 1 from the middle out, the lower first on a tie."""
     return sorted(range(1, k), key=lambda s: (abs(2 * s - k), s))
 
 
@@ -285,15 +282,14 @@ def _certify(polytope, mults, depth, cfg, memo):
     k = len(mults)
     if k >= 2 and depth > 0:
         widths = axis_widths(polytope)
-        n = polytope.dim
-        axes = sorted(range(n), key=lambda i: (-widths[i], i))
+        axes = sorted(range(polytope.dim), key=lambda i: (-widths[i], i))
         for axis in axes:  # no level of a width-0 axis
-            for level in _level_order(widths[axis]):
+            for level in _middle_out(widths[axis] + 1):
                 pieces = split_polytope(polytope, axis, level)
                 first_out = {}  # per (side, mu): the same for every s here
-                for s in _split_order(k):
+                for s in _middle_out(k):
                     spec = SplitSpec(axis, level, s)
-                    if _containment_witness(n, pieces, spec, mults, first_out):
+                    if _containment_witness(pieces, spec, mults, first_out):
                         continue
                     minus, plus = _child_systems(pieces, spec, mults)
                     if (toric_counts(*minus)[2] + 1) * \

@@ -3,7 +3,8 @@
 Everything works over Python ints and fractions.Fraction; no floats ever.
 Vectors are tuples, matrices are sequences of row sequences. Determinants,
 ranks, adjugates and solves all come from one fraction-free (Bareiss)
-elimination, which clears row denominators and then stays in the integers.
+elimination over the integers: `det` and `adjugate` take integer matrices,
+while `rank` and the solves first clear each Fraction row's denominators.
 A fan's cone inverses use it once per fan: `lattice.validate_fan` derives
 the other cones' adjugates from cone 0's by rank-one updates.
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 from operator import mul
 
 
@@ -110,39 +111,32 @@ def _back_substitute(a, k, last, col):
     return x
 
 
-def _row_scale(m):
-    """Product of the row denominators _echelon clears: 1 for plain ints."""
-    if all(type(x) is int for row in m for x in row):
-        return 1
-    return prod(lcm(*(x.denominator for x in row)) for row in m)
-
-
-def _divide(x, scale):
-    """x / scale, still an int when no denominator was cleared."""
-    return x if scale == 1 else Fraction(x, scale)
+def _require_ints(m, name):
+    """TypeError unless every entry of the matrix m is an int (bool too)."""
+    if not all(issubclass(t, int) for t in {type(x) for row in m for x in row}):
+        raise TypeError(f"{name} needs integer entries")
 
 
 def det(m):
-    """Exact determinant of a square matrix (Bareiss elimination)."""
+    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    _require_ints(m, "det")
     _, pivots, last, sign = _echelon(m)
     if len(pivots) < len(m):
         return 0
-    return _divide(sign * last, _row_scale(m))
+    return sign * last
 
 
 def adjugate(m):
-    """(det m, adj m) of a square matrix, so that m . adj == det * I; the
-    adjugate is None when m is singular. Integer m gives integer entries."""
+    """(det m, adj m) of a square integer matrix, so that m . adj == det * I;
+    the adjugate is None when m is singular."""
+    _require_ints(m, "adjugate")
     n = len(m)
     a, pivots, last, sign = _echelon(
         [(*row, *(int(i == j) for j in range(n))) for i, row in enumerate(m)])
     if pivots[:n] != list(range(n)):
         return 0, None
     cols = [_back_substitute(a, n, last, n + j) for j in range(n)]
-    scale = _row_scale(m)
-    return (_divide(sign * last, scale),
-            tuple(tuple(_divide(sign * c[i], scale) for c in cols)
-                  for i in range(n)))
+    return sign * last, transpose([sign * x for x in c] for c in cols)
 
 
 def solve_unique(m, b):

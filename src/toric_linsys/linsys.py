@@ -239,20 +239,15 @@ def generic_rank(system: LinearSystem, cfg: RankConfig = RankConfig()):
     return generic_rank_for_support(sec.points, n, system.multiplicities, cfg)
 
 
-def truncated_condition_counts(polytope: LatticePolytope, mults):
-    """Per multiplicity mu, the derivative orders u >= 0 with |u| < mu inside
-    the bounded polytope. Each is an integer point, so the count is
-    #{m in polytope.points : m >= 0, |m| < mu}, read off the sorted |m|."""
-    degrees = sorted(sum(m) for m in polytope.points if min(m) >= 0)
-    return tuple(bisect_left(degrees, mu) for mu in mults)
-
-
 def toric_counts(polytope: LatticePolytope, mults):
-    """(h0, truncations, tvdim) of the ample system of a polytope in standard
-    position: tvdim = h0 - (conditions inside the polytope) - 1."""
-    h0 = len(lattice_points(polytope))
-    truncs = truncated_condition_counts(polytope, mults)
-    return h0, truncs, h0 - sum(truncs) - 1
+    """(h0, truncations, tvdim) of the ample system of a bounded polytope in
+    standard position. truncations[i] counts the orders u >= 0, |u| < mults[i]
+    inside the polytope, its points m >= 0 with |m| < mults[i], read off the
+    sorted |m|; tvdim = h0 - sum(truncations) - 1."""
+    points = lattice_points(polytope)
+    degrees = sorted(sum(m) for m in points if min(m) >= 0)
+    truncs = tuple(bisect_left(degrees, mu) for mu in mults)
+    return len(points), truncs, len(points) - sum(truncs) - 1
 
 
 @dataclass(frozen=True)

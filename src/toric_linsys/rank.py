@@ -47,10 +47,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, count
+from itertools import count
 from math import gcd, isqrt, prod
 
-from .linalg import _integer_rows, rank as matrix_rank
+from .linalg import _integer_rows, _require_ints, rank as matrix_rank
 
 _SMALL_PRIMES = frozenset(q for q in range(2, 300)
                           if all(q % d for d in range(2, isqrt(q) + 1)))
@@ -198,8 +198,7 @@ def _eliminate(vectors, nslots: int, s: int, p: int, nbytes: int) -> int:
 def rank_mod_p(rows, p: int) -> int:
     """Rank of an integer matrix over the field with p elements; `rows` is
     not modified."""
-    if not all(issubclass(t, int) for t in set(map(type, chain(*rows)))):
-        raise TypeError("rank_mod_p needs integer entries")
+    _require_ints(rows, "rank_mod_p")
     ncols = len(rows[0]) if rows else 0
     a = [row for row in rows if any(row)]
     s = min(len(a), ncols)

@@ -86,8 +86,9 @@ def test_polytope_rows_need_an_entry(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("vertex", ["1.5,0", "1/0,0", "1/2/3,0", "1/,0",
-                                    "x,0", "0,,0"])
+                                    "x,0", "0,,0", "1_0,0", "\u0661,0"])
 def test_capsule_vertex_takes_integers_and_p_over_q_only(vertex, capsys):
+    # as in integer lists, '1_0' and the Arabic-Indic digit one are no int
     code, doc, _ = run_cli(["capsule", "--example", "box:2x1",
                             "--vertex", vertex], capsys)
     assert code == 1

@@ -3,6 +3,7 @@ import json
 import random
 from dataclasses import replace
 from math import floor
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -33,10 +34,10 @@ from toric_linsys.catalog import (
 )
 from toric_linsys import degeneration
 from toric_linsys.degeneration import (
+    _certify,
     _containment_witness,
     _leaf,
-    _level_order,
-    _split_order,
+    _middle_out,
     CertificateNode,
     axis_widths,
 )
@@ -775,11 +776,11 @@ def _certify_unpruned(polytope, mults, depth, cfg):
         for axis in axes:
             if widths[axis] < 1:
                 continue
-            for level in _level_order(widths[axis]):
+            for level in _middle_out(widths[axis] + 1):
                 pieces = split_polytope(polytope, axis, level)
-                for s in _split_order(k):
+                for s in _middle_out(k):
                     spec = SplitSpec(axis, level, s)
-                    if _containment_witness(n, pieces, spec, mults):
+                    if _containment_witness(pieces, spec, mults):
                         continue
                     left = _certify_unpruned(pieces.minus_prev, mults[:s],
                                              depth - 1, cfg)
@@ -906,8 +907,8 @@ def _witnesses_match_the_scan(poly, mults):
             for s in range(len(mults) + 1):
                 spec = SplitSpec(axis, level, s)
                 expected = _containment_witness_by_scan(n, pieces, spec, mults)
-                assert _containment_witness(n, pieces, spec, mults) == expected
-                assert _containment_witness(n, pieces, spec, mults,
+                assert _containment_witness(pieces, spec, mults) == expected
+                assert _containment_witness(pieces, spec, mults,
                                             first_out) == expected
                 kinds.add(expected and expected[0])
     return kinds
@@ -1005,3 +1006,31 @@ def test_verify_compares_every_repeated_leaf_on_its_own(tmp_path):
     leaf["report"]["special"] = not leaf["report"]["special"]
     cert.write_text(json.dumps(doc))
     assert cli_main(["verify", "--certificate", str(cert), "--seed", "2"]) == 4
+
+
+# ROADMAP item 1: the plane quintics through two triple and three double
+# points are special (the line through the triple points plus twice the
+# conic through all five is one, so dim = 0 > tedim = -1), yet the search
+# certifies them. The stored certificate is what `certify --example pn:2
+# --class 5 --mults 3,3,2,2,2 --seed 1` prints while item 1 is open.
+SPECIAL_QUINTIC = certificate_from_json(json.loads(
+    (Path(__file__).resolve().parent /
+     "special_quintic_certificate.json").read_text())["certificate"])
+
+
+def test_the_special_quintic_root_is_toric_special():
+    report = analyze_polytope_system(SPECIAL_QUINTIC.polytope,
+                                     SPECIAL_QUINTIC.mults, RankConfig(seed=1))
+    assert (report.dim, report.tedim) == (0, -1)
+    assert report.toric_special
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_the_search_does_not_certify_the_special_quintic():
+    assert _certify(SPECIAL_QUINTIC.polytope, SPECIAL_QUINTIC.mults, 8,
+                    RankConfig(seed=1), {}) is None
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_verify_refuses_the_special_quintic_certificate():
+    assert not verify_certificate(SPECIAL_QUINTIC, RankConfig(seed=77))

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +30,10 @@ def identity(n):
 
 
 def minor_rank(rows):
-    """Independent rank oracle: largest k with a nonzero k x k minor."""
+    """Independent rank oracle: largest k with a nonzero k x k minor. Rows
+    are first scaled to integers, which turns no minor zero or nonzero."""
+    rows = [[int(x * lcm(*(Fraction(y).denominator for y in row)))
+             for x in row] for row in rows]
     m, n = len(rows), len(rows[0])
     for k in range(min(m, n), 0, -1):
         for ri in itertools.combinations(range(m), k):
@@ -65,6 +69,17 @@ def test_det_matches_permutation_expansion():
                 term *= m[i][perm[i]]
             expected += term
         assert det(m) == expected
+
+
+@pytest.mark.parametrize("m", [[[Fraction(1, 2)]], [[1, 0], [0, Fraction(1)]],
+                               [[1, 2], [3, 4.0]]])
+def test_det_and_adjugate_take_integer_entries_only(m):
+    # a Fraction row would have its denominator cleared, as rank does
+    with pytest.raises(TypeError, match="det needs integer entries"):
+        det(m)
+    with pytest.raises(TypeError, match="adjugate needs integer entries"):
+        adjugate(m)
+    assert det([[True, 0], [0, 2]]) == 2  # bool is an int
 
 
 def test_solve_unique():
@@ -218,28 +233,34 @@ def test_rank_property_matches_minor_oracle(rows):
     assert rank_exact(rows) == expected
 
 
+INT_SQUARES = st.integers(1, 6).flatmap(
+    lambda n: matrices(rows=n, cols=n, rational=False))
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda n: matrices(rows=n, cols=n)))
+@given(INT_SQUARES)
 def test_det_property_matches_leibniz(m):
     assert det(m) == leibniz_det(m)
 
 
 @settings(max_examples=150, deadline=None)
-@given(square_systems())
-def test_solve_unique_and_adjugate_property(system):
+@given(square_systems(), INT_SQUARES)
+def test_solve_unique_and_adjugate_property(system, a):
+    # solve_unique takes rational systems, adjugate integer matrices
     m, b = system
-    n = len(m)
-    d = leibniz_det(m)
     x = solve_unique(m, b)
-    d_adj, adj = adjugate(m)
-    if d == 0:
+    if leibniz_det(m) == 0:
         assert x is None
+    else:
+        assert mat_vec(m, x) == tuple(b)
+    d = leibniz_det(a)
+    d_adj, adj = adjugate(a)
+    if d == 0:
         assert (d_adj, adj) == (0, None)
         return
-    assert mat_vec(m, x) == tuple(b)
     assert d_adj == d
-    assert mat_mul(m, adj) == tuple(tuple(d * x for x in row)
-                                    for row in identity(n))
+    assert mat_mul(a, adj) == tuple(tuple(d * x for x in row)
+                                    for row in identity(len(a)))
 
 
 @settings(max_examples=150, deadline=None)

@@ -38,7 +38,6 @@ from toric_linsys.linsys import (
     generic_rank_for_support,
     normalize_mults,
     toric_counts,
-    truncated_condition_counts,
 )
 from toric_linsys.linalg import rank as matrix_rank
 from toric_linsys.rank import (_SCREEN_PRIME, TrialEvidence, _prime_search,
@@ -458,7 +457,7 @@ def bounded_polytopes(draw):
 @settings(max_examples=300, deadline=None)
 @given(bounded_polytopes(), st.lists(st.integers(0, 6), max_size=4))
 def test_truncation_counts_match_the_derivative_order_walk(poly, mults):
-    assert truncated_condition_counts(poly, mults) == \
+    assert toric_counts(poly, mults)[1] == \
         walked_condition_counts(poly, poly.dim, mults)
 
 
@@ -466,9 +465,9 @@ def test_truncation_counts_off_the_first_orthant():
     # [1, 2]^2 holds no order u >= 0 with |u| < 2; [-1, 1]^2 holds the
     # orders of |u| < 2 and, of the order-2 ones, only (1, 1)
     lifted = box_polytope((1, 1)).translate((1, 1))
-    assert truncated_condition_counts(lifted, (1, 2, 3)) == (0, 0, 1)
+    assert toric_counts(lifted, (1, 2, 3))[1] == (0, 0, 1)
     centred = box_polytope((2, 2)).translate((-1, -1))
-    assert truncated_condition_counts(centred, (1, 2, 3, 4)) == (1, 3, 4, 4)
+    assert toric_counts(centred, (1, 2, 3, 4))[1] == (1, 3, 4, 4)
 
 
 def test_analyze_quartics_five_double_points():
