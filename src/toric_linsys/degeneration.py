@@ -6,6 +6,12 @@ hypotheses hold, non-speciality of the two degenerate systems forces
 non-speciality of the original. A certificate is a tree whose internal
 nodes are such splits and whose leaves carry a direct rank report with
 dim = tedim. Failure to find a certificate proves nothing.
+
+A split sends each point to one piece and needs its simplex of orders to
+fit there, so a split that passes loses no condition. Hence `certify` ranks
+the root first: when the root's own trials fall short, no certificate can
+exist, and none is searched for. `verify` re-proves a leaf with its first
+trial alone when that trial reaches full rank.
 """
 
 from __future__ import annotations
@@ -74,7 +80,7 @@ def axis_widths(p: LatticePolytope):
 class SplitSpec:
     axis: int      # 0-based coordinate axis
     level: int     # slice at m_axis = level, 1 <= level <= width
-    point_split: int  # mults[:point_split] go to minus_prev: `_child_systems`
+    point_split: int  # mults[:point_split] go to minus_prev, the rest to plus
 
 
 @dataclass(frozen=True)
@@ -119,8 +125,8 @@ def split_polytope(p: LatticePolytope, axis: int, level: int) -> SplitPieces:
 
 
 def _child_systems(pieces: SplitPieces, split: SplitSpec, mults):
-    """(polytope, mults) of the minus and plus children. `_containment_witness`
-    differs: it tests the first point_split points' shifted simplices in plus."""
+    """(polytope, mults) of the minus and plus children; `_containment_witness`
+    tests each point's simplex in the piece this assigns it to."""
     s = split.point_split
     return (pieces.minus_prev, mults[:s]), (pieces.plus_child, mults[s:])
 
@@ -156,14 +162,15 @@ def _simplex_fits(piece: LatticePolytope, axis: int, c: int, mu: int) -> bool:
 def _containment_witness(pieces: SplitPieces, split: SplitSpec, mults,
                          first_out=None):
     """First (hypothesis name, point index, order) whose simplex leaves its
-    piece, or None: shifted simplices of the first point_split points in plus,
-    base ones of the rest in minus_prev; first_out holds it per (name, mu)."""
+    piece, or None: base simplices of the first point_split points in
+    minus_prev, shifted ones of the rest in plus, as `_child_systems` assigns
+    them; first_out holds it per (name, mu)."""
     first_out = {} if first_out is None else first_out
     for i, mu in enumerate(mults):
         if i < split.point_split:
-            name, piece, level = "shifted_delta_in_plus", pieces.plus, split.level
-        else:
             name, piece, level = "base_delta_in_minus", pieces.minus_prev, 0
+        else:
+            name, piece, level = "shifted_delta_in_plus", pieces.plus, split.level
         if (name, mu) not in first_out:
             first_out[name, mu] = None if _simplex_fits(
                 piece, split.axis, level, mu) else next(
@@ -181,6 +188,15 @@ def check_hypotheses(p: LatticePolytope, split: SplitSpec, mults,
     report_minus / report_plus only need tvdim and toric_special attributes
     (a SpecialityReport or a certificate node both qualify); they describe
     the two systems of `_child_systems`, in that order.
+
+    A point imposes its conditions on the piece it is assigned to: the
+    first point_split points on minus_prev, at the origin, the rest on plus,
+    at level * e_axis. They count there in full, as in the whole polytope,
+    only if the point's simplex of orders |u| < mu fits that piece (the base
+    simplex in minus_prev, the shifted one in plus); a simplex that sticks
+    out loses the orders outside, and the children would then undercount
+    the original conditions. So both containments are hypotheses, and with
+    them the children's truncations add up to the polytope's.
     """
     return _check_split(split_polytope(p, split.axis, split.level), split,
                         mults, report_minus, report_plus)
@@ -242,9 +258,9 @@ class CertificateNode:
 
 
 def _analyze(polytope, mults, cfg, memo):
-    """analyze_polytope_system once per (dim, points, mults), all it reads;
-    the points come through lattice_points, as traced runs expect."""
-    key = (polytope.dim, tuple(lattice_points(polytope)), tuple(mults))
+    """analyze_polytope_system once per (cfg, dim, points, mults), all it
+    reads; the points come through lattice_points, as traced runs expect."""
+    key = (cfg, polytope.dim, tuple(lattice_points(polytope)), tuple(mults))
     if key not in memo:
         memo[key] = analyze_polytope_system(polytope, mults, cfg)
     return memo[key]
@@ -314,16 +330,37 @@ def certify(system: PolytopeSystem, max_depth: int = 8,
     whose tvdim product is negative is skipped before its children are
     searched; see `_certify`. Returns None when inconclusive, which is never
     a proof of speciality.
+
+    The root is screened first: its first trial alone, then, if that falls
+    short, its full analysis, the one the search would end with. When that
+    says dim > tedim, no split is built: a split conserves conditions
+    (`check_hypotheses`), so a certificate would prove what the root's own
+    trials refute, short of a trial failure. Otherwise the search runs as
+    it would unscreened and returns the same certificate; the screen costs
+    it one root trial.
     """
     ensure_standard_form(system.polytope)
+    polytope = system.polytope
     mults = tuple(sorted(system.multiplicities, reverse=True))
-    return _certify(system.polytope, mults, max_depth, cfg, {})
+    memo = {}
+    if all(_analyze(polytope, mults, c, memo).toric_special
+           for c in (replace(cfg, trials=1), cfg)):
+        return None
+    return _certify(polytope, mults, max_depth, cfg, memo)
 
 
 def verify_certificate(cert: CertificateNode, cfg: RankConfig = RankConfig()) -> bool:
-    """Independent re-check: the root passes `ensure_standard_form` and every
-    node equals its rebuild (`_verify_node`), each leaf re-ranked with the
-    given config."""
+    """Independent re-check with the given config. The root must pass
+    `ensure_standard_form`, and every node must equal its rebuild
+    (`_verify_node`):
+    - every split conserves conditions: its children's truncations, in
+      mults order, are its own;
+    - every split's transcript equals the recomputed one;
+    - every leaf is re-proved by its first sufficient trial: the first trial
+      alone when it reaches rank h0 - tedim - 1, else all cfg.trials.
+    No trial rank exceeds h0 - tedim - 1 on a down-set, so a first trial
+    that reaches it fixes every compared field, and the leaves accepted are
+    those that all cfg.trials would accept."""
     try:
         ensure_standard_form(cert.polytope)
         return _verify_node(cert, cfg, {})
@@ -333,9 +370,12 @@ def verify_certificate(cert: CertificateNode, cfg: RankConfig = RankConfig()) ->
 
 def _verify_node(node: CertificateNode, cfg, memo) -> bool:
     """The node equals its rebuild by `_leaf` (samples, seed and mode aside)
-    or `_split_node`, and its children hold `_child_systems` and pass."""
+    or `_split_node`, and its children hold `_child_systems`, conserve its
+    truncations and pass."""
     if node.kind == "leaf":
-        fresh, stored = _leaf(node.polytope, node.mults, cfg, memo), node.report
+        fresh = _leaf(node.polytope, node.mults, replace(cfg, trials=1),
+                      memo) or _leaf(node.polytope, node.mults, cfg, memo)
+        stored = node.report
         return fresh is not None and stored is not None and node == replace(
             fresh, report=replace(fresh.report, samples=stored.samples,
                                   seed=stored.seed, mode=stored.mode))
@@ -350,7 +390,8 @@ def _verify_node(node: CertificateNode, cfg, memo) -> bool:
     systems = _child_systems(pieces, spec, node.mults)
     # point lists are sorted, so equal sets give equal lists
     if [(c.mults, lattice_points(c.polytope)) for c in (left, right)] != \
-            [(m, lattice_points(q)) for q, m in systems]:
+            [(m, lattice_points(q)) for q, m in systems] or \
+            left.truncations + right.truncations != node.truncations:
         return False
     return node == _split_node(node.polytope, node.mults, pieces, spec,
                                node.children) and \

@@ -7,7 +7,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from toric_linsys import (
     LatticePolytope,
@@ -32,7 +32,7 @@ from toric_linsys.catalog import (
     simplex_polytope,
     trapezoid_polytope,
 )
-from toric_linsys import degeneration
+from toric_linsys import degeneration, linsys
 from toric_linsys.degeneration import (
     _certify,
     _containment_witness,
@@ -150,12 +150,13 @@ def test_check_hypotheses_box_pass():
 
 def test_check_hypotheses_containment_failure():
     box = box_polytope((2, 1))
-    # level 2 leaves no room for the shifted simplex of a double point
-    spec = SplitSpec(axis=0, level=2, point_split=1)
+    # level 2 leaves no room for the shifted simplex of a double point that
+    # goes to the plus piece (point_split 0)
+    spec = SplitSpec(axis=0, level=2, point_split=0)
     pieces = split_polytope(box, 0, 2)
-    rep_minus = analyze_polytope_system(pieces.minus_prev, (2,), CFG)
+    rep_minus = analyze_polytope_system(pieces.minus_prev, (), CFG)
     shift = tuple(-x for x in pieces.plus_anchor)
-    rep_plus = analyze_polytope_system(pieces.plus.translate(shift), (), CFG)
+    rep_plus = analyze_polytope_system(pieces.plus.translate(shift), (2,), CFG)
     tr = check_hypotheses(box, spec, (2,), rep_minus, rep_plus)
     assert not tr.passed
     assert not tr.shifted_delta_in_plus_ok
@@ -610,13 +611,13 @@ def test_certificate_soundness_sweep():
 
 
 @pytest.mark.parametrize("sides, mults, witness", [
-    # the shifted simplex of the first double point leaves the plus piece;
-    # the base check is not reached, so its flag stays True although the
-    # second double point would fail it too
-    ((1, 1), (2, 2), ("shifted_delta_in_plus", 0, (2, 0))),
-    # the shifted simplex of the single point fits the plus piece, but the
-    # base simplex of the double point leaves the column m_0 = 0
-    ((2, 1), (1, 2), ("base_delta_in_minus", 1, (1, 0))),
+    # the base simplex of the first double point, which goes to minus_prev,
+    # leaves the column m_0 = 0; the shifted check is not reached, so its
+    # flag stays True although the second double point would fail it too
+    ((1, 1), (2, 2), ("base_delta_in_minus", 0, (1, 0))),
+    # the base simplex of the single point fits the column, but the shifted
+    # simplex of the double point, which goes to plus, leaves it
+    ((1, 1), (1, 2), ("shifted_delta_in_plus", 1, (2, 0))),
 ])
 def test_check_hypotheses_containment_flags(sides, mults, witness):
     box = box_polytope(sides)
@@ -831,7 +832,8 @@ def test_pruned_search_finds_the_unpruned_certificate(poly, mults, depth, seed):
 def test_prune_skips_rank_trials_of_rejected_splits(monkeypatch):
     # simplex 2:4 with five double points at depth 1 is inconclusive; the
     # unpruned search runs 31 leaf analyses to find that out, the pruned 6
-    # (one per distinct leaf)
+    # (one per distinct leaf). Both searches are called without certify's
+    # root screen, which ends this one after the root's analysis
     calls = []
     original = degeneration.analyze_polytope_system
 
@@ -844,7 +846,7 @@ def test_prune_skips_rank_trials_of_rejected_splits(monkeypatch):
     expected = _certify_unpruned(poly, mults, 1, CFG)
     unpruned = len(calls)
     calls.clear()
-    got = certify(PolytopeSystem(poly, mults), max_depth=1, cfg=CFG)
+    got = _certify(poly, mults, 1, CFG, {})
     assert _certificate_bytes(got) == _certificate_bytes(expected)
     assert len(calls) < unpruned
 
@@ -871,9 +873,9 @@ def _containment_witness_by_scan(n, pieces, split, mults):
     order of every simplex is tested, in order."""
     for i, mu in enumerate(mults):
         if i < split.point_split:
-            name, piece, level = "shifted_delta_in_plus", pieces.plus, split.level
-        else:
             name, piece, level = "base_delta_in_minus", pieces.minus_prev, 0
+        else:
+            name, piece, level = "shifted_delta_in_plus", pieces.plus, split.level
         for u in delta_c_mu(n, split.axis, level, mu):
             if not piece.contains(u):
                 return name, i, u
@@ -940,7 +942,8 @@ def test_each_distinct_leaf_is_analysed_once_per_call(monkeypatch):
     # the four leaves of box 3x3 with four double points at depth 2 are all
     # the unit square with one double point: one analysis per certify and
     # one per verify (four each before the memo), and none is kept between
-    # calls
+    # calls; certify also screens its root with one trial, and verify's one
+    # leaf analysis is that of the first trial, which reaches full rank
     calls = []
     original = degeneration.analyze_polytope_system
 
@@ -952,13 +955,13 @@ def test_each_distinct_leaf_is_analysed_once_per_call(monkeypatch):
     system = PolytopeSystem(box_polytope((3, 3)), (2, 2, 2, 2))
     cert = certify(system, max_depth=2, cfg=RankConfig(seed=1))
     assert len(list(cert.leaves())) == 4
-    assert len(calls) == 1
+    assert [c[2].trials for c in calls] == [1, 5]
     assert verify_certificate(cert, RankConfig(seed=2))
-    assert len(calls) == 2
+    assert [c[2].trials for c in calls] == [1, 5, 1]
     assert _certificate_bytes(certify(system, max_depth=2,
                                       cfg=RankConfig(seed=1))) \
         == _certificate_bytes(cert)
-    assert len(calls) == 3
+    assert len(calls) == 5
 
 
 def test_each_split_is_built_once(monkeypatch):
@@ -1008,11 +1011,14 @@ def test_verify_compares_every_repeated_leaf_on_its_own(tmp_path):
     assert cli_main(["verify", "--certificate", str(cert), "--seed", "2"]) == 4
 
 
-# ROADMAP item 1: the plane quintics through two triple and three double
-# points are special (the line through the triple points plus twice the
-# conic through all five is one, so dim = 0 > tedim = -1), yet the search
-# certifies them. The stored certificate is what `certify --example pn:2
-# --class 5 --mults 3,3,2,2,2 --seed 1` prints while item 1 is open.
+# The plane quintics through two triple and three double points are special
+# (the line through the triple points plus twice the conic through all five
+# is one, so dim = 0 > tedim = -1). The stored certificate is what `certify
+# --example pn:2 --class 5 --mults 3,3,2,2,2 --seed 1` printed while the
+# containment test put the first point_split points' shifted simplices in
+# plus, though `_child_systems` gives them to minus_prev: its root split
+# sends both triple points to the strip m_0 <= 1, where their simplices do
+# not fit, and its children count 10 + 9 of the root's 21 conditions.
 SPECIAL_QUINTIC = certificate_from_json(json.loads(
     (Path(__file__).resolve().parent /
      "special_quintic_certificate.json").read_text())["certificate"])
@@ -1025,12 +1031,101 @@ def test_the_special_quintic_root_is_toric_special():
     assert report.toric_special
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_the_search_does_not_certify_the_special_quintic():
     assert _certify(SPECIAL_QUINTIC.polytope, SPECIAL_QUINTIC.mults, 8,
                     RankConfig(seed=1), {}) is None
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_verify_refuses_the_special_quintic_certificate():
     assert not verify_certificate(SPECIAL_QUINTIC, RankConfig(seed=77))
+
+
+def test_verify_refuses_a_split_that_loses_conditions(monkeypatch):
+    # with every hypothesis check made to pass (each split gets its stored
+    # transcript back), conservation alone refuses the quintic's root: it
+    # counts 21 conditions, and its children 10 + 9
+    stored = {}
+    nodes = [SPECIAL_QUINTIC]
+    while nodes:
+        node = nodes.pop()
+        if node.kind == "split":
+            stored[node.split, node.mults] = node.transcript
+            nodes.extend(node.children)
+    monkeypatch.setattr(degeneration, "_check_split",
+                        lambda pieces, spec, mults, *children:
+                        stored[spec, mults])
+    left, right = SPECIAL_QUINTIC.children
+    assert sum(SPECIAL_QUINTIC.truncations) == 21
+    assert (sum(left.truncations), sum(right.truncations)) == (10, 9)
+    assert not verify_certificate(SPECIAL_QUINTIC, RankConfig(seed=77))
+
+
+@pytest.mark.parametrize("polytope, mults, depth", [
+    (SPECIAL_QUINTIC.polytope, SPECIAL_QUINTIC.mults, 8),
+    # the tail case of the degen benchmark: twice the conic through the five
+    # points plus a conic through the four triple points gives dim 1 > 0
+    (simplex_polytope(2, 6), (3, 3, 3, 3, 2), 1),
+])
+def test_an_inconclusive_certify_builds_no_split(monkeypatch, polytope, mults,
+                                                 depth):
+    calls = []
+    original = degeneration.split_polytope
+
+    def counted(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(degeneration, "split_polytope", counted)
+    cfg = RankConfig(seed=1)
+    assert certify(PolytopeSystem(polytope, mults), max_depth=depth,
+                   cfg=cfg) is None
+    assert calls == []
+    # the unscreened search splits before it ends on the same root
+    assert _certify(polytope, mults, depth, cfg, {}) is None
+    assert calls
+
+
+@pytest.mark.parametrize("first_short", [False, True])
+def test_verify_runs_one_trial_per_full_rank_leaf(monkeypatch, first_short):
+    # box 2x1 with two simple points: a split with two distinct leaves. A
+    # first trial that reaches full rank proves its leaf alone; one made to
+    # fall short sends its leaf to all cfg.trials, which accept it
+    cert = certify(PolytopeSystem(box_polytope((2, 1)), (1, 1)), cfg=CFG)
+    assert len({leaf.h0 for leaf in cert.leaves()}) == 2
+    calls = []
+    original = linsys._trial_rank
+
+    def spied(*args):
+        rank, bound = original(*args)
+        calls.append(rank)
+        return rank - (first_short and len(calls) == 1), bound
+
+    monkeypatch.setattr(linsys, "_trial_rank", spied)
+    assert verify_certificate(cert, RankConfig(seed=2, trials=3))
+    assert len(calls) == (1 + 3 + 1 if first_short else 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(down_sets(), st.builds(simplex_polytope, st.just(2),
+                                        st.integers(2, 7))),
+       st.lists(st.integers(1, 3), min_size=2, max_size=5),
+       st.sampled_from((1, 2, 8)), st.integers(0, 10**6))
+@example(SPECIAL_QUINTIC.polytope, [3, 3, 2, 2, 2], 8, 1)
+@example(simplex_polytope(2, 6), [3, 3, 3, 3, 2], 1, 1)
+def test_the_root_screen_keeps_every_certificate(poly, mults, depth, seed):
+    # the screen ends a search only where the root's own trials fall short,
+    # and no sound split certifies such a root: the screened and unscreened
+    # searches give the same bytes, and every certificate's root has a
+    # direct dim equal to its tedim
+    try:
+        ensure_standard_form(poly)
+    except ValueError:
+        assume(False)
+    mults = tuple(sorted(mults, reverse=True))
+    cfg = RankConfig(seed=seed, trials=2)
+    expected = _certify(poly, mults, depth, cfg, {})
+    got = certify(PolytopeSystem(poly, mults), max_depth=depth, cfg=cfg)
+    assert _certificate_bytes(got) == _certificate_bytes(expected)
+    if expected is not None:
+        report = analyze_polytope_system(poly, mults, cfg)
+        assert report.dim == report.tedim
